@@ -26,7 +26,6 @@ from .linalg import (
     hermitian_eigen,
     hermitian_part,
     hermitian_sign,
-    optimal_contraction_complex,
     partial_trace,
     swap_subsystems,
     trace_norm,
@@ -114,7 +113,6 @@ __all__ = [
     "main_bound_scan",
     "omega_new",
     "omega_ranard",
-    "optimal_contraction_complex",
     "parse_game_file",
     "parse_operator_file",
     "partial_trace",

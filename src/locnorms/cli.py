@@ -323,6 +323,8 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     summary = run_verification(
         seed=args.seed,
         samples=args.samples,

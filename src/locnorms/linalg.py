@@ -81,23 +81,30 @@ def hermitian_sign(m) -> np.ndarray:
     The result s is Hermitian with s^2 = 1 and tr(s m) = ||m||_1, i.e. the
     optimal Hermitian contraction against m.
     """
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
-    signs = np.where(vals >= 0.0, 1.0, -1.0)
-    s = (vecs * signs) @ vecs.conj().T
-    return (s + s.conj().T) / 2
+    # hermitian_part warns on asymmetric input; symmetrizing its exactly
+    # Hermitian output again inside optimal_contraction changes no bits
+    return optimal_contraction(hermitian_part(m), hermitian=True)[0]
 
 
-def optimal_contraction_complex(m) -> np.ndarray:
-    """Unitary c maximizing Re tr(c m), from the polar factors of m.
+def optimal_contraction(m: np.ndarray, hermitian: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Contraction w maximizing Re tr(w m), with the attained value ||m||_1.
 
-    tr(c m) = ||m||_1 and real. For a unitary input this is its adjoint;
-    by convention the identity is returned for m = 0.
+    m is one square matrix or a stack (..., n, n); each matrix is solved on
+    its own, so a stacked call gives the same bits as one call per matrix.
+    With hermitian=True the optimum runs over Hermitian contractions against
+    the Hermitian part of m and is its spectral sign (kernel directions map
+    to +1); otherwise it is the adjoint of the polar unitary of m.
     """
-    a = as_square_matrix(m)
-    if not a.any():
-        return np.eye(a.shape[0], dtype=np.complex128)
-    u, _, vh = np.linalg.svd(a)
-    return (u @ vh).conj().T
+    if hermitian:
+        vals, vecs = np.linalg.eigh((m + _dagger(m)) / 2)
+        w = (vecs * np.where(vals >= 0.0, 1.0, -1.0)[..., None, :]) @ _dagger(vecs)
+        return (w + _dagger(w)) / 2, np.abs(vals).sum(axis=-1)
+    u, s, vh = np.linalg.svd(m)
+    return _dagger(u @ vh), s.sum(axis=-1)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,15 @@ objective; multistart over randomized initial contractions guards against
 local maxima. Global optimality is never certified, so every reported
 value is a lower bound carrying the witness pair that achieves it.
 
+One see-saw kernel serves both entry points. It runs a stack of R starts
+as one batch, one stacked contraction and one stacked eigensolve (or SVD)
+per half-step, and drops each start from the batch once it meets its own
+stopping test, so slow starts finish on a shrinking batch. Every matrix
+in the stack is solved on its own, hence each restart of epsilon_norm
+equals seesaw_run from the same start bit for bit; seesaw_run is the
+kernel on a batch of one. The batch holds all R starts at once, so memory
+is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
+
 For a Hermitian witness pair (f, g), the two outcomes (1 +- f x g)/2 form
 a local binary measurement with classical postprocessing, so
 Hermitian-field values are achievable local distinguishability; the trace
@@ -27,8 +36,8 @@ from .linalg import (
     BipartiteOperator,
     DegenerateOperatorError,
     as_square_matrix,
-    asymmetry,
     hermitian_sign,
+    optimal_contraction,
     trace_norm,
 )
 from .states import gue_hermitian, stream
@@ -125,37 +134,28 @@ def witness_value(z: BipartiteOperator, estimate: NormEstimate) -> float:
 
 
 def _operand_a(z4: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # tr_B[z (1 x g)]: the A-side operand once g is fixed
-    return np.einsum("ibjc,cb->ij", z4, g)
+    # tr_B[z (1 x g)] for each g in the stack: the A-side operands once g is fixed
+    return np.einsum("ibjc,rcb->rij", z4, g)
 
 
 def _operand_b(z4: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # tr_A[z (f x 1)]: the B-side operand once f is fixed
-    return np.einsum("aicj,ca->ij", z4, f)
+    # tr_A[z (f x 1)] for each f in the stack: the B-side operands once f is fixed
+    return np.einsum("aicj,rca->rij", z4, f)
 
 
-def _half_step(m: np.ndarray, field: str) -> tuple[np.ndarray, float]:
-    """Exact optimizer of one half-step: the witness w maximizing
-    tr(w m) over contractions of the given field, with the value."""
-    if field == FIELD_HERMITIAN:
-        h = (m + m.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        w = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
-        return (w + w.conj().T) / 2, float(np.abs(vals).sum())
-    u, s, vh = np.linalg.svd(m)
-    return (u @ vh).conj().T, float(s.sum())
-
-
-def _check_start(g0, dim: int, field: str) -> np.ndarray:
-    w = as_square_matrix(g0)
-    if w.shape != (dim, dim):
-        raise ValueError(f"initial contraction has shape {w.shape}, expected ({dim}, {dim})")
-    opnorm = float(np.linalg.svd(w, compute_uv=False)[0]) if w.any() else 0.0
-    if opnorm > 1.0 + OPNORM_SLACK:
+def _check_starts(starts: np.ndarray, dim: int, field: str) -> np.ndarray:
+    """Validate a stack (R, dim, dim) of initial contractions."""
+    if not np.isfinite(starts).all():
+        raise ValueError("initial contraction entries must be finite")
+    if starts.shape[1:] != (dim, dim):
+        raise ValueError(f"initial contraction has shape {starts.shape[1:]}, expected ({dim}, {dim})")
+    opnorms = np.linalg.svd(starts, compute_uv=False)[:, 0]
+    if (opnorms > 1.0 + OPNORM_SLACK).any():
+        opnorm = float(opnorms[np.argmax(opnorms > 1.0 + OPNORM_SLACK)])
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
-    if field == FIELD_HERMITIAN and asymmetry(w) > 1e-12:
+    if field == FIELD_HERMITIAN and np.abs(starts - starts.conj().swapaxes(1, 2)).max() > 1e-12:
         raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
-    return w
+    return starts
 
 
 def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
@@ -169,6 +169,77 @@ def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> 
         value_history=(0.0, 0.0),
         restart_index=restart_index,
     )
+
+
+class _Runs(NamedTuple):
+    """Outcome of one see-saw batch, indexed by start position."""
+
+    values: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    # per iteration: (positions still running, first and second half-step values)
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def estimate(self, k: int, restart_index: int | None = None) -> NormEstimate:
+        history = []
+        for running, first, second in self.steps[: self.iterations[k]]:
+            p = running.searchsorted(k)
+            history += (float(first[p]), float(second[p]))
+        return NormEstimate(
+            value=history[-1],
+            is_lower_bound=True,
+            iterations_used=int(self.iterations[k]),
+            converged=bool(self.converged[k]),
+            best_f=self.f[k].copy(),
+            best_g=self.g[k].copy(),
+            value_history=tuple(history),
+            restart_index=restart_index,
+        )
+
+
+def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, start_side: str) -> _Runs:
+    """The see-saw kernel: alternate exact half-steps from every start of
+    the stack (R, n, n) at once, dropping each start from the batch as soon
+    as it meets its own stopping test."""
+    z4 = z.reshaped()
+    hermitian = config.field == FIELD_HERMITIAN
+    if start_side == "B":
+        to_other, to_start, n_other = _operand_a, _operand_b, z.n_a
+    else:
+        to_other, to_start, n_other = _operand_b, _operand_a, z.n_b
+    count = len(starts)
+    values = np.empty(count)
+    iterations = np.empty(count, dtype=int)
+    converged = np.empty(count, dtype=bool)
+    final_start = np.empty_like(starts)
+    final_other = np.empty((count, n_other, n_other), dtype=np.complex128)
+    steps = []
+    running = np.arange(count)
+    current = starts
+    prev = np.nan  # no start passes the stopping test on its first iteration
+    for iters in range(1, config.max_iters + 1):
+        other, first = optimal_contraction(to_other(z4, current), hermitian)
+        current, v = optimal_contraction(to_start(z4, other), hermitian)
+        steps.append((running, first, v))
+        # v is a sum of singular values or |eigenvalues|, so |v| = v
+        done = v - prev <= config.rel_tol * np.maximum(v, _TINY)
+        stop = done if iters < config.max_iters else np.ones_like(done)
+        if stop.any():
+            finished = running[stop]
+            values[finished] = v[stop]
+            iterations[finished] = iters
+            converged[finished] = done[stop]
+            final_start[finished] = current[stop]
+            final_other[finished] = other[stop]
+            keep = ~stop
+            running, current, v = running[keep], current[keep], v[keep]
+            if not len(running):
+                break
+        prev = v
+    f, g = (final_other, final_start) if start_side == "B" else (final_start, final_other)
+    return _Runs(values, iterations, converged, f, g, steps)
 
 
 def seesaw_run(
@@ -189,48 +260,20 @@ def seesaw_run(
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
+    This is the batched kernel of epsilon_norm run on a batch of one, so
+    each restart of epsilon_norm equals seesaw_run from its start bit for
+    bit.
     """
     if start_side not in ("A", "B"):
         raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
     field = config.field
     if field == FIELD_HERMITIAN and not z.hermitian:
         raise ValueError("hermitian-field see-saw requires a Hermitian operator")
-    n_a, n_b = z.n_a, z.n_b
-    start = _check_start(g0, n_b if start_side == "B" else n_a, field)
+    dim = z.n_b if start_side == "B" else z.n_a
+    start = _check_starts(as_square_matrix(g0)[None], dim, field)
     if z.is_zero():
-        return _identity_estimate(n_a, n_b)
-
-    z4 = z.reshaped()
-    f = start if start_side == "A" else None
-    g = start if start_side == "B" else None
-    history: list[float] = []
-    prev = None
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iters + 1):
-        if start_side == "B":
-            f, v = _half_step(_operand_a(z4, g), field)
-            history.append(v)
-            g, v = _half_step(_operand_b(z4, f), field)
-            history.append(v)
-        else:
-            g, v = _half_step(_operand_b(z4, f), field)
-            history.append(v)
-            f, v = _half_step(_operand_a(z4, g), field)
-            history.append(v)
-        if prev is not None and v - prev <= config.rel_tol * max(abs(v), _TINY):
-            converged = True
-            break
-        prev = v
-    return NormEstimate(
-        value=history[-1],
-        is_lower_bound=True,
-        iterations_used=iters,
-        converged=converged,
-        best_f=f,
-        best_g=g,
-        value_history=tuple(history),
-    )
+        return _identity_estimate(z.n_a, z.n_b)
+    return _seesaw(z, start, config, start_side).estimate(0)
 
 
 def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, np.ndarray]]:
@@ -245,6 +288,12 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
     """Best see-saw value over the multistart: a lower bound on the
     product-witness (injective tensor) norm of z.
 
+    All initial_contractions run as one stacked batch through the see-saw
+    kernel, each start stopping on its own test, and every restart equals
+    seesaw_run from its start bit for bit. The batch holds all R starts at
+    once, so memory is O(R n^2) for n = max(n_a, n_b), plus the value
+    histories of the runs.
+
     Never exceeds ||z||_1, since f x g is itself a global contraction. The
     cases z = 0 and n_a = 1 or n_b = 1 are exact by closed form. Ties
     between restarts resolve to the lowest restart index, so the result
@@ -257,17 +306,17 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
         return _identity_estimate(n_a, n_b, restart_index=0)
     if n_a == 1 or n_b == 1:
         # One factor is scalar: the single nontrivial side is solved exactly.
-        w, v = _half_step(z.matrix, config.field)
+        w, v = optimal_contraction(z.matrix, config.field == FIELD_HERMITIAN)
+        v = float(v)
         one = np.ones((1, 1), dtype=np.complex128)
         f, g = (one, w) if n_a == 1 else (w, one)
         return NormEstimate(v, True, 1, True, f, g, (v,), restart_index=0)
 
-    best = None
-    for index, g0 in initial_contractions(n_b, config):
-        est = seesaw_run(z, g0, config)
-        if best is None or est.value > best.value:
-            best = replace(est, restart_index=index)
-    return best
+    indices, starts = zip(*initial_contractions(n_b, config))
+    runs = _seesaw(z, _check_starts(np.stack(starts), n_b, config.field), config, "B")
+    # argmax takes the first maximum: ties go to the lowest restart index
+    k = int(np.argmax(runs.values))
+    return runs.estimate(k, restart_index=indices[k])
 
 
 def lo_norm_lower(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:

@@ -284,6 +284,14 @@ def test_verify_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_rejects_non_positive_samples(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    for samples in ("0", "-3"):
+        assert main(["verify", "--samples", samples, "--out", str(out)]) == EXIT_VALIDATION
+        assert "samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     def failing(**kwargs):
         return {

@@ -11,11 +11,11 @@ from locnorms import (
     hermitian_part,
     hermitian_sign,
     gue_hermitian,
-    optimal_contraction_complex,
     partial_trace,
     swap_subsystems,
     trace_norm,
 )
+from locnorms.linalg import optimal_contraction
 from locnorms.states import stream
 
 DIM_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
@@ -112,26 +112,33 @@ def test_hermitian_sign_commutes_with_conjugation():
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
-# ---------------------------------------------------------------- complex contraction
+# ---------------------------------------------------------------- optimal contraction
 
-def test_optimal_contraction_complex_unitary_input():
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_optimal_contraction_stack_matches_single_calls(hermitian):
+    # A stacked call solves each matrix on its own: same bits as one call
+    # per matrix, and each value is the trace norm the witness attains.
+    rng = stream(18, int(hermitian))
+    for n in (1, 2, 3, 5):
+        ms = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+        ws, vals = optimal_contraction(ms, hermitian)
+        assert ws.shape == ms.shape and vals.shape == (7,)
+        for m, w, v in zip(ms, ws, vals):
+            w1, v1 = optimal_contraction(m, hermitian)
+            assert w1.tobytes() == w.tobytes() and v1 == v
+            assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-12
+            target = hermitian_part(m, warn_tol=np.inf) if hermitian else m
+            attained = np.trace(w @ target)
+            assert abs(attained.imag) <= 1e-10
+            assert attained.real == pytest.approx(trace_norm(target), rel=1e-10)
+            assert v == pytest.approx(trace_norm(target), rel=1e-10)
+
+
+def test_optimal_contraction_complex_unitary_input_gives_adjoint():
     u = haar_unitary(5, 17)
-    np.testing.assert_allclose(optimal_contraction_complex(u), u.conj().T, atol=1e-12)
-
-
-def test_optimal_contraction_complex_zero_convention():
-    np.testing.assert_array_equal(optimal_contraction_complex(np.zeros((3, 3))), np.eye(3))
-
-
-def test_optimal_contraction_complex_attains_trace_norm():
-    rng = stream(18)
-    for _ in range(20):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        c = optimal_contraction_complex(m)
-        assert float(np.linalg.svd(c, compute_uv=False)[0]) <= 1.0 + 1e-12
-        val = np.trace(c @ m)
-        assert abs(val.imag) <= 1e-10
-        assert val.real == pytest.approx(trace_norm(m), rel=1e-10)
+    w, v = optimal_contraction(u, hermitian=False)
+    np.testing.assert_allclose(w, u.conj().T, atol=1e-12)
+    assert v == pytest.approx(5.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- partial trace

@@ -220,6 +220,131 @@ def test_initial_contractions_shape_and_count():
         assert np.abs(g0 @ g0 - np.eye(3)).max() <= 1e-12
 
 
+# ---------------------------------------------------------------- batched multistart
+
+EQUIV_SIZES = (2, 3, 4, 6)
+
+
+def per_restart_reference(z, config):
+    """epsilon_norm as a loop of seesaw_run calls with strict-improvement
+    selection, so ties go to the lowest restart index."""
+    best, winner, values = None, None, []
+    for index, g0 in initial_contractions(z.n_b, config):
+        est = seesaw_run(z, g0, config)
+        values.append(est.value)
+        if best is None or est.value > best.value:
+            best, winner = est, index
+    return best, winner, values
+
+
+def assert_bit_identical(est, ref, winner):
+    assert est.value == ref.value
+    assert est.restart_index == winner
+    assert est.iterations_used == ref.iterations_used
+    assert est.converged == ref.converged
+    assert est.value_history == ref.value_history
+    assert np.array_equal(est.best_f, ref.best_f)
+    assert np.array_equal(est.best_g, ref.best_g)
+
+
+def loop_seesaw(z, g0, config, start_side="B"):
+    """One see-saw run as a plain loop of unbatched half-steps: the
+    reference for the arithmetic of the batched kernel."""
+
+    def half_step(m):
+        if config.field == "hermitian":
+            vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+            w = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
+            return (w + w.conj().T) / 2, float(np.abs(vals).sum())
+        u, sv, vh = np.linalg.svd(m)
+        return (u @ vh).conj().T, float(sv.sum())
+
+    z4 = z.reshaped()
+    f = g = np.asarray(g0, dtype=complex)
+    history, prev, converged = [], None, False
+    for iters in range(1, config.max_iters + 1):
+        if start_side == "B":
+            f, v = half_step(np.einsum("ibjc,cb->ij", z4, g))
+            history.append(v)
+            g, v = half_step(np.einsum("aicj,ca->ij", z4, f))
+        else:
+            g, v = half_step(np.einsum("aicj,ca->ij", z4, f))
+            history.append(v)
+            f, v = half_step(np.einsum("ibjc,cb->ij", z4, g))
+        history.append(v)
+        if prev is not None and v - prev <= config.rel_tol * max(abs(v), 1e-300):
+            converged = True
+            break
+        prev = v
+    return history, iters, converged, f, g
+
+
+@pytest.mark.parametrize("field", ["hermitian", "complex"])
+@pytest.mark.parametrize("start_side", ["A", "B"])
+@pytest.mark.parametrize("max_iters", [3, 500])
+def test_seesaw_run_equals_unbatched_loop(field, start_side, max_iters):
+    config = SeeSawConfig(restarts=3, seed=147, field=field, max_iters=max_iters)
+    for n_a, n_b in [(2, 2), (2, 3), (4, 3), (6, 5)]:
+        z = equivalence_operator(n_a, n_b, field, n_a + n_b)
+        dim = n_b if start_side == "B" else n_a
+        for _, g0 in initial_contractions(dim, config):
+            est = seesaw_run(z, g0, config, start_side=start_side)
+            history, iters, converged, f, g = loop_seesaw(z, g0, config, start_side)
+            assert est.value_history == tuple(history) and est.value == history[-1]
+            assert (est.iterations_used, est.converged) == (iters, converged)
+            assert np.array_equal(est.best_f, f) and np.array_equal(est.best_g, g)
+
+
+def equivalence_operator(n_a, n_b, field, k):
+    # GUE on even k; odd k gives an induced difference for the Hermitian
+    # field and a general non-Hermitian operator for the complex field
+    rng = stream(140, n_a, n_b, k)
+    if k % 2 == 0:
+        return gue_operator(n_a, n_b, rng)
+    if field == "hermitian":
+        return induced_difference(n_a, n_b, rng)
+    m = rng.standard_normal((n_a * n_b,) * 2) + 1j * rng.standard_normal((n_a * n_b,) * 2)
+    return BipartiteOperator(n_a, n_b, m, hermitian=False)
+
+
+@pytest.mark.parametrize("field", ["hermitian", "complex"])
+@pytest.mark.parametrize("n_a", EQUIV_SIZES)
+@pytest.mark.parametrize("n_b", EQUIV_SIZES)
+def test_epsilon_norm_equals_per_restart_loop(field, n_a, n_b):
+    for k in range(2):
+        z = equivalence_operator(n_a, n_b, field, k)
+        for config in (
+            SeeSawConfig(restarts=50, seed=141 + k, field=field),
+            # capped and converged restarts share one batch
+            SeeSawConfig(restarts=50, seed=143 + k, field=field, max_iters=3),
+        ):
+            ref, winner, _ = per_restart_reference(z, config)
+            assert_bit_identical(epsilon_norm(z, config), ref, winner)
+
+
+@pytest.mark.parametrize("field,n_a,n_b", [("hermitian", 2, 3), ("complex", 3, 2)])
+def test_epsilon_norm_equals_per_restart_loop_at_escalation_budget(field, n_a, n_b):
+    z = equivalence_operator(n_a, n_b, field, 0)
+    config = SeeSawConfig(restarts=500, seed=145, field=field)
+    ref, winner, values = per_restart_reference(z, config)
+    assert_bit_identical(epsilon_norm(z, config), ref, winner)
+    assert len(values) == 501
+
+
+@pytest.mark.parametrize("field", ["hermitian", "complex"])
+def test_epsilon_norm_stalled_start_and_ties_pick_lowest_index(field):
+    # The identity start has zero overlap with diag(1,-1) x diag(1,-1) and
+    # stays at 0; most sign starts tie exactly at the optimum 4.
+    sz = np.diag([1.0, -1.0])
+    z = BipartiteOperator(2, 2, np.kron(sz, sz))
+    config = SeeSawConfig(restarts=20, seed=146, field=field)
+    ref, winner, values = per_restart_reference(z, config)
+    assert values[0] == 0.0
+    assert values.count(max(values)) > 1
+    assert winner == values.index(max(values)) > 0
+    assert_bit_identical(epsilon_norm(z, config), ref, winner)
+
+
 # ---------------------------------------------------------------- properties
 
 def test_epsilon_norm_scaling_homogeneity():
