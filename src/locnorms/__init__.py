@@ -23,10 +23,8 @@ from .linalg import (
     DegenerateOperatorError,
     asymmetry,
     block_frame_sums,
-    hermitian_eigen,
     hermitian_part,
     hermitian_sign,
-    partial_trace,
     swap_subsystems,
     trace_norm,
 )
@@ -103,7 +101,6 @@ __all__ = [
     "gue_hermitian",
     "gue_operator",
     "haar_unitary",
-    "hermitian_eigen",
     "hermitian_part",
     "hermitian_sign",
     "hiding_ratio",
@@ -115,7 +112,6 @@ __all__ = [
     "omega_ranard",
     "parse_game_file",
     "parse_operator_file",
-    "partial_trace",
     "random_density_matrix",
     "random_game",
     "rng_from",

@@ -52,17 +52,6 @@ def hermitian_part(m, warn_tol: float = HERMITICITY_TOL) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with eigenvalues descending.
-
-    Returns (vals, vecs): vals real and nonincreasing, vecs unitary with
-    column k the eigenvector of vals[k], so (vecs * vals) @ vecs^dag
-    reconstructs the input.
-    """
-    vals, vecs = np.linalg.eigh(hermitian_part(m))
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def trace_norm(m) -> float:
     """Trace norm ||m||_1, the sum of singular values.
 
@@ -151,20 +140,6 @@ def swap_subsystems(z: BipartiteOperator) -> BipartiteOperator:
     """Exchange the roles of A and B: S z S^dag for the flip S|a,b> = |b,a>."""
     m = z.reshaped().transpose(1, 0, 3, 2).reshape(z.dim, z.dim)
     return BipartiteOperator(z.n_b, z.n_a, m, hermitian=z.hermitian)
-
-
-def partial_trace(z: BipartiteOperator, keep: str) -> np.ndarray:
-    """Trace out one tensor factor.
-
-    keep="A" returns the (n_a, n_a) operator tr_B(z); keep="B" returns the
-    (n_b, n_b) operator tr_A(z). Both preserve the total trace.
-    """
-    r = z.reshaped()
-    if keep == "A":
-        return np.einsum("ibjb->ij", r)
-    if keep == "B":
-        return np.einsum("aiaj->ij", r)
-    raise ValueError(f'keep must be "A" or "B", got {keep!r}')
 
 
 def block_frame_sums(u, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,14 @@ equals seesaw_run from the same start bit for bit; seesaw_run is the
 kernel on a batch of one. The batch holds all R starts at once, so memory
 is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
 
+The multistart starts are built as one stack as well: one GUE sample per
+restart substream, turned into spectral signs by a single stacked
+eigensolve. The operands contract against two contiguous copies of z,
+relaid once per kernel call as (b, a, a', b') for the A side and
+(a, a', b, b') for the B side. These layouts make einsum sum in the same
+order as on the strided (a, b, a', b') view, so they give the same bits;
+other layouts and BLAS (matmul) forms are faster but round differently.
+
 For a Hermitian witness pair (f, g), the two outcomes (1 +- f x g)/2 form
 a local binary measurement with classical postprocessing, so
 Hermitian-field values are achievable local distinguishability; the trace
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -36,7 +45,6 @@ from .linalg import (
     BipartiteOperator,
     DegenerateOperatorError,
     as_square_matrix,
-    hermitian_sign,
     optimal_contraction,
     trace_norm,
 )
@@ -133,14 +141,20 @@ def witness_value(z: BipartiteOperator, estimate: NormEstimate) -> float:
     return float(val.real)
 
 
-def _operand_a(z4: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _relays(z: BipartiteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous copies of z laid out for _operand_a and _operand_b."""
+    z4 = z.reshaped()
+    return np.ascontiguousarray(z4.transpose(1, 0, 2, 3)), np.ascontiguousarray(z4.transpose(0, 2, 1, 3))
+
+
+def _operand_a(zb: np.ndarray, g: np.ndarray) -> np.ndarray:
     # tr_B[z (1 x g)] for each g in the stack: the A-side operands once g is fixed
-    return np.einsum("ibjc,rcb->rij", z4, g)
+    return np.einsum("bijc,rcb->rij", zb, g)
 
 
-def _operand_b(z4: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     # tr_A[z (f x 1)] for each f in the stack: the B-side operands once f is fixed
-    return np.einsum("aicj,rca->rij", z4, f)
+    return np.einsum("acij,rca->rij", za, f)
 
 
 def _check_starts(starts: np.ndarray, dim: int, field: str) -> np.ndarray:
@@ -203,12 +217,12 @@ def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, star
     """The see-saw kernel: alternate exact half-steps from every start of
     the stack (R, n, n) at once, dropping each start from the batch as soon
     as it meets its own stopping test."""
-    z4 = z.reshaped()
+    zb, za = _relays(z)
     hermitian = config.field == FIELD_HERMITIAN
     if start_side == "B":
-        to_other, to_start, n_other = _operand_a, _operand_b, z.n_a
+        to_other, to_start, n_other = partial(_operand_a, zb), partial(_operand_b, za), z.n_a
     else:
-        to_other, to_start, n_other = _operand_b, _operand_a, z.n_b
+        to_other, to_start, n_other = partial(_operand_b, za), partial(_operand_a, zb), z.n_b
     count = len(starts)
     values = np.empty(count)
     iterations = np.empty(count, dtype=int)
@@ -220,8 +234,8 @@ def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, star
     current = starts
     prev = np.nan  # no start passes the stopping test on its first iteration
     for iters in range(1, config.max_iters + 1):
-        other, first = optimal_contraction(to_other(z4, current), hermitian)
-        current, v = optimal_contraction(to_start(z4, other), hermitian)
+        other, first = optimal_contraction(to_other(current), hermitian)
+        current, v = optimal_contraction(to_start(other), hermitian)
         steps.append((running, first, v))
         # v is a sum of singular values or |eigenvalues|, so |v| = v
         done = v - prev <= config.rel_tol * np.maximum(v, _TINY)
@@ -276,12 +290,22 @@ def seesaw_run(
     return _seesaw(z, start, config, start_side).estimate(0)
 
 
+def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
+    """The (restarts + 1, dim, dim) multistart stack; see initial_contractions."""
+    # A GUE sample is exactly Hermitian, so the stacked sign equals
+    # hermitian_sign of each sample bit for bit.
+    samples = np.stack([gue_hermitian(dim, stream(config.seed, i)) for i in range(1, config.restarts + 1)])
+    signs, _ = optimal_contraction(samples, hermitian=True)
+    return np.concatenate([np.eye(dim, dtype=np.complex128)[None], signs])
+
+
 def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, np.ndarray]]:
     """Deterministic multistart seeds: the identity at index 0, then
-    spectral signs of GUE samples on substreams (seed, restart_index)."""
-    yield 0, np.eye(dim, dtype=np.complex128)
-    for i in range(1, config.restarts + 1):
-        yield i, hermitian_sign(gue_hermitian(dim, stream(config.seed, i)))
+    spectral signs of GUE samples on substreams (seed, restart_index).
+
+    The whole stack is built on the first step, so the iterator holds
+    O(restarts * dim^2) memory however far it is consumed."""
+    yield from enumerate(_start_stack(dim, config))
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
@@ -312,11 +336,11 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
         f, g = (one, w) if n_a == 1 else (w, one)
         return NormEstimate(v, True, 1, True, f, g, (v,), restart_index=0)
 
-    indices, starts = zip(*initial_contractions(n_b, config))
-    runs = _seesaw(z, _check_starts(np.stack(starts), n_b, config.field), config, "B")
+    starts = _check_starts(_start_stack(n_b, config), n_b, config.field)
+    runs = _seesaw(z, starts, config, "B")
     # argmax takes the first maximum: ties go to the lowest restart index
     k = int(np.argmax(runs.values))
-    return runs.estimate(k, restart_index=indices[k])
+    return runs.estimate(k, restart_index=k)
 
 
 def lo_norm_lower(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:

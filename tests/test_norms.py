@@ -29,7 +29,7 @@ from locnorms import (
     werner_hiding_pair,
     witness_value,
 )
-from locnorms.norms import initial_contractions
+from locnorms.norms import _operand_a, _operand_b, _relays, initial_contractions
 from locnorms.states import haar_unitary, stream
 
 CFG = SeeSawConfig(restarts=16, seed=100)
@@ -218,6 +218,37 @@ def test_initial_contractions_shape_and_count():
     np.testing.assert_array_equal(starts[0][1], np.eye(3))
     for _, g0 in starts[1:]:
         assert np.abs(g0 @ g0 - np.eye(3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("restarts", [1, 50, 500])
+def test_initial_contractions_equal_per_restart_signs(restarts):
+    # The stacked start generation against one hermitian_sign per sample.
+    for dim in range(1, 7):
+        cfg = SeeSawConfig(restarts=restarts, seed=150 + dim)
+        ref = [np.eye(dim, dtype=complex)]
+        ref += [hermitian_sign(gue_hermitian(dim, stream(cfg.seed, i))) for i in range(1, restarts + 1)]
+        starts = list(initial_contractions(dim, cfg))
+        assert [index for index, _ in starts] == list(range(restarts + 1))
+        for (_, g0), expected in zip(starts, ref):
+            assert np.array_equal(g0, expected)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("count", [1, 51, 501])
+def test_relaid_operands_equal_strided_einsum(hermitian, count):
+    # The operands on the relaid copies of z against the same einsum on
+    # the strided (n_a, n_b, n_a, n_b) view.
+    for n_a in range(1, 7):
+        for n_b in range(1, 7):
+            rng = stream(151, n_a, n_b, count, hermitian)
+            dim = n_a * n_b
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            z = BipartiteOperator(n_a, n_b, (m + m.conj().T) / 2 if hermitian else m, hermitian=hermitian)
+            g = rng.standard_normal((count, n_b, n_b)) + 1j * rng.standard_normal((count, n_b, n_b))
+            f = rng.standard_normal((count, n_a, n_a)) + 1j * rng.standard_normal((count, n_a, n_a))
+            zb, za = _relays(z)
+            assert np.array_equal(_operand_a(zb, g), np.einsum("ibjc,rcb->rij", z.reshaped(), g))
+            assert np.array_equal(_operand_b(za, f), np.einsum("aicj,rca->rij", z.reshaped(), f))
 
 
 # ---------------------------------------------------------------- batched multistart
