@@ -142,6 +142,20 @@ def swap_subsystems(z: BipartiteOperator) -> BipartiteOperator:
     return BipartiteOperator(z.n_b, z.n_a, m, hermitian=z.hermitian)
 
 
+def partial_trace(z: BipartiteOperator, keep: str) -> np.ndarray:
+    """Trace out one tensor factor.
+
+    keep="A" returns the (n_a, n_a) operator tr_B(z); keep="B" returns the
+    (n_b, n_b) operator tr_A(z). Both preserve the total trace.
+    """
+    r = z.reshaped()
+    if keep == "A":
+        return np.einsum("ibjb->ij", r)
+    if keep == "B":
+        return np.einsum("aiaj->ij", r)
+    raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+
+
 def block_frame_sums(u, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum_ij B_ij B_ij^dag and Sum_ij B_ij^dag B_ij over the n_a x n_a grid
     of n_b x n_b blocks B_ij of u.
