@@ -25,7 +25,6 @@ from .linalg import (
     block_frame_sums,
     hermitian_part,
     hermitian_sign,
-    partial_trace,
     swap_subsystems,
     trace_norm,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "omega_ranard",
     "parse_game_file",
     "parse_operator_file",
-    "partial_trace",
     "random_density_matrix",
     "random_game",
     "rng_from",

@@ -23,8 +23,8 @@ from .games import evaluate_game, random_game
 from .linalg import DegenerateOperatorError
 from .norms import SeeSawConfig, hiding_ratio
 from .opfile import OperatorFileError, parse_game_file, parse_operator_file
-from .states import discrimination_operator, gue_operator, induced_difference, stream, werner_hiding_pair
-from .verify import run_verification
+from .states import stream
+from .verify import GENERATOR_CODE, make_operator, run_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,7 +65,6 @@ DARWINISM_COLUMNS = (
     "diamond_bound",
 )
 
-_GEN_CODE = {"werner": 0, "gue": 1, "induced": 2}
 _XOR_LABEL = 10
 
 
@@ -142,25 +141,29 @@ def _emit_rows(rows: list[dict], columns, fmt: str, out: Path | None) -> None:
     _emit(buf.getvalue(), out)
 
 
-def _run_seed(rng) -> int:
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def _make_operator(generator: str, d_a: int, d_b: int, rng):
-    if generator == "werner":
-        return discrimination_operator(werner_hiding_pair(d_a))
-    if generator == "gue":
-        return gue_operator(d_a, d_b, rng)
-    return induced_difference(d_a, d_b, rng)
-
-
 def _estimate_payload(est) -> dict:
     return {
         "value": float(est.value),
-        "is_lower_bound": bool(est.is_lower_bound),
+        "is_lower_bound": True,  # every reported estimate is a lower bound
         "iterations_used": int(est.iterations_used),
         "converged": bool(est.converged),
         "restart_index": est.restart_index,
+    }
+
+
+def _scaling_row(args: argparse.Namespace, generator: str, op, report) -> dict:
+    return {
+        "seed": args.seed,
+        "n_a": op.n_a,
+        "n_b": op.n_b,
+        "generator": generator,
+        "trace_norm": float(report.trace_norm),
+        "eps_estimate": float(report.eps_estimate.value),
+        "restarts": args.restarts,
+        "converged": bool(report.eps_estimate.converged),
+        "ratio": float(report.ratio),
+        "bound": float(report.bound),
+        "margin": float(report.margin),
     }
 
 
@@ -169,17 +172,20 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         op = parse_operator_file(args.input)
         generator = "file"
         rng = stream(args.seed, 99)
-    elif args.werner is not None:
-        generator = "werner"
-        rng = stream(args.seed, _GEN_CODE[generator], args.werner, args.werner, 0)
-        op = _make_operator(generator, args.werner, args.werner, rng)
     else:
-        generator = "gue" if args.gue is not None else "induced"
-        d_a, d_b = args.gue if args.gue is not None else args.induced
-        rng = stream(args.seed, _GEN_CODE[generator], d_a, d_b, 0)
-        op = _make_operator(generator, d_a, d_b, rng)
+        if args.werner is not None:
+            generator, d_a, d_b = "werner", args.werner, args.werner
+        elif args.gue is not None:
+            generator, (d_a, d_b) = "gue", args.gue
+        else:
+            generator, (d_a, d_b) = "induced", args.induced
+        rng = stream(args.seed, GENERATOR_CODE[generator], d_a, d_b, 0)
+        op = make_operator(generator, d_a, d_b, rng)
 
-    report = hiding_ratio(op, _config(args, seed=_run_seed(rng)))
+    report = hiding_ratio(op, _config(args, seed=run_seed(rng)))
+    if (args.format or "json") == "csv":
+        _emit_rows([_scaling_row(args, generator, op, report)], SCALING_COLUMNS, "csv", args.out)
+        return EXIT_OK
     payload = {
         "command": "ratio",
         "generator": generator,
@@ -196,23 +202,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         "satisfied": bool(report.satisfied),
         "margin": float(report.margin),
     }
-    if (args.format or "json") == "json":
-        _emit_json(payload, args.out)
-    else:
-        row = {
-            "seed": args.seed,
-            "n_a": op.n_a,
-            "n_b": op.n_b,
-            "generator": generator,
-            "trace_norm": float(report.trace_norm),
-            "eps_estimate": float(report.eps_estimate.value),
-            "restarts": args.restarts,
-            "converged": bool(report.eps_estimate.converged),
-            "ratio": float(report.ratio),
-            "bound": float(report.bound),
-            "margin": float(report.margin),
-        }
-        _emit_rows([row], SCALING_COLUMNS, "csv", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -226,24 +216,10 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         # The werner pair is deterministic: one row per dimension.
         per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
         for k in range(per_dim):
-            rng = stream(args.seed, _GEN_CODE[args.generator], d, d, k)
-            op = _make_operator(args.generator, d, d, rng)
-            report = hiding_ratio(op, _config(args, seed=_run_seed(rng)))
-            rows.append(
-                {
-                    "seed": args.seed,
-                    "n_a": d,
-                    "n_b": d,
-                    "generator": args.generator,
-                    "trace_norm": float(report.trace_norm),
-                    "eps_estimate": float(report.eps_estimate.value),
-                    "restarts": args.restarts,
-                    "converged": bool(report.eps_estimate.converged),
-                    "ratio": float(report.ratio),
-                    "bound": float(report.bound),
-                    "margin": float(report.margin),
-                }
-            )
+            rng = stream(args.seed, GENERATOR_CODE[args.generator], d, d, k)
+            op = make_operator(args.generator, d, d, rng)
+            report = hiding_ratio(op, _config(args, seed=run_seed(rng)))
+            rows.append(_scaling_row(args, args.generator, op, report))
     _emit_rows(rows, SCALING_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
@@ -293,7 +269,7 @@ def cmd_xor(args: argparse.Namespace) -> int:
     for k in range(args.samples):
         rng = stream(args.seed, _XOR_LABEL, args.na, args.nb, k)
         game = random_game(args.na, args.nb, num_states=args.states, seed=rng)
-        report = evaluate_game(game, _config(args, seed=_run_seed(rng)))
+        report = evaluate_game(game, _config(args, seed=run_seed(rng)))
         rows.append(_game_row(k, args.na, args.nb, args.states, report))
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK

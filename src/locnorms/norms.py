@@ -93,7 +93,6 @@ class NormEstimate:
     """
 
     value: float
-    is_lower_bound: bool
     iterations_used: int
     converged: bool
     best_f: np.ndarray
@@ -175,7 +174,6 @@ def _check_starts(starts: np.ndarray, dim: int, field: str) -> np.ndarray:
 def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
     return NormEstimate(
         value=0.0,
-        is_lower_bound=True,
         iterations_used=1,
         converged=True,
         best_f=np.eye(n_a, dtype=np.complex128),
@@ -203,7 +201,6 @@ class _Runs(NamedTuple):
             history += (float(first[p]), float(second[p]))
         return NormEstimate(
             value=history[-1],
-            is_lower_bound=True,
             iterations_used=int(self.iterations[k]),
             converged=bool(self.converged[k]),
             best_f=self.f[k].copy(),
@@ -334,7 +331,7 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
         v = float(v)
         one = np.ones((1, 1), dtype=np.complex128)
         f, g = (one, w) if n_a == 1 else (w, one)
-        return NormEstimate(v, True, 1, True, f, g, (v,), restart_index=0)
+        return NormEstimate(v, 1, True, f, g, (v,), restart_index=0)
 
     starts = _check_starts(_start_stack(n_b, config), n_b, config.field)
     runs = _seesaw(z, starts, config, "B")

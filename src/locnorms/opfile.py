@@ -74,8 +74,9 @@ def _load_json(path) -> dict:
     if not p.is_file():
         raise OperatorFileError(f"{path}: operator file not found")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit.
         raise OperatorFileError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -6,10 +6,19 @@ summary: counts, worst residuals, and one failure string per violation.
 The summary contains no volatile data, so identical arguments produce
 byte-identical JSON.
 
-The two scan helpers are shared with the test suite: a bound violation at
-the working restart budget escalates to a larger budget before it counts,
+The operator scan and the game scan, which the test suite also calls,
+share one scan-and-escalate loop, `_escalating_scan`: a bound violation at
+the working restart budget is retried at a larger budget before it counts,
 since a see-saw shortfall on a hard instance is an estimator artifact, not
 a counterexample.
+
+The one registry of instance generators, for the scans and the CLI alike,
+is `make_operator` with its stream codes `GENERATOR_CODE` and `run_seed`.
+The codes are fixed: they key every drawn instance, so changing one
+changes every output. The registry lives here because the benchmark's
+tracing wrappers and the tests patch the generators and evaluators on
+this module; the registry and the scans look those names up in this
+module's globals at call time, so a patch reaches every caller.
 """
 
 from __future__ import annotations
@@ -31,7 +40,15 @@ from .norms import (
     seesaw_run,
     witness_value,
 )
-from .states import gue_hermitian, gue_operator, haar_unitary, induced_difference, stream
+from .states import (
+    discrimination_operator,
+    gue_hermitian,
+    gue_operator,
+    haar_unitary,
+    induced_difference,
+    stream,
+    werner_hiding_pair,
+)
 
 MONOTONE_STEP_TOL = 1e-12
 ORDERING_TOL = 1e-9
@@ -40,8 +57,9 @@ COVARIANCE_TOL = 1e-9
 BLOCK_RESIDUAL_TOL = 1e-10
 FIELD_RATIO_SLACK = 0.02
 
-# Substream labels; fixed numbers keep streams stable across releases.
-_KIND_CODE = {"gue": 1, "induced": 2}
+# Stream codes of the instance generators and substream labels of the
+# suites. The numbers are fixed: changing one changes every drawn instance.
+GENERATOR_CODE = {"werner": 0, "gue": 1, "induced": 2}
 _SCAN_LABEL = 3
 _GAME_LABEL = 4
 _FIELD_LABEL = 5
@@ -51,7 +69,14 @@ _PROPERTY_LABEL = 7
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
 
 
-def _scan_operator(kind: str, n_a: int, n_b: int, rng):
+def make_operator(kind: str, n_a: int, n_b: int, rng) -> BipartiteOperator:
+    """One instance of the generator registered as kind, drawn from rng.
+
+    The werner pair is deterministic and lives on n_a x n_a; it ignores
+    n_b and rng.
+    """
+    if kind == "werner":
+        return discrimination_operator(werner_hiding_pair(n_a))
     if kind == "gue":
         return gue_operator(n_a, n_b, rng)
     if kind == "induced":
@@ -59,8 +84,60 @@ def _scan_operator(kind: str, n_a: int, n_b: int, rng):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _run_seed(rng) -> int:
+def run_seed(rng) -> int:
+    """The see-saw seed of an instance: the next draw from its stream."""
     return int(rng.integers(0, 2**63 - 1))
+
+
+def _instances(seed: int, label: int, dims, samples: int):
+    """samples instances per (n_a, n_b) in dims, GUE at even and induced
+    at odd index, each with the see-saw seed drawn after it."""
+    for n_a, n_b in dims:
+        for index in range(samples):
+            kind = "gue" if index % 2 == 0 else "induced"
+            rng = stream(seed, label, GENERATOR_CODE[kind], n_a, n_b, index)
+            yield n_a, n_b, kind, index, make_operator(kind, n_a, n_b, rng), run_seed(rng)
+
+
+def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
+    """Evaluate each (label, instance, config, fields) case and retry a
+    cap violation at escalate_restarts.
+
+    evaluate(instance, config) returns a report with ratio (None when the
+    instance is zero), bound and satisfied; row(report) gives the row's
+    value fields. Only violations that persist after escalation count as
+    failures.
+    """
+    rows = []
+    failures = []
+    worst_ratio_over_bound = 0.0
+    for label, instance, config, fields in cases:
+        report = evaluate(instance, config)
+        escalated = report.ratio is not None and not report.satisfied
+        if escalated:
+            report = evaluate(instance, replace(config, restarts=escalate_restarts))
+        rows.append(
+            {
+                **fields,
+                **row(report),
+                "ratio": None if report.ratio is None else float(report.ratio),
+                "bound": float(report.bound),
+                "escalated": escalated,
+                "satisfied": bool(report.satisfied),
+            }
+        )
+        if report.ratio is not None:
+            worst_ratio_over_bound = max(worst_ratio_over_bound, report.ratio / report.bound)
+        if not report.satisfied:
+            failures.append(
+                f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
+                f"after escalation to {escalate_restarts} restarts"
+            )
+    return {
+        "rows": rows,
+        "failures": failures,
+        "worst_ratio_over_bound": float(worst_ratio_over_bound),
+    }
 
 
 def main_bound_scan(
@@ -77,45 +154,21 @@ def main_bound_scan(
     working budget are retried at escalate_restarts; rows record both
     stages and only post-escalation violations are returned as failures.
     """
-    rows = []
-    failures = []
-    worst_ratio_over_bound = 0.0
-    for n_a, n_b in dims:
-        for index in range(samples_per_pair):
-            kind = "gue" if index % 2 == 0 else "induced"
-            rng = stream(seed, _SCAN_LABEL, _KIND_CODE[kind], n_a, n_b, index)
-            z = _scan_operator(kind, n_a, n_b, rng)
-            run_config = replace(config, seed=_run_seed(rng), field=FIELD_HERMITIAN)
-            report = hiding_ratio(z, run_config)
-            escalated = False
-            if not report.satisfied:
-                escalated = True
-                report = hiding_ratio(z, replace(run_config, restarts=escalate_restarts))
-            rows.append(
-                {
-                    "n_a": n_a,
-                    "n_b": n_b,
-                    "kind": kind,
-                    "index": index,
-                    "trace_norm": float(report.trace_norm),
-                    "eps": float(report.eps_estimate.value),
-                    "ratio": float(report.ratio),
-                    "bound": float(report.bound),
-                    "escalated": escalated,
-                    "satisfied": bool(report.satisfied),
-                }
-            )
-            worst_ratio_over_bound = max(worst_ratio_over_bound, report.ratio / report.bound)
-            if not report.satisfied:
-                failures.append(
-                    f"({n_a},{n_b}) {kind}[{index}]: ratio {report.ratio!r} exceeds "
-                    f"bound {report.bound!r} after escalation to {escalate_restarts} restarts"
-                )
-    return {
-        "rows": rows,
-        "failures": failures,
-        "worst_ratio_over_bound": float(worst_ratio_over_bound),
-    }
+    cases = (
+        (
+            f"({n_a},{n_b}) {kind}[{index}]",
+            z,
+            replace(config, seed=restart_seed, field=FIELD_HERMITIAN),
+            {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index},
+        )
+        for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _SCAN_LABEL, dims, samples_per_pair)
+    )
+    return _escalating_scan(
+        cases,
+        hiding_ratio,
+        lambda report: {"trace_norm": float(report.trace_norm), "eps": float(report.eps_estimate.value)},
+        escalate_restarts,
+    )
 
 
 def game_bound_scan(
@@ -129,41 +182,20 @@ def game_bound_scan(
 ) -> dict:
     """Unrestricted versus product bias over random games, with the same
     escalation policy as the operator scan."""
-    rows = []
-    failures = []
-    worst_ratio_over_bound = 0.0
-    for index in range(samples):
-        rng = stream(seed, _GAME_LABEL, n_a, n_b, index)
-        game = random_game(n_a, n_b, num_states=num_states, seed=rng)
-        run_config = replace(config, seed=_run_seed(rng), field=FIELD_HERMITIAN)
-        report = evaluate_game(game, run_config)
-        escalated = False
-        if report.ratio is not None and not report.satisfied:
-            escalated = True
-            report = evaluate_game(game, replace(run_config, restarts=escalate_restarts))
-        rows.append(
-            {
-                "index": index,
-                "beta_all": float(report.beta_all),
-                "beta_product": float(report.beta_product.value),
-                "ratio": None if report.ratio is None else float(report.ratio),
-                "bound": float(report.bound),
-                "escalated": escalated,
-                "satisfied": bool(report.satisfied),
-            }
-        )
-        if report.ratio is not None:
-            worst_ratio_over_bound = max(worst_ratio_over_bound, report.ratio / report.bound)
-        if not report.satisfied:
-            failures.append(
-                f"game[{index}] at ({n_a},{n_b}): ratio {report.ratio!r} exceeds "
-                f"bound {report.bound!r} after escalation to {escalate_restarts} restarts"
-            )
-    return {
-        "rows": rows,
-        "failures": failures,
-        "worst_ratio_over_bound": float(worst_ratio_over_bound),
-    }
+
+    def cases():
+        for index in range(samples):
+            rng = stream(seed, _GAME_LABEL, n_a, n_b, index)
+            game = random_game(n_a, n_b, num_states=num_states, seed=rng)
+            run_config = replace(config, seed=run_seed(rng), field=FIELD_HERMITIAN)
+            yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
+
+    return _escalating_scan(
+        cases(),
+        evaluate_game,
+        lambda report: {"beta_all": float(report.beta_all), "beta_product": float(report.beta_product.value)},
+        escalate_restarts,
+    )
 
 
 def field_ratio_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawConfig) -> dict:
@@ -176,7 +208,7 @@ def field_ratio_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSaw
     for index in range(samples):
         rng = stream(seed, _FIELD_LABEL, n_a, n_b, index)
         z = gue_operator(n_a, n_b, rng)
-        run_config = replace(config, seed=_run_seed(rng))
+        run_config = replace(config, seed=run_seed(rng))
         comparison = complex_vs_hermitian_check(z, run_config)
         rows.append(
             {
@@ -244,20 +276,12 @@ def _suite_block_identities(seed: int, samples: int) -> dict:
     )
 
 
-def _property_instances(seed: int, samples: int):
-    for n_a, n_b in DEFAULT_PAIRS:
-        for index in range(samples):
-            kind = "gue" if index % 2 == 0 else "induced"
-            rng = stream(seed, _PROPERTY_LABEL, _KIND_CODE[kind], n_a, n_b, index)
-            yield n_a, n_b, kind, index, _scan_operator(kind, n_a, n_b, rng), _run_seed(rng)
-
-
 def _suite_seesaw_monotonicity(seed: int, samples: int, config: SeeSawConfig) -> dict:
     checks = 0
     failures = []
     worst_step = 0.0
-    for n_a, n_b, kind, index, z, run_seed in _property_instances(seed, samples):
-        run_config = replace(config, seed=run_seed, restarts=2)
+    for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
+        run_config = replace(config, seed=restart_seed, restarts=2)
         for start_index, g0 in initial_contractions(n_b, run_config):
             est = seesaw_run(z, g0, run_config)
             diffs = np.diff(est.value_history)
@@ -277,8 +301,8 @@ def _suite_ordering(seed: int, samples: int, config: SeeSawConfig) -> dict:
     failures = []
     worst_excess = -math.inf
     worst_witness_gap = 0.0
-    for n_a, n_b, kind, index, z, run_seed in _property_instances(seed, samples):
-        run_config = replace(config, seed=run_seed)
+    for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
+        run_config = replace(config, seed=restart_seed)
         est = epsilon_norm(z, run_config)
         tn = trace_norm(z.matrix)
         excess = est.value - tn

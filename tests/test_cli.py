@@ -75,6 +75,13 @@ def test_ratio_missing_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_ratio_deeply_nested_input_exits_two(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["ratio", "--input", str(src)]) == EXIT_VALIDATION
+    assert f"{src}: invalid JSON" in capsys.readouterr().err
+
+
 def test_ratio_csv_format(tmp_path):
     code, text = run_text(tmp_path, ["ratio", "--werner", "2", "--format", "csv"])
     assert code == EXIT_OK

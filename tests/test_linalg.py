@@ -10,14 +10,11 @@ from locnorms import (
     hermitian_part,
     hermitian_sign,
     gue_hermitian,
-    partial_trace,
     swap_subsystems,
     trace_norm,
 )
 from locnorms.linalg import optimal_contraction
 from locnorms.states import stream
-
-DIM_PAIRS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
 
 # ---------------------------------------------------------------- trace norm
@@ -114,33 +111,6 @@ def test_optimal_contraction_complex_unitary_input_gives_adjoint():
     w, v = optimal_contraction(u, hermitian=False)
     np.testing.assert_allclose(w, u.conj().T, atol=1e-12)
     assert v == pytest.approx(5.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------- partial trace
-
-def test_partial_trace_product_rule():
-    rng = stream(19)
-    x = gue_hermitian(3, rng)
-    y = gue_hermitian(4, rng)
-    z = BipartiteOperator(3, 4, np.kron(x, y))
-    np.testing.assert_allclose(partial_trace(z, "A"), x * np.trace(y), atol=1e-12)
-    np.testing.assert_allclose(partial_trace(z, "B"), y * np.trace(x), atol=1e-12)
-
-
-@pytest.mark.parametrize("n_a,n_b", DIM_PAIRS)
-def test_partial_trace_preserves_trace(n_a, n_b):
-    rng = stream(20, n_a, n_b)
-    for _ in range(100):
-        z = BipartiteOperator(n_a, n_b, gue_hermitian(n_a * n_b, rng))
-        total = np.trace(z.matrix)
-        assert abs(np.trace(partial_trace(z, "A")) - total) <= 1e-12
-        assert abs(np.trace(partial_trace(z, "B")) - total) <= 1e-12
-
-
-def test_partial_trace_rejects_bad_keep():
-    z = BipartiteOperator(2, 2, np.eye(4))
-    with pytest.raises(ValueError, match="keep"):
-        partial_trace(z, "C")
 
 
 # ---------------------------------------------------------------- bipartite operator

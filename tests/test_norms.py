@@ -132,7 +132,6 @@ def test_seesaw_witnesses_are_contractions_and_reproduce_value():
             for w in (est.best_f, est.best_g):
                 assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-12
             assert witness_value(z, est) == pytest.approx(est.value, abs=1e-9)
-            assert est.is_lower_bound
 
 
 def test_seesaw_input_validation():

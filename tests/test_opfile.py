@@ -1,6 +1,7 @@
 """Operator and game file round-trips plus schema rejection messages."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,18 @@ def test_operator_invalid_json(tmp_path):
     target = tmp_path / "bad.json"
     target.write_text("{not json")
     with pytest.raises(OperatorFileError, match="invalid JSON"):
+        parse_operator_file(target)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b'{"n_a": 2, "n_b": \xff}'],
+    ids=["nested-100000-deep", "not-utf8"],
+)
+def test_operator_unreadable_json_names_the_file(tmp_path, content):
+    target = tmp_path / "bad.json"
+    target.write_bytes(content)
+    with pytest.raises(OperatorFileError, match=f"^{re.escape(str(target))}: invalid JSON"):
         parse_operator_file(target)
 
 

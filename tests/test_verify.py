@@ -27,25 +27,37 @@ def violating(monkeypatch, name, fail_budgets):
     return budgets
 
 
-# scan -> (the evaluator it calls per instance, a run of it on two instances)
+# scan -> (the evaluator it calls per instance, the labels of its two
+# instances, a run of it on those two instances)
 SCANS = {
-    "main_bound_scan": ("hiding_ratio", lambda: verify.main_bound_scan([(2, 2)], 2, 161, CONFIG)),
-    "game_bound_scan": ("evaluate_game", lambda: verify.game_bound_scan(2, 2, 2, 4, 162, CONFIG)),
+    "main_bound_scan": (
+        "hiding_ratio",
+        ("(2,2) gue[0]", "(2,2) induced[1]"),
+        lambda: verify.main_bound_scan([(2, 2)], 2, 161, CONFIG),
+    ),
+    "game_bound_scan": (
+        "evaluate_game",
+        ("game[0] at (2,2)", "game[1] at (2,2)"),
+        lambda: verify.game_bound_scan(2, 2, 2, 4, 162, CONFIG),
+    ),
 }
 
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 @pytest.mark.parametrize("persists", [False, True])
 def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
-    evaluator, run = SCANS[scan]
+    evaluator, labels, run = SCANS[scan]
     budgets = violating(monkeypatch, evaluator, {4, 500} if persists else {4})
     result = run()
     assert budgets == [4, 500, 4, 500]
     assert [row["escalated"] for row in result["rows"]] == [True, True]
     assert [row["satisfied"] for row in result["rows"]] == [not persists] * 2
     if persists:
-        assert len(result["failures"]) == 2
-        assert all("after escalation to 500 restarts" in f for f in result["failures"])
+        assert result["failures"] == [
+            f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} "
+            "after escalation to 500 restarts"
+            for label, row in zip(labels, result["rows"])
+        ]
         assert result["worst_ratio_over_bound"] == 2.0
     else:
         assert result["failures"] == []
@@ -54,7 +66,7 @@ def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_satisfied_rows_do_not_escalate(monkeypatch, scan):
-    evaluator, run = SCANS[scan]
+    evaluator, _, run = SCANS[scan]
     budgets = violating(monkeypatch, evaluator, set())
     result = run()
     assert budgets == [4, 4]
