@@ -21,8 +21,8 @@ from locnorms import (
 def describe(label, report):
     ratio = "-" if report.ratio is None else f"{report.ratio:.4f}"
     print(
-        f"  {label:<18} beta_all={report.beta_all:.4f} "
-        f"beta_product={report.beta_product.value:.4f} "
+        f"  {label:<18} beta_all={report.trace_norm:.4f} "
+        f"beta_product={report.eps_estimate.value:.4f} "
         f"ratio={ratio} cap={report.bound:.3f}"
     )
 

@@ -17,7 +17,7 @@ from .darwinism import (
     omega_new,
     omega_ranard,
 )
-from .games import GameReport, QuantumXorGame, evaluate_game, game_operator, random_game
+from .games import QuantumXorGame, evaluate_game, game_operator, random_game
 from .linalg import (
     BipartiteOperator,
     DegenerateOperatorError,
@@ -41,7 +41,6 @@ from .norms import (
     error_probability,
     hiding_ratio,
     initial_contractions,
-    lo_norm_lower,
     seesaw_run,
     witness_value,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "FIELD_COMPLEX",
     "FIELD_HERMITIAN",
     "FieldComparison",
-    "GameReport",
     "NormEstimate",
     "OperatorFileError",
     "QuantumXorGame",
@@ -106,7 +104,6 @@ __all__ = [
     "hiding_ratio",
     "induced_difference",
     "initial_contractions",
-    "lo_norm_lower",
     "main_bound_scan",
     "omega_new",
     "omega_ranard",

@@ -163,7 +163,7 @@ def _scaling_row(args: argparse.Namespace, generator: str, op, report) -> dict:
         "converged": bool(report.eps_estimate.converged),
         "ratio": float(report.ratio),
         "bound": float(report.bound),
-        "margin": float(report.margin),
+        "margin": float(report.bound - report.ratio),
     }
 
 
@@ -200,7 +200,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         "ratio": float(report.ratio),
         "bound": float(report.bound),
         "satisfied": bool(report.satisfied),
-        "margin": float(report.margin),
+        "margin": float(report.bound - report.ratio),
     }
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -230,9 +230,9 @@ def _game_row(sample: int, n_a: int, n_b: int, num_states: int, report) -> dict:
         "n_a": n_a,
         "n_b": n_b,
         "num_states": num_states,
-        "beta_all": float(report.beta_all),
-        "beta_product": float(report.beta_product.value),
-        "converged": bool(report.beta_product.converged),
+        "beta_all": float(report.trace_norm),
+        "beta_product": float(report.eps_estimate.value),
+        "converged": bool(report.eps_estimate.converged),
         "ratio": None if report.ratio is None else float(report.ratio),
         "bound": float(report.bound),
         "satisfied": bool(report.satisfied),
@@ -251,8 +251,8 @@ def cmd_xor(args: argparse.Namespace) -> int:
             "num_states": game.num_states,
             "seed": args.seed,
             "restarts": args.restarts,
-            "beta_all": float(report.beta_all),
-            "beta_product": _estimate_payload(report.beta_product),
+            "beta_all": float(report.trace_norm),
+            "beta_product": _estimate_payload(report.eps_estimate),
             "ratio": None if report.ratio is None else float(report.ratio),
             "bound": float(report.bound),
             "satisfied": bool(report.satisfied),

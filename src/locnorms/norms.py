@@ -103,14 +103,16 @@ class NormEstimate:
 
 @dataclass(frozen=True, eq=False)
 class RatioReport:
-    """Trace norm against the product-witness estimate for one operator."""
+    """Trace norm against the product-witness estimate for one operator.
+
+    ratio is None only for a vanishing game operator (see evaluate_game),
+    whose report is satisfied."""
 
     trace_norm: float
     eps_estimate: NormEstimate
-    ratio: float
+    ratio: float | None
     bound: float
     satisfied: bool
-    margin: float
 
 
 class FieldComparison(NamedTuple):
@@ -340,20 +342,6 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
     return runs.estimate(k, restart_index=k)
 
 
-def lo_norm_lower(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
-    """Hermitian-field estimate, reported as achievable local
-    distinguishability.
-
-    The witness pair maps to the binary local measurement with effects
-    (1 +- best_f x best_g)/2, so the value is attainable with one round of
-    local measurement and classical postprocessing; it lower-bounds every
-    larger measurement class as well.
-    """
-    if not z.hermitian:
-        raise ValueError("local-measurement estimate requires a Hermitian operator")
-    return epsilon_norm(z, replace(config, field=FIELD_HERMITIAN))
-
-
 def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
     """Data-hiding ratio report: ||z||_1 over the Hermitian product-witness
     estimate, compared against the 2 sqrt(2) min(n_a, n_b) cap.
@@ -373,7 +361,6 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
         ratio=ratio,
         bound=bound,
         satisfied=ratio <= bound + BOUND_TOL,
-        margin=bound - ratio,
     )
 
 

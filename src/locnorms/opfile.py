@@ -9,10 +9,12 @@ with re/im flat row-major length (n_a*n_b)^2 arrays. Game files::
     {"n_a": 2, "n_b": 2, "signs": [1, -1], "probs": [0.5, 0.5],
      "states": [{"re": [...], "im": [...]}, {"re": [...], "im": [...]}]}
 
-Loading validates schema and Hermiticity: asymmetry above 1e-6 is
-rejected, asymmetry above rounding level (1e-12) is symmetrized with a
-warning. Writing uses shortest round-trip float formatting, so a write
-followed by a read reproduces the matrix exactly.
+Loading validates the schema. Operator files are also checked for
+Hermiticity: asymmetry above 1e-6 is rejected, asymmetry above rounding
+level (1e-12) is symmetrized with a warning. The values of a game (signs,
+weights, density matrices) are checked by QuantumXorGame, whose errors are
+raised here with the file path. Writing uses shortest round-trip float
+formatting, so a write followed by a read reproduces the matrix exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import BipartiteOperator, asymmetry
-from .states import check_density_matrix
 from .games import QuantumXorGame
 
 ASYMMETRY_REJECT = 1e-6
@@ -72,7 +73,7 @@ def _matrix_from(data: dict, dim: int, path, label: str = "") -> np.ndarray:
 def _load_json(path) -> dict:
     p = Path(path)
     if not p.is_file():
-        raise OperatorFileError(f"{path}: operator file not found")
+        raise OperatorFileError(f"{path}: file not found")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
@@ -116,44 +117,26 @@ def parse_game_file(path) -> QuantumXorGame:
     if not isinstance(raw_states, list) or not raw_states:
         raise OperatorFileError(f"{path}: field 'states' must be a nonempty list")
     raw_signs = _require(data, "signs", path)
-    raw_probs = _require(data, "probs", path)
     n = len(raw_states)
     if not isinstance(raw_signs, list) or len(raw_signs) != n:
         raise OperatorFileError(f"{path}: field 'signs' must be a list of {n} entries")
-    if not isinstance(raw_probs, list) or len(raw_probs) != n:
-        raise OperatorFileError(f"{path}: field 'probs' must be a list of {n} entries")
-
-    signs = []
     for x, c in enumerate(raw_signs):
-        if not isinstance(c, int) or isinstance(c, bool) or c not in (-1, 1):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise OperatorFileError(f"{path}: field 'signs[{x}]' must be +1 or -1, got {c!r}")
-        signs.append(c)
-    probs = _number_list(raw_probs, "probs", n, path)
-    if probs.min() < 0.0:
-        raise OperatorFileError(f"{path}: field 'probs' contains negative weight {probs.min()!r}")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise OperatorFileError(
-            f"{path}: field 'probs' sums to {total!r}, deviating from 1 by {abs(total - 1.0):.3e}"
-        )
+    probs = _number_list(_require(data, "probs", path), "probs", n, path)
 
     states = []
     for x, entry in enumerate(raw_states):
         if not isinstance(entry, dict):
             raise OperatorFileError(f"{path}: field 'states[{x}]' must be an object with 're' and 'im'")
-        m = _matrix_from(entry, dim, path, label=f"states[{x}]")
-        try:
-            states.append(check_density_matrix(m, name=f"states[{x}]"))
-        except ValueError as exc:
-            raise OperatorFileError(f"{path}: {exc}") from exc
+        states.append(_matrix_from(entry, dim, path, label=f"states[{x}]"))
 
-    return QuantumXorGame(
-        n_a=n_a,
-        n_b=n_b,
-        states=tuple(states),
-        signs=tuple(signs),
-        probs=tuple(float(p) for p in probs),
-    )
+    try:
+        return QuantumXorGame(
+            n_a=n_a, n_b=n_b, states=tuple(states), signs=tuple(raw_signs), probs=tuple(probs.tolist())
+        )
+    except ValueError as exc:
+        raise OperatorFileError(f"{path}: {exc}") from exc
 
 
 def write_game_file(path, game: QuantumXorGame) -> None:

@@ -31,7 +31,6 @@ import numpy as np
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, hermitian_sign, swap_subsystems, trace_norm
 from .norms import (
-    FIELD_HERMITIAN,
     SeeSawConfig,
     complex_vs_hermitian_check,
     epsilon_norm,
@@ -158,7 +157,7 @@ def main_bound_scan(
         (
             f"({n_a},{n_b}) {kind}[{index}]",
             z,
-            replace(config, seed=restart_seed, field=FIELD_HERMITIAN),
+            replace(config, seed=restart_seed),
             {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index},
         )
         for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _SCAN_LABEL, dims, samples_per_pair)
@@ -187,13 +186,16 @@ def game_bound_scan(
         for index in range(samples):
             rng = stream(seed, _GAME_LABEL, n_a, n_b, index)
             game = random_game(n_a, n_b, num_states=num_states, seed=rng)
-            run_config = replace(config, seed=run_seed(rng), field=FIELD_HERMITIAN)
+            run_config = replace(config, seed=run_seed(rng))
             yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
 
     return _escalating_scan(
         cases(),
         evaluate_game,
-        lambda report: {"beta_all": float(report.beta_all), "beta_product": float(report.beta_product.value)},
+        lambda report: {
+            "beta_all": float(report.trace_norm),
+            "beta_product": float(report.eps_estimate.value),
+        },
         escalate_restarts,
     )
 

@@ -29,7 +29,6 @@ from locnorms import (
     haar_unitary,
     hermitian_sign,
     hiding_ratio,
-    lo_norm_lower,
     omega_new,
     omega_ranard,
     seesaw_run,
@@ -327,6 +326,6 @@ def test_criterion_12_error_probability_endpoints_and_pipeline():
         for d in (2, 3):
             z = discrimination_operator(werner_hiding_pair(d))
             assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
-            est = lo_norm_lower(z, SeeSawConfig(restarts=32, seed=BASE_SEED + 12))
+            est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=BASE_SEED + 12))
             cap = 0.5 * (1.0 - 1.0 / (2.0 * math.sqrt(2.0) * d))
             assert error_probability(est.value) <= cap + 1e-12

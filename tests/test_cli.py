@@ -210,6 +210,28 @@ def test_xor_zero_game_reports_null_ratio(tmp_path):
     assert payload["satisfied"] is True
 
 
+def test_xor_non_finite_weight_names_the_file(tmp_path, capsys):
+    game = QuantumXorGame(
+        n_a=2, n_b=2,
+        states=(random_density_matrix(4, seed=403),),
+        signs=(1,), probs=(1.0,),
+    )
+    src = tmp_path / "game.json"
+    write_game_file(src, game)
+    data = json.loads(src.read_text())
+    data["probs"] = [float("nan")]
+    src.write_text(json.dumps(data))
+    assert main(["xor", "--input", str(src)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {src}: probs[0] must be a finite nonnegative weight" in err
+
+
+def test_xor_missing_file_names_no_kind(tmp_path, capsys):
+    src = tmp_path / "absent.json"
+    assert main(["xor", "--input", str(src)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {src}: file not found\n"
+
+
 def test_xor_random_batch(tmp_path):
     code, rows = run_json(tmp_path, [
         "xor", "--na", "2", "--nb", "2", "--states", "3", "--samples", "3",

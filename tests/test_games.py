@@ -49,7 +49,12 @@ def test_game_validation_errors():
                           "probs": (1.5, -0.5)})
     with pytest.raises(ValueError, match="deviating from 1"):
         QuantumXorGame(**{**good, "probs": (0.7,)})
-    with pytest.raises(ValueError, match="state 0"):
+    with pytest.raises(ValueError, match=r"probs\[0\] must be a finite"):
+        QuantumXorGame(**{**good, "probs": (float("nan"),)})
+    with pytest.raises(ValueError, match=r"probs\[1\] must be a finite"):
+        QuantumXorGame(**{**good, "states": (rho, rho), "signs": (1, 1),
+                          "probs": (1.0, float("inf"))})
+    with pytest.raises(ValueError, match=r"states\[0\]"):
         QuantumXorGame(**{**good, "states": (np.eye(4),)})
     with pytest.raises(ValueError, match="shape"):
         QuantumXorGame(**{**good, "states": (random_density_matrix(6, seed=202),)})
@@ -102,23 +107,34 @@ def test_evaluate_single_state_game():
     rho = random_density_matrix(4, seed=207)
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho,), signs=(1,), probs=(1.0,))
     report = evaluate_game(game, CFG)
-    assert report.beta_all == pytest.approx(1.0, abs=1e-12)
-    assert report.beta_product.value == pytest.approx(1.0, abs=1e-9)
+    assert report.trace_norm == pytest.approx(1.0, abs=1e-12)
+    assert report.eps_estimate.value == pytest.approx(1.0, abs=1e-9)
     assert report.ratio == pytest.approx(1.0, abs=1e-6)
     assert report.satisfied
 
 
 def test_evaluate_werner_game_matches_hiding_ratio():
     inst = werner_hiding_pair(3)
-    game = two_state_game(inst.rho, inst.sigma, 3, 3, p=inst.p)
+    werner = two_state_game(inst.rho, inst.sigma, 3, 3, p=inst.p)
+    rng = stream(215)
+    games = [werner] + [random_game(n_a, n_b, num_states=3, seed=rng)
+                        for n_a, n_b in ((2, 2), (2, 3), (3, 2))]
     cfg = SeeSawConfig(restarts=32, seed=208)
-    report = evaluate_game(game, cfg)
+    for game in games:
+        report = evaluate_game(game, cfg)
+        hiding = hiding_ratio(game_operator(game), cfg)
+        assert report.trace_norm == hiding.trace_norm
+        assert report.eps_estimate.value == hiding.eps_estimate.value
+        assert report.eps_estimate.restart_index == hiding.eps_estimate.restart_index
+        assert report.ratio == hiding.ratio
+        assert report.bound == hiding.bound
+        assert report.satisfied
+    report = evaluate_game(werner, cfg)
     hiding = hiding_ratio(discrimination_operator(inst), cfg)
-    assert report.beta_all == pytest.approx(hiding.trace_norm, abs=1e-12)
-    assert report.beta_product.value == pytest.approx(hiding.eps_estimate.value, abs=1e-9)
+    assert report.trace_norm == pytest.approx(hiding.trace_norm, abs=1e-12)
+    assert report.eps_estimate.value == pytest.approx(hiding.eps_estimate.value, abs=1e-9)
     assert report.ratio == pytest.approx(hiding.ratio, abs=1e-9)
     assert report.ratio == pytest.approx(3.0, abs=1e-6)
-    assert report.satisfied
 
 
 def test_evaluate_zero_game():
@@ -126,8 +142,8 @@ def test_evaluate_zero_game():
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, -1),
                           probs=(0.5, 0.5))
     report = evaluate_game(game, CFG)
-    assert report.beta_all == 0.0
-    assert report.beta_product.value == 0.0
+    assert report.trace_norm == 0.0
+    assert report.eps_estimate.value == 0.0
     assert report.ratio is None
     assert report.satisfied
 
@@ -142,8 +158,8 @@ def test_evaluate_sign_flip_invariance():
     plus = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1, 1), probs=probs)
     minus = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(-1, 1, -1), probs=probs)
     a, b = evaluate_game(plus, cfg), evaluate_game(minus, cfg)
-    assert a.beta_all == pytest.approx(b.beta_all, abs=1e-12)
-    assert a.beta_product.value == pytest.approx(b.beta_product.value, abs=1e-9)
+    assert a.trace_norm == pytest.approx(b.trace_norm, abs=1e-12)
+    assert a.eps_estimate.value == pytest.approx(b.eps_estimate.value, abs=1e-9)
 
 
 def test_evaluate_bias_bounded_by_one():
@@ -151,8 +167,8 @@ def test_evaluate_bias_bounded_by_one():
     for _ in range(8):
         game = random_game(2, 2, num_states=3, seed=rng)
         report = evaluate_game(game, SeeSawConfig(restarts=8, seed=213))
-        assert report.beta_all <= 1.0 + 1e-9
-        assert report.beta_product.value <= report.beta_all + 1e-9
+        assert report.trace_norm <= 1.0 + 1e-9
+        assert report.eps_estimate.value <= report.trace_norm + 1e-9
         assert report.bound == bound_factor(2, 2)
 
 

@@ -21,7 +21,6 @@ from locnorms import (
     hermitian_sign,
     hiding_ratio,
     induced_difference,
-    lo_norm_lower,
     random_density_matrix,
     seesaw_run,
     swap_subsystems,
@@ -416,23 +415,16 @@ def test_seesaw_local_unitary_covariance():
         assert gap <= 1e-9
 
 
-# ---------------------------------------------------------------- lo_norm_lower
+# ---------------------------------------------------------------- Hermitian default field
 
-def test_lo_norm_lower_known_values():
+def test_epsilon_norm_hermitian_default_known_values():
     z = BipartiteOperator(2, 2, random_density_matrix(4, seed=118))
-    assert lo_norm_lower(z, CFG).value == pytest.approx(1.0, abs=1e-9)
+    assert epsilon_norm(z, CFG).value == pytest.approx(1.0, abs=1e-9)
     zero = BipartiteOperator(2, 2, np.zeros((4, 4)))
-    assert lo_norm_lower(zero, CFG).value == 0.0
+    assert epsilon_norm(zero, CFG).value == 0.0
 
 
-def test_lo_norm_lower_forces_hermitian_field():
-    z = gue_operator(2, 2, 119)
-    complex_cfg = SeeSawConfig(restarts=8, seed=120, field="complex")
-    hermitian_cfg = SeeSawConfig(restarts=8, seed=120, field="hermitian")
-    assert lo_norm_lower(z, complex_cfg).value == epsilon_norm(z, hermitian_cfg).value
-
-
-def test_lo_norm_lower_bound_consistency_flags_only():
+def test_epsilon_norm_bound_consistency_flags_only():
     # value >= trace_norm/(2 sqrt(2) * 3) should hold on random 3x3
     # instances; the estimate is a lower bound, so any shortfall is an
     # estimator artifact and is flagged as a warning rather than a failure.
@@ -440,7 +432,7 @@ def test_lo_norm_lower_bound_consistency_flags_only():
     rng = stream(121)
     for k in range(20):
         z = gue_operator(3, 3, rng)
-        est = lo_norm_lower(z, SeeSawConfig(restarts=16, seed=int(rng.integers(1 << 32))))
+        est = epsilon_norm(z, SeeSawConfig(restarts=16, seed=int(rng.integers(1 << 32))))
         floor = trace_norm(z.matrix) / bound_factor(3, 3)
         if est.value < floor:
             violations.append((k, est.value, floor))
@@ -474,7 +466,7 @@ def test_error_probability_orthogonal_pair_cap():
     cap = 0.5 * (1.0 - 1.0 / (8.0 * math.sqrt(2.0)))
     assert cap == pytest.approx(0.4558, abs=5e-5)
     z = discrimination_operator(werner_hiding_pair(4))
-    est = lo_norm_lower(z, SeeSawConfig(restarts=32, seed=122))
+    est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=122))
     assert error_probability(est.value) <= cap
 
 
@@ -491,7 +483,6 @@ def test_hiding_ratio_density_matrix_is_one():
     report = hiding_ratio(z, CFG)
     assert report.ratio == pytest.approx(1.0, abs=1e-9)
     assert report.satisfied
-    assert report.margin == pytest.approx(report.bound - report.ratio)
 
 
 def test_hiding_ratio_product_is_one():
