@@ -31,12 +31,10 @@ from .linalg import (
 from .norms import (
     FIELD_COMPLEX,
     FIELD_HERMITIAN,
-    FieldComparison,
     NormEstimate,
     RatioReport,
     SeeSawConfig,
     bound_factor,
-    complex_vs_hermitian_check,
     epsilon_norm,
     error_probability,
     hiding_ratio,
@@ -75,7 +73,6 @@ __all__ = [
     "DiscriminationInstance",
     "FIELD_COMPLEX",
     "FIELD_HERMITIAN",
-    "FieldComparison",
     "NormEstimate",
     "OperatorFileError",
     "QuantumXorGame",
@@ -87,7 +84,6 @@ __all__ = [
     "bound_factor",
     "check_density_matrix",
     "coefficient_sweep",
-    "complex_vs_hermitian_check",
     "diamond_bound_rhs",
     "discrimination_operator",
     "epsilon_norm",

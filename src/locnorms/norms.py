@@ -115,12 +115,6 @@ class RatioReport:
     satisfied: bool
 
 
-class FieldComparison(NamedTuple):
-    complex_value: float
-    hermitian_value: float
-    ratio: float
-
-
 def bound_factor(n_a: int, n_b: int) -> float:
     """2 sqrt(2) min(n_a, n_b): the proven cap on the ratio of trace norm
     to Hermitian product-witness norm on A x B."""
@@ -363,19 +357,3 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
         satisfied=ratio <= bound + BOUND_TOL,
     )
 
-
-def complex_vs_hermitian_check(z: BipartiteOperator, config: SeeSawConfig) -> FieldComparison:
-    """Estimate both witness fields with matched budgets.
-
-    The complex value dominates the Hermitian one (larger witness set) and
-    provably exceeds it by at most sqrt(2); the returned ratio makes the
-    factor observable."""
-    if not z.hermitian:
-        raise ValueError("field comparison requires a Hermitian operator")
-    c = epsilon_norm(z, replace(config, field=FIELD_COMPLEX)).value
-    h = epsilon_norm(z, replace(config, field=FIELD_HERMITIAN)).value
-    if h > 0:
-        ratio = c / h
-    else:
-        ratio = 1.0 if c == 0 else math.inf
-    return FieldComparison(complex_value=c, hermitian_value=h, ratio=ratio)

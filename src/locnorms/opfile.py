@@ -57,7 +57,11 @@ def _number_list(value, key: str, length: int, path) -> np.ndarray:
     for entry in value:
         if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
             raise OperatorFileError(f"{path}: field '{key}' contains non-numeric entry {entry!r}")
-    return np.asarray(value, dtype=np.float64)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        # a JSON integer beyond the float range
+        raise OperatorFileError(f"{path}: field '{key}' contains an integer too large for a float") from None
 
 
 def _matrix_from(data: dict, dim: int, path, label: str = "") -> np.ndarray:

@@ -6,6 +6,12 @@ summary: counts, worst residuals, and one failure string per violation.
 The summary contains no volatile data, so identical arguments produce
 byte-identical JSON.
 
+Each instance family is drawn once: one pass over the property
+instances feeds the monotonicity and ordering suites, one pass over the
+covariance instances (`covariance_gaps`) the swap and local-unitary
+suites. Every suite and scan counts its checks, failures and worst
+values in one accumulator, `_Tally`.
+
 The operator scan and the game scan, which the test suite also calls,
 share one scan-and-escalate loop, `_escalating_scan`: a bound violation at
 the working restart budget is retried at a larger budget before it counts,
@@ -31,8 +37,9 @@ import numpy as np
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, hermitian_sign, swap_subsystems, trace_norm
 from .norms import (
+    FIELD_COMPLEX,
+    FIELD_HERMITIAN,
     SeeSawConfig,
-    complex_vs_hermitian_check,
     epsilon_norm,
     hiding_ratio,
     initial_contractions,
@@ -98,6 +105,42 @@ def _instances(seed: int, label: int, dims, samples: int):
             yield n_a, n_b, kind, index, make_operator(kind, n_a, n_b, rng), run_seed(rng)
 
 
+class _Tally:
+    """One suite's check count, failure strings and named worst values.
+
+    Worst values fold as max(worst, value), so a NaN value leaves a worst
+    unchanged; a value of None (a zero game has no ratio) is skipped."""
+
+    def __init__(self, **worst: float):
+        self.checks = 0
+        self.failures: list[str] = []
+        self.worst = worst
+
+    def check(self, *conditions: tuple[bool, str], **values: float | None) -> None:
+        """Count one check, fold its values into the worsts, and keep the
+        message of each (failed, message) condition that failed."""
+        self.checks += 1
+        for name, value in values.items():
+            if value is not None:
+                self.worst[name] = max(self.worst[name], value)
+        self.failures.extend(message for failed, message in conditions if failed)
+
+    def stats(self) -> dict:
+        return {name: float(value) for name, value in self.worst.items()}
+
+    def suite(self) -> dict:
+        return _suite(self.checks, self.failures, self.stats())
+
+
+def _suite(checks: int, failures: list, stats: dict) -> dict:
+    return {
+        "passed": not failures,
+        "checks": int(checks),
+        "failures": list(failures),
+        "stats": stats,
+    }
+
+
 def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
     """Evaluate each (label, instance, config, fields) case and retry a
     cap violation at escalate_restarts.
@@ -108,8 +151,7 @@ def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
     failures.
     """
     rows = []
-    failures = []
-    worst_ratio_over_bound = 0.0
+    tally = _Tally(worst_ratio_over_bound=0.0)
     for label, instance, config, fields in cases:
         report = evaluate(instance, config)
         escalated = report.ratio is not None and not report.satisfied
@@ -125,18 +167,13 @@ def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
                 "satisfied": bool(report.satisfied),
             }
         )
-        if report.ratio is not None:
-            worst_ratio_over_bound = max(worst_ratio_over_bound, report.ratio / report.bound)
-        if not report.satisfied:
-            failures.append(
-                f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
-                f"after escalation to {escalate_restarts} restarts"
-            )
-    return {
-        "rows": rows,
-        "failures": failures,
-        "worst_ratio_over_bound": float(worst_ratio_over_bound),
-    }
+        message = (
+            f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
+            f"after escalation to {escalate_restarts} restarts"
+        )
+        worst = None if report.ratio is None else report.ratio / report.bound
+        tally.check((not report.satisfied, message), worst_ratio_over_bound=worst)
+    return {"rows": rows, "failures": tally.failures, **tally.stats()}
 
 
 def main_bound_scan(
@@ -201,63 +238,39 @@ def game_bound_scan(
 
 
 def field_ratio_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawConfig) -> dict:
-    """Complex against Hermitian witness values on GUE instances: the
-    quotient must stay below sqrt(2) plus estimator slack."""
+    """Complex against Hermitian witness values on GUE instances at the
+    same budget. The complex value provably exceeds the Hermitian one by
+    at most sqrt(2), which it must meet up to estimator slack; the row's
+    ratio is 1.0 when both vanish and inf when only the Hermitian does."""
     rows = []
-    failures = []
-    worst = 0.0
+    tally = _Tally(worst_ratio=0.0)
     cap = math.sqrt(2.0)
     for index in range(samples):
         rng = stream(seed, _FIELD_LABEL, n_a, n_b, index)
         z = gue_operator(n_a, n_b, rng)
         run_config = replace(config, seed=run_seed(rng))
-        comparison = complex_vs_hermitian_check(z, run_config)
-        rows.append(
-            {
-                "index": index,
-                "complex": float(comparison.complex_value),
-                "hermitian": float(comparison.hermitian_value),
-                "ratio": float(comparison.ratio),
-            }
+        c = epsilon_norm(z, replace(run_config, field=FIELD_COMPLEX)).value
+        h = epsilon_norm(z, replace(run_config, field=FIELD_HERMITIAN)).value
+        ratio = c / h if h > 0 else (1.0 if c == 0 else math.inf)
+        rows.append({"index": index, "complex": float(c), "hermitian": float(h), "ratio": float(ratio)})
+        message = (
+            f"field[{index}] at ({n_a},{n_b}): complex {c!r} exceeds sqrt(2) * {h!r} + {FIELD_RATIO_SLACK}"
         )
-        worst = max(worst, comparison.ratio)
-        if comparison.complex_value > cap * comparison.hermitian_value + FIELD_RATIO_SLACK:
-            failures.append(
-                f"field[{index}] at ({n_a},{n_b}): complex {comparison.complex_value!r} exceeds "
-                f"sqrt(2) * {comparison.hermitian_value!r} + {FIELD_RATIO_SLACK}"
-            )
-    return {"rows": rows, "failures": failures, "worst_ratio": float(worst)}
-
-
-def _suite(checks: int, failures: list, stats: dict) -> dict:
-    return {
-        "passed": not failures,
-        "checks": int(checks),
-        "failures": list(failures),
-        "stats": stats,
-    }
+        tally.check((c > cap * h + FIELD_RATIO_SLACK, message), worst_ratio=ratio)
+    return {"rows": rows, "failures": tally.failures, **tally.stats()}
 
 
 def _suite_block_identities(seed: int, samples: int) -> dict:
-    checks = 0
-    failures = []
-    worst_unitary = 0.0
-    worst_units = 0.0
+    tally = _Tally(max_unitary_residual=0.0, max_unit_residual=0.0)
     for n_a, n_b in DEFAULT_PAIRS:
         dim = n_a * n_b
         target = n_a * np.eye(n_b)
         for index in range(samples):
             u = haar_unitary(dim, stream(seed, 8, n_a, n_b, index))
             left, right = block_frame_sums(u, n_a, n_b)
-            residual = max(
-                float(np.abs(left - target).max()), float(np.abs(right - target).max())
-            )
-            worst_unitary = max(worst_unitary, residual)
-            checks += 1
-            if residual > BLOCK_RESIDUAL_TOL:
-                failures.append(
-                    f"unitary blocks ({n_a},{n_b})[{index}]: residual {residual!r} > {BLOCK_RESIDUAL_TOL}"
-                )
+            residual = max(float(np.abs(left - target).max()), float(np.abs(right - target).max()))
+            message = f"unitary blocks ({n_a},{n_b})[{index}]: residual {residual!r} > {BLOCK_RESIDUAL_TOL}"
+            tally.check((residual > BLOCK_RESIDUAL_TOL, message), max_unitary_residual=residual)
     for n in (2, 3, 4):
         # Matrix units e_ij: sum_ij e_ij^dag e_ij = n * identity, exactly.
         total = np.zeros((n, n))
@@ -267,73 +280,40 @@ def _suite_block_identities(seed: int, samples: int) -> dict:
                 e[i, j] = 1.0
                 total += e.T @ e
         residual = float(np.abs(total - n * np.eye(n)).max())
-        worst_units = max(worst_units, residual)
-        checks += 1
-        if residual > 1e-15:
-            failures.append(f"matrix units n={n}: residual {residual!r} > 1e-15")
-    return _suite(
-        checks,
-        failures,
-        {"max_unitary_residual": worst_unitary, "max_unit_residual": worst_units},
-    )
+        tally.check(
+            (residual > 1e-15, f"matrix units n={n}: residual {residual!r} > 1e-15"),
+            max_unit_residual=residual,
+        )
+    return tally.suite()
 
 
-def _suite_seesaw_monotonicity(seed: int, samples: int, config: SeeSawConfig) -> dict:
-    checks = 0
-    failures = []
-    worst_step = 0.0
+def _property_suites(seed: int, samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+    """The monotonicity and ordering suites, in one pass over the property
+    instances: every single-start history is nondecreasing, and the
+    multistart estimate stays below the trace norm with a witness pair
+    that reproduces it."""
+    monotone = _Tally(max_decrease=0.0)
+    ordering = _Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
     for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
+        label = f"({n_a},{n_b}) {kind}[{index}]"
         run_config = replace(config, seed=restart_seed, restarts=2)
         for start_index, g0 in initial_contractions(n_b, run_config):
-            est = seesaw_run(z, g0, run_config)
-            diffs = np.diff(est.value_history)
+            diffs = np.diff(seesaw_run(z, g0, run_config).value_history)
             step = -float(diffs.min()) if diffs.size else 0.0
-            worst_step = max(worst_step, step)
-            checks += 1
-            if step > MONOTONE_STEP_TOL:
-                failures.append(
-                    f"({n_a},{n_b}) {kind}[{index}] start {start_index}: "
-                    f"value decreased by {step!r}"
-                )
-    return _suite(checks, failures, {"max_decrease": worst_step})
-
-
-def _suite_ordering(seed: int, samples: int, config: SeeSawConfig) -> dict:
-    checks = 0
-    failures = []
-    worst_excess = -math.inf
-    worst_witness_gap = 0.0
-    for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
-        run_config = replace(config, seed=restart_seed)
-        est = epsilon_norm(z, run_config)
+            monotone.check(
+                (step > MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
+                max_decrease=step,
+            )
+        est = epsilon_norm(z, replace(config, seed=restart_seed))
         tn = trace_norm(z.matrix)
-        excess = est.value - tn
-        worst_excess = max(worst_excess, excess)
         gap = abs(witness_value(z, est) - est.value)
-        worst_witness_gap = max(worst_witness_gap, gap)
-        checks += 1
-        if excess > ORDERING_TOL:
-            failures.append(
-                f"({n_a},{n_b}) {kind}[{index}]: estimate {est.value!r} exceeds trace norm {tn!r}"
-            )
-        if gap > WITNESS_TOL:
-            failures.append(
-                f"({n_a},{n_b}) {kind}[{index}]: witness reproduces {est.value!r} only to {gap!r}"
-            )
-    return _suite(
-        checks,
-        failures,
-        {"max_excess_over_trace_norm": float(worst_excess), "max_witness_gap": worst_witness_gap},
-    )
-
-
-def _covariant_pairs(seed: int, samples: int):
-    for n_a, n_b in DEFAULT_PAIRS:
-        for index in range(samples):
-            rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index)
-            z = gue_operator(n_a, n_b, rng)
-            g0 = hermitian_sign(gue_hermitian(n_b, rng))
-            yield n_a, n_b, index, z, g0
+        ordering.check(
+            (est.value - tn > ORDERING_TOL, f"{label}: estimate {est.value!r} exceeds trace norm {tn!r}"),
+            (gap > WITNESS_TOL, f"{label}: witness reproduces {est.value!r} only to {gap!r}"),
+            max_excess_over_trace_norm=est.value - tn,
+            max_witness_gap=gap,
+        )
+    return monotone.suite(), ordering.suite()
 
 
 def _history_gap(a, b) -> float:
@@ -344,39 +324,45 @@ def _history_gap(a, b) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def _suite_swap_covariance(seed: int, samples: int, config: SeeSawConfig) -> dict:
-    checks = 0
-    failures = []
-    worst = 0.0
-    for n_a, n_b, index, z, g0 in _covariant_pairs(seed, samples):
-        direct = seesaw_run(z, g0, config)
-        swapped = seesaw_run(swap_subsystems(z), g0, config, start_side="A")
-        gap = _history_gap(direct.value_history, swapped.value_history)
-        worst = max(worst, gap)
-        checks += 1
-        if gap > COVARIANCE_TOL:
-            failures.append(f"({n_a},{n_b})[{index}]: swap history gap {gap!r}")
-    return _suite(checks, failures, {"max_history_gap": worst})
+def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tuple[float, float]:
+    """(swap_gap, rotation_gap): how far the value history of the see-saw
+    on z from g0 on B lies from the same run on the swapped operator
+    started on A, and from the run on (u x v) z (u x v)^dag started from
+    v g0 v^dag. Both runs are exact images of the first, so both gaps
+    vanish up to rounding; histories of different lengths give inf."""
+    direct = seesaw_run(z, g0, config).value_history
+    swapped = seesaw_run(swap_subsystems(z), g0, config, start_side="A").value_history
+    w = np.kron(u, v)
+    rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T, hermitian=z.hermitian)
+    conjugated = seesaw_run(rotated, v @ g0 @ v.conj().T, config).value_history
+    return _history_gap(direct, swapped), _history_gap(direct, conjugated)
 
 
-def _suite_local_unitary_covariance(seed: int, samples: int, config: SeeSawConfig) -> dict:
-    checks = 0
-    failures = []
-    worst = 0.0
-    for n_a, n_b, index, z, g0 in _covariant_pairs(seed, samples):
-        rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index, 1)
-        u = haar_unitary(n_a, rng)
-        v = haar_unitary(n_b, rng)
-        w = np.kron(u, v)
-        rotated = BipartiteOperator(n_a, n_b, w @ z.matrix @ w.conj().T, hermitian=z.hermitian)
-        direct = seesaw_run(z, g0, config)
-        conjugated = seesaw_run(rotated, v @ g0 @ v.conj().T, config)
-        gap = _history_gap(direct.value_history, conjugated.value_history)
-        worst = max(worst, gap)
-        checks += 1
-        if gap > COVARIANCE_TOL:
-            failures.append(f"({n_a},{n_b})[{index}]: local-unitary history gap {gap!r}")
-    return _suite(checks, failures, {"max_history_gap": worst})
+def _covariance_suites(seed: int, samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+    """The swap and local-unitary covariance suites, in one pass over the
+    covariance instances."""
+    swap = _Tally(max_history_gap=0.0)
+    rotation = _Tally(max_history_gap=0.0)
+    for n_a, n_b in DEFAULT_PAIRS:
+        for index in range(samples):
+            rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index)
+            z = gue_operator(n_a, n_b, rng)
+            g0 = hermitian_sign(gue_hermitian(n_b, rng))
+            rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index, 1)
+            u = haar_unitary(n_a, rng)
+            v = haar_unitary(n_b, rng)
+            swap_gap, rotation_gap = covariance_gaps(z, g0, u, v, config)
+            swap.check(
+                (swap_gap > COVARIANCE_TOL, f"({n_a},{n_b})[{index}]: swap history gap {swap_gap!r}"),
+                max_history_gap=swap_gap,
+            )
+            message = f"({n_a},{n_b})[{index}]: local-unitary history gap {rotation_gap!r}"
+            rotation.check((rotation_gap > COVARIANCE_TOL, message), max_history_gap=rotation_gap)
+    return swap.suite(), rotation.suite()
+
+
+def _scan_suite(scan: dict, stat: str) -> dict:
+    return _suite(len(scan["rows"]), scan["failures"], {stat: scan[stat]})
 
 
 def run_verification(
@@ -392,33 +378,24 @@ def run_verification(
     budget of the scans (escalation goes to 500 regardless).
     """
     config = SeeSawConfig(restarts=restarts, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
-    cov_samples = max(1, samples // 4)
+    quarter = max(1, samples // 4)
 
     scan = main_bound_scan(DEFAULT_PAIRS, samples, seed, config)
     games = game_bound_scan(samples, 2, 2, 4, seed, config)
     fields = field_ratio_scan(max(1, samples // 2), 3, 3, seed, config)
+    blocks = _suite_block_identities(seed, quarter)
+    monotonicity, ordering = _property_suites(seed, quarter, config)
+    swap, rotation = _covariance_suites(seed, quarter, config)
 
     suites = {
-        "block_identities": _suite_block_identities(seed, max(1, samples // 4)),
-        "seesaw_monotonicity": _suite_seesaw_monotonicity(seed, max(1, samples // 4), config),
-        "ordering": _suite_ordering(seed, max(1, samples // 4), config),
-        "swap_covariance": _suite_swap_covariance(seed, cov_samples, config),
-        "local_unitary_covariance": _suite_local_unitary_covariance(seed, cov_samples, config),
-        "main_bound_scan": _suite(
-            len(scan["rows"]),
-            scan["failures"],
-            {"worst_ratio_over_bound": scan["worst_ratio_over_bound"]},
-        ),
-        "game_bound_scan": _suite(
-            len(games["rows"]),
-            games["failures"],
-            {"worst_ratio_over_bound": games["worst_ratio_over_bound"]},
-        ),
-        "field_ratio_scan": _suite(
-            len(fields["rows"]),
-            fields["failures"],
-            {"worst_ratio": fields["worst_ratio"]},
-        ),
+        "block_identities": blocks,
+        "seesaw_monotonicity": monotonicity,
+        "ordering": ordering,
+        "swap_covariance": swap,
+        "local_unitary_covariance": rotation,
+        "main_bound_scan": _scan_suite(scan, "worst_ratio_over_bound"),
+        "game_bound_scan": _scan_suite(games, "worst_ratio_over_bound"),
+        "field_ratio_scan": _scan_suite(fields, "worst_ratio"),
     }
     return {
         "tool": "locnorms-verify",

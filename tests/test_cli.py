@@ -82,6 +82,30 @@ def test_ratio_deeply_nested_input_exits_two(tmp_path, capsys):
     assert f"{src}: invalid JSON" in capsys.readouterr().err
 
 
+# a JSON integer beyond the float range in an operator entry, a state
+# entry and a weight
+HUGE = int("9" * 400)
+GAME_1X1 = {"n_a": 1, "n_b": 1, "signs": [1], "probs": [1.0], "states": [{"re": [1.0], "im": [0.0]}]}
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("ratio", {"n_a": 1, "n_b": 1, "re": [HUGE], "im": [0.0]}, "re"),
+        ("xor", {**GAME_1X1, "states": [{"re": [1.0], "im": [HUGE]}]}, "states[0].im"),
+        ("xor", {**GAME_1X1, "probs": [HUGE]}, "probs"),
+    ],
+    ids=["ratio-re", "xor-state-im", "xor-probs"],
+)
+def test_integer_beyond_float_range_exits_two(tmp_path, capsys, command, payload, field):
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(payload))
+    assert main([command, "--input", str(src)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: field '{field}' contains an integer too large")
+    assert "Traceback" not in err
+
+
 def test_ratio_csv_format(tmp_path):
     code, text = run_text(tmp_path, ["ratio", "--werner", "2", "--format", "csv"])
     assert code == EXIT_OK

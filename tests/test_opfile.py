@@ -101,6 +101,29 @@ def test_operator_schema_errors(tmp_path):
         parse_operator_file(target)
 
 
+# a JSON integer beyond the float range in an operator entry, a state
+# entry and a weight
+HUGE = int("9" * 400)
+GAME_1X1 = {"n_a": 1, "n_b": 1, "signs": [1], "probs": [1.0], "states": [{"re": [1.0], "im": [0.0]}]}
+
+
+@pytest.mark.parametrize(
+    "parse, payload, field",
+    [
+        (parse_operator_file, {"n_a": 1, "n_b": 1, "re": [HUGE], "im": [0.0]}, "re"),
+        (parse_game_file, {**GAME_1X1, "states": [{"re": [1.0], "im": [HUGE]}]}, "states[0].im"),
+        (parse_game_file, {**GAME_1X1, "probs": [HUGE]}, "probs"),
+    ],
+    ids=["re", "state-im", "probs"],
+)
+def test_integer_beyond_float_range_names_the_field(tmp_path, parse, payload, field):
+    target = tmp_path / "huge.json"
+    write_json(target, payload)
+    prefix = f"{re.escape(str(target))}: field '{re.escape(field)}'"
+    with pytest.raises(OperatorFileError, match=f"^{prefix} contains an integer too large for a float$"):
+        parse(target)
+
+
 def test_operator_asymmetry_rejected(tmp_path):
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-4

@@ -1,10 +1,15 @@
-"""The scans' escalation branch, reached by forcing bound violations."""
+"""The verify suites' escalation and failure branches, reached by forcing
+bound violations and broken invariants."""
 
+import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from locnorms import SeeSawConfig, verify
+from locnorms import FIELD_COMPLEX, SeeSawConfig, norms, verify
+from locnorms.cli import EXIT_SUITE_FAILURE, main
 
 CONFIG = SeeSawConfig(restarts=4, seed=160)
 
@@ -72,3 +77,167 @@ def test_satisfied_rows_do_not_escalate(monkeypatch, scan):
     assert budgets == [4, 4]
     assert [row["escalated"] for row in result["rows"]] == [False, False]
     assert result["failures"] == []
+
+
+# ------------------------------------------------------- failure branches
+#
+# Each test forces one invariant to break by patching a name the suites
+# look up in verify, runs the whole verification, and pins the failure
+# strings of the suite that owns the invariant.
+
+SEED = 5
+RESTARTS = 2
+
+
+def verification():
+    return verify.run_verification(seed=SEED, samples=1, restarts=RESTARTS)
+
+
+def failed_suite(summary, name):
+    suite = summary["suites"][name]
+    assert suite["passed"] is False
+    assert summary["passed"] is False
+    return suite
+
+
+def property_estimates():
+    """(label, estimate) of the ordering suite's instances, computed here
+    with the suite's own budget."""
+    config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
+    for n_a, n_b, kind, index, z, restart_seed in verify._instances(
+        SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1
+    ):
+        yield f"({n_a},{n_b}) {kind}[{index}]", verify.epsilon_norm(z, replace(config, seed=restart_seed))
+
+
+def test_decreasing_history_fails_monotonicity(monkeypatch):
+    real = verify.seesaw_run
+
+    def decreasing(*args, **kwargs):
+        return replace(real(*args, **kwargs), value_history=(1.0, 0.5))
+
+    monkeypatch.setattr(verify, "seesaw_run", decreasing)
+    suite = failed_suite(verification(), "seesaw_monotonicity")
+    assert suite["failures"] == [
+        f"({n_a},{n_b}) gue[0] start {start}: value decreased by 0.5"
+        for n_a, n_b in verify.DEFAULT_PAIRS
+        for start in range(RESTARTS + 1)
+    ]
+    assert suite["checks"] == 3 * (RESTARTS + 1)
+    assert suite["stats"] == {"max_decrease": 0.5}
+
+
+def test_estimate_above_trace_norm_fails_ordering(monkeypatch):
+    monkeypatch.setattr(verify, "trace_norm", lambda matrix: 0.0)
+    suite = failed_suite(verification(), "ordering")
+    estimates = list(property_estimates())
+    assert suite["failures"] == [
+        f"{label}: estimate {est.value!r} exceeds trace norm 0.0" for label, est in estimates
+    ]
+    assert suite["stats"]["max_excess_over_trace_norm"] == max(est.value for _, est in estimates)
+
+
+def test_witness_gap_fails_ordering(monkeypatch):
+    monkeypatch.setattr(verify, "witness_value", lambda z, est: 0.0)
+    suite = failed_suite(verification(), "ordering")
+    estimates = list(property_estimates())
+    assert suite["failures"] == [
+        f"{label}: witness reproduces {est.value!r} only to {est.value!r}" for label, est in estimates
+    ]
+    assert suite["stats"]["max_witness_gap"] == max(est.value for _, est in estimates)
+
+
+# role of a covariance run -> its forced value history, for each case,
+# with the swap and rotation gaps those histories give
+COVARIANCE_CASES = {
+    "swap": ({"swapped": (0.0, 0.75)}, 0.25, 0.0),
+    "swap-length": ({"swapped": (0.0, 0.5, 0.5)}, math.inf, 0.0),
+    "rotation": ({"rotated": (0.0, 1.0)}, 0.0, 0.5),
+    "rotation-length": ({"rotated": (0.5,)}, 0.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
+def test_history_gaps_fail_covariance(monkeypatch, case):
+    forced, swap_gap, rotation_gap = COVARIANCE_CASES[case]
+    drawn = []
+    real_draw = verify.gue_operator
+    real_run = verify.seesaw_run
+
+    def draw(*args):
+        z = real_draw(*args)
+        drawn.append(z)
+        return z
+
+    def run(z, g0, config, start_side="B"):
+        # the direct run sees the drawn operator, the swapped run starts on
+        # A, and the rotated run sees a new operator started on B
+        if start_side == "A":
+            role = "swapped"
+        else:
+            role = "direct" if any(z is d for d in drawn) else "rotated"
+        est = real_run(z, g0, config, start_side=start_side)
+        return replace(est, value_history=forced.get(role, (0.0, 0.5)))
+
+    monkeypatch.setattr(verify, "gue_operator", draw)
+    monkeypatch.setattr(verify, "seesaw_run", run)
+    summary = verification()
+    for name, kind, gap in (
+        ("swap_covariance", "swap", swap_gap),
+        ("local_unitary_covariance", "local-unitary", rotation_gap),
+    ):
+        suite = summary["suites"][name]
+        assert suite["checks"] == 3
+        assert suite["stats"] == {"max_history_gap": gap}
+        if gap:
+            suite = failed_suite(summary, name)
+            assert suite["failures"] == [
+                f"({n_a},{n_b})[0]: {kind} history gap {gap!r}" for n_a, n_b in verify.DEFAULT_PAIRS
+            ]
+        else:
+            assert suite["passed"] is True
+
+
+def test_block_residual_fails_block_identities(monkeypatch):
+    monkeypatch.setattr(verify, "block_frame_sums", lambda u, n_a, n_b: (np.zeros((n_b, n_b)),) * 2)
+    suite = failed_suite(verification(), "block_identities")
+    assert suite["failures"] == [
+        f"unitary blocks ({n_a},{n_b})[0]: residual {float(n_a)!r} > 1e-10"
+        for n_a, n_b in verify.DEFAULT_PAIRS
+    ]
+    assert suite["stats"] == {"max_unitary_residual": 3.0, "max_unit_residual": 0.0}
+
+
+def test_field_quotient_above_cap_fails_field_scan(monkeypatch):
+    real = verify.epsilon_norm
+
+    def inflated(z, config):
+        est = real(z, config)
+        return replace(est, value=2.0 * est.value) if config.field == FIELD_COMPLEX else est
+
+    # patched on both modules, so the test holds whichever one the scan
+    # calls the estimator through
+    monkeypatch.setattr(verify, "epsilon_norm", inflated)
+    monkeypatch.setattr(norms, "epsilon_norm", inflated)
+    summary = verification()
+    suite = failed_suite(summary, "field_ratio_scan")
+    config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
+    rows = verify.field_ratio_scan(1, 3, 3, SEED, config)["rows"]
+    assert suite["failures"] == [
+        f"field[0] at (3,3): complex {row['complex']!r} exceeds sqrt(2) * {row['hermitian']!r} + 0.02"
+        for row in rows
+    ]
+    assert suite["stats"] == {"worst_ratio": rows[0]["ratio"]}
+    assert rows[0]["ratio"] > math.sqrt(2.0)
+
+
+def test_cli_verify_exits_four_on_a_suite_failure(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(verify, "block_frame_sums", lambda u, n_a, n_b: (np.zeros((n_b, n_b)),) * 2)
+    out = tmp_path / "verify.json"
+    code = main(["verify", "--samples", "1", "--restarts", str(RESTARTS), "--out", str(out)])
+    summary = json.loads(out.read_text())
+    err = capsys.readouterr().err
+    assert code == EXIT_SUITE_FAILURE == 4
+    assert summary["passed"] is False
+    assert "[FAIL] block_identities (6 checks)" in err
+    assert err.count("[PASS]") == len(summary["suites"]) - 1
