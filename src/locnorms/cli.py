@@ -2,9 +2,12 @@
 
 Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
-Outputs are plain CSV or JSON with shortest round-trip float formatting
-and fixed row/key order, so identical invocations produce byte-identical
-files. Exit codes: 0 success, 2 validation error, 3 degenerate input,
+ratio, scaling and xor evaluate each operator or game into one row dict
+(`_case`); a CSV or JSON row is its projection onto the subcommand's
+columns, and a single-case JSON report is the row with its estimate
+payload. Outputs use shortest round-trip float formatting and fixed
+row/key order, so identical invocations produce byte-identical files.
+Exit codes: 0 success, 2 validation error, 3 degenerate input,
 4 verification-suite failure.
 """
 
@@ -15,14 +18,13 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .darwinism import DarwinismParams, coefficient_sweep, diamond_bound_rhs
 from .games import evaluate_game, random_game
 from .linalg import DegenerateOperatorError
 from .norms import SeeSawConfig, hiding_ratio
-from .opfile import OperatorFileError, parse_game_file, parse_operator_file
+from .opfile import parse_game_file, parse_operator_file
 from .states import stream
 from .verify import GENERATOR_CODE, make_operator, run_seed, run_verification
 
@@ -90,22 +92,17 @@ def _range_type(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed_type, default=0, help="root seed (default 0)")
     parser.add_argument("--restarts", type=int, default=32, help="multistart budget (default 32)")
     parser.add_argument("--max-iters", type=int, default=500, help="see-saw iteration cap (default 500)")
     parser.add_argument("--tol", type=float, default=1e-10, help="relative stopping tolerance (default 1e-10)")
+
+
+def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-
-
-def _config(args: argparse.Namespace, seed: int | None = None) -> SeeSawConfig:
-    return SeeSawConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        seed=args.seed if seed is None else seed,
-    )
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -130,79 +127,85 @@ def _cell(value) -> str:
 
 
 def _emit_rows(rows: list[dict], columns, fmt: str, out: Path | None) -> None:
+    """Each row projected onto columns, as a JSON list or as CSV."""
     if fmt == "json":
-        _emit_json(rows, out)
+        _emit_json([{c: row[c] for c in columns} for row in rows], out)
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
     _emit(buf.getvalue(), out)
 
 
-def _estimate_payload(est) -> dict:
-    return {
-        "value": float(est.value),
-        "is_lower_bound": True,  # every reported estimate is a lower bound
-        "iterations_used": int(est.iterations_used),
-        "converged": bool(est.converged),
-        "restart_index": est.restart_index,
-    }
+def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
+    """A single case as a CSV row, or as a JSON report: the row without the
+    hidden keys, its estimate payload under key, and the extra keys."""
+    if args.format == "csv":
+        _emit_rows([row], columns, "csv", args.out)
+        return
+    report = {k: v for k, v in row.items() if k not in hidden}
+    report[key] = report.pop("estimate")
+    _emit_json({**report, **extras}, args.out)
 
 
-def _scaling_row(args: argparse.Namespace, generator: str, op, report) -> dict:
+def _case(args, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **keys) -> dict:
+    """One operator or game evaluated into its row; names key the trace
+    norm and the estimate's value, "estimate" holds its full payload."""
+    config = SeeSawConfig(restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.tol, seed=seesaw_seed)
+    report = evaluate(instance, config)
+    est = report.eps_estimate
+    ratio = None if report.ratio is None else float(report.ratio)
     return {
+        **keys,
         "seed": args.seed,
-        "n_a": op.n_a,
-        "n_b": op.n_b,
-        "generator": generator,
-        "trace_norm": float(report.trace_norm),
-        "eps_estimate": float(report.eps_estimate.value),
+        "n_a": instance.n_a,
+        "n_b": instance.n_b,
         "restarts": args.restarts,
-        "converged": bool(report.eps_estimate.converged),
-        "ratio": float(report.ratio),
+        names[0]: float(report.trace_norm),
+        names[1]: float(est.value),
+        "converged": bool(est.converged),
+        "ratio": ratio,
         "bound": float(report.bound),
-        "margin": float(report.bound - report.ratio),
+        "satisfied": bool(report.satisfied),
+        "margin": None if ratio is None else float(report.bound - report.ratio),
+        "estimate": {
+            "value": float(est.value),
+            "is_lower_bound": True,  # every reported estimate is a lower bound
+            "iterations_used": int(est.iterations_used),
+            "converged": bool(est.converged),
+            "restart_index": est.restart_index,
+        },
     }
+
+
+def _operator_case(args, generator: str, op, seesaw_seed: int) -> dict:
+    return _case(args, hiding_ratio, op, seesaw_seed, ("trace_norm", "eps_estimate"), generator=generator)
+
+
+def _drawn_case(args, generator: str, d_a: int, d_b: int, k: int) -> dict:
+    """Instance k of a registered generator on d_a x d_b, evaluated."""
+    rng = stream(args.seed, GENERATOR_CODE[generator], d_a, d_b, k)
+    op = make_operator(generator, d_a, d_b, rng)
+    return _operator_case(args, generator, op, run_seed(rng))
+
+
+def _game_case(args, game, seesaw_seed: int, sample: int) -> dict:
+    names = ("beta_all", "beta_product")
+    return _case(args, evaluate_game, game, seesaw_seed, names, sample=sample, num_states=game.num_states)
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     if args.input is not None:
-        op = parse_operator_file(args.input)
-        generator = "file"
-        rng = stream(args.seed, 99)
+        row = _operator_case(args, "file", parse_operator_file(args.input), run_seed(stream(args.seed, 99)))
+    elif args.werner is not None:
+        row = _drawn_case(args, "werner", args.werner, args.werner, 0)
+    elif args.gue is not None:
+        row = _drawn_case(args, "gue", *args.gue, 0)
     else:
-        if args.werner is not None:
-            generator, d_a, d_b = "werner", args.werner, args.werner
-        elif args.gue is not None:
-            generator, (d_a, d_b) = "gue", args.gue
-        else:
-            generator, (d_a, d_b) = "induced", args.induced
-        rng = stream(args.seed, GENERATOR_CODE[generator], d_a, d_b, 0)
-        op = make_operator(generator, d_a, d_b, rng)
-
-    report = hiding_ratio(op, _config(args, seed=run_seed(rng)))
-    if (args.format or "json") == "csv":
-        _emit_rows([_scaling_row(args, generator, op, report)], SCALING_COLUMNS, "csv", args.out)
-        return EXIT_OK
-    payload = {
-        "command": "ratio",
-        "generator": generator,
-        "n_a": op.n_a,
-        "n_b": op.n_b,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "max_iters": args.max_iters,
-        "rel_tol": args.tol,
-        "trace_norm": float(report.trace_norm),
-        "epsilon": _estimate_payload(report.eps_estimate),
-        "ratio": float(report.ratio),
-        "bound": float(report.bound),
-        "satisfied": bool(report.satisfied),
-        "margin": float(report.bound - report.ratio),
-    }
-    _emit_json(payload, args.out)
+        row = _drawn_case(args, "induced", *args.induced, 0)
+    extras = {"command": "ratio", "max_iters": args.max_iters, "rel_tol": args.tol}
+    _emit_case(args, row, SCALING_COLUMNS, ("eps_estimate", "converged"), "epsilon", **extras)
     return EXIT_OK
 
 
@@ -211,56 +214,22 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ValueError(f"dimension sweep needs 2 <= dmin <= dmax, got {args.dmin}..{args.dmax}")
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
-    rows = []
-    for d in range(args.dmin, args.dmax + 1):
-        # The werner pair is deterministic: one row per dimension.
-        per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
-        for k in range(per_dim):
-            rng = stream(args.seed, GENERATOR_CODE[args.generator], d, d, k)
-            op = make_operator(args.generator, d, d, rng)
-            report = hiding_ratio(op, _config(args, seed=run_seed(rng)))
-            rows.append(_scaling_row(args, args.generator, op, report))
+    # The werner pair is deterministic: one row per dimension.
+    per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
+    rows = [
+        _drawn_case(args, args.generator, d, d, k)
+        for d in range(args.dmin, args.dmax + 1)
+        for k in range(per_dim)
+    ]
     _emit_rows(rows, SCALING_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
 
-def _game_row(sample: int, n_a: int, n_b: int, num_states: int, report) -> dict:
-    return {
-        "sample": sample,
-        "n_a": n_a,
-        "n_b": n_b,
-        "num_states": num_states,
-        "beta_all": float(report.trace_norm),
-        "beta_product": float(report.eps_estimate.value),
-        "converged": bool(report.eps_estimate.converged),
-        "ratio": None if report.ratio is None else float(report.ratio),
-        "bound": float(report.bound),
-        "satisfied": bool(report.satisfied),
-    }
-
-
 def cmd_xor(args: argparse.Namespace) -> int:
     if args.input is not None:
-        game = parse_game_file(args.input)
-        report = evaluate_game(game, _config(args))
-        payload = {
-            "command": "xor",
-            "input": str(args.input),
-            "n_a": game.n_a,
-            "n_b": game.n_b,
-            "num_states": game.num_states,
-            "seed": args.seed,
-            "restarts": args.restarts,
-            "beta_all": float(report.trace_norm),
-            "beta_product": _estimate_payload(report.eps_estimate),
-            "ratio": None if report.ratio is None else float(report.ratio),
-            "bound": float(report.bound),
-            "satisfied": bool(report.satisfied),
-        }
-        if (args.format or "json") == "json":
-            _emit_json(payload, args.out)
-        else:
-            _emit_rows([_game_row(0, game.n_a, game.n_b, game.num_states, report)], XOR_COLUMNS, "csv", args.out)
+        row = _game_case(args, parse_game_file(args.input), args.seed, 0)
+        extras = {"command": "xor", "input": str(args.input)}
+        _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
 
     if args.samples < 0:
@@ -269,8 +238,7 @@ def cmd_xor(args: argparse.Namespace) -> int:
     for k in range(args.samples):
         rng = stream(args.seed, _XOR_LABEL, args.na, args.nb, k)
         game = random_game(args.na, args.nb, num_states=args.states, seed=rng)
-        report = evaluate_game(game, _config(args, seed=run_seed(rng)))
-        rows.append(_game_row(k, args.na, args.nb, args.states, report))
+        rows.append(_game_case(args, game, run_seed(rng), k))
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 
@@ -284,16 +252,7 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
     if len(args.da) > 0 and len(args.dr) > 0:
         for entry in coefficient_sweep(args.da, args.dr):
             params = DarwinismParams(d_a=entry.d_a, d_r=entry.d_r, r_size=args.r, q_size=args.q)
-            rows.append(
-                {
-                    "d_a": entry.d_a,
-                    "d_r": entry.d_r,
-                    "omega_new": entry.omega_new,
-                    "omega_ranard": entry.omega_ranard,
-                    "improvement_factor": entry.improvement_factor,
-                    "diamond_bound": diamond_bound_rhs(params),
-                }
-            )
+            rows.append({**vars(entry), "diamond_bound": diamond_bound_rhs(params)})
     _emit_rows(rows, DARWINISM_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
@@ -302,11 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     summary = run_verification(
-        seed=args.seed,
-        samples=args.samples,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
+        seed=args.seed, samples=args.samples, restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.tol
     )
     _emit_json(summary, args.out)
     for name, suite in summary["suites"].items():
@@ -330,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--induced", type=int, nargs=2, metavar=("NA", "NB"), help="induced-state difference on NA x NB"
     )
-    _add_common(p)
+    _add_search(p)
+    _add_output(p)
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("scaling", help="ratio sweep over square dimensions, CSV by default")
@@ -338,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmin", type=int, default=2, help="first dimension (default 2)")
     p.add_argument("--dmax", type=int, default=4, help="last dimension (default 4)")
     p.add_argument("--samples", type=int, default=10, help="instances per dimension (default 10)")
-    _add_common(p)
+    _add_search(p)
+    _add_output(p)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("xor", help="optimal biases of quantum XOR games")
@@ -347,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nb", type=int, default=3, help="local dimension of B for random games")
     p.add_argument("--states", type=int, default=4, help="question states per random game (default 4)")
     p.add_argument("--samples", type=int, default=1, help="number of random games (default 1)")
-    _add_common(p)
+    _add_search(p)
+    _add_output(p)
     p.set_defaults(func=cmd_xor)
 
     p = sub.add_parser("darwinism", help="objectivity coefficient tables")
@@ -355,12 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dr", type=_range_type, default=range(2, 11), help="fragment dims, N or MIN:MAX (default 2:10)")
     p.add_argument("--r", type=int, default=1, help="fragments addressed jointly (default 1)")
     p.add_argument("--q", type=int, default=1, help="fragments broadcast over (default 1)")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_darwinism)
 
     p = sub.add_parser("verify", help="run the randomized invariant suites")
     p.add_argument("--samples", type=int, default=20, help="instances per suite scan (default 20)")
-    _add_common(p)
+    _add_search(p)
+    _add_output(p, formats=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -373,10 +332,7 @@ def main(argv=None) -> int:
     except DegenerateOperatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OperatorFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # OperatorFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

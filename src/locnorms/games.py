@@ -58,7 +58,10 @@ class QuantumXorGame:
         for x, p in enumerate(self.probs):
             if not (math.isfinite(p) and p >= 0.0):
                 raise ValueError(f"probs[{x}] must be a finite nonnegative weight, got {p!r}")
-        total = math.fsum(self.probs)
+        try:
+            total = math.fsum(self.probs)
+        except OverflowError:  # finite weights whose sum exceeds the float range
+            total = math.inf
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probs sum to {total!r}, deviating from 1 by {abs(total - 1.0):.3e}")
         dim = self.n_a * self.n_b

@@ -40,7 +40,7 @@ def asymmetry(m) -> float:
 
 
 def hermitian_part(m, warn_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """(m + m^dag)/2, warning when the asymmetry exceeds warn_tol."""
+    """(m + m^dag)/2, warning when the asymmetry exceeds warn_tol; ValueError when the sum overflows."""
     a = as_square_matrix(m)
     delta = asymmetry(a)
     if delta > warn_tol:
@@ -49,7 +49,11 @@ def hermitian_part(m, warn_tol: float = HERMITICITY_TOL) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    return (a + a.conj().T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + a.conj().T) / 2
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries overflow when symmetrized")
+    return h
 
 
 def trace_norm(m) -> float:

@@ -9,12 +9,14 @@ with re/im flat row-major length (n_a*n_b)^2 arrays. Game files::
     {"n_a": 2, "n_b": 2, "signs": [1, -1], "probs": [0.5, 0.5],
      "states": [{"re": [...], "im": [...]}, {"re": [...], "im": [...]}]}
 
-Loading validates the schema. Operator files are also checked for
-Hermiticity: asymmetry above 1e-6 is rejected, asymmetry above rounding
-level (1e-12) is symmetrized with a warning. The values of a game (signs,
-weights, density matrices) are checked by QuantumXorGame, whose errors are
-raised here with the file path. Writing uses shortest round-trip float
-formatting, so a write followed by a read reproduces the matrix exactly.
+Loading validates the schema. Matrix entries must be finite, with
+magnitudes summing to at most 1e300, which bounds every norm of the
+matrix. Operator files are also checked for Hermiticity: asymmetry above
+1e-6 is rejected, asymmetry above rounding level (1e-12) is symmetrized
+with a warning. The values of a game (signs, weights, density matrices)
+are checked by QuantumXorGame, whose errors are raised here with the
+file path. Writing uses shortest round-trip float formatting, so a write
+followed by a read reproduces the matrix exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .linalg import BipartiteOperator, asymmetry
 from .games import QuantumXorGame
 
 ASYMMETRY_REJECT = 1e-6
+MAGNITUDE_LIMIT = 1e300  # no norm or see-saw value of a matrix exceeds its entry magnitudes' sum
 
 
 class OperatorFileError(ValueError):
@@ -68,10 +71,14 @@ def _matrix_from(data: dict, dim: int, path, label: str = "") -> np.ndarray:
     prefix = f"{label}." if label else ""
     re = _number_list(_require(data, "re", path), f"{prefix}re", dim * dim, path)
     im = _number_list(_require(data, "im", path), f"{prefix}im", dim * dim, path)
-    m = (re + 1j * im).reshape(dim, dim)
-    if not np.isfinite(m).all():
-        raise OperatorFileError(f"{path}: field '{prefix}re'/'{prefix}im' contains non-finite values")
-    return m
+    with np.errstate(over="ignore"):
+        magnitude = float(np.abs(re).sum() + np.abs(im).sum())  # nan or inf for a non-finite entry
+    if not magnitude <= MAGNITUDE_LIMIT:
+        raise OperatorFileError(
+            f"{path}: field '{prefix}re'/'{prefix}im' must be finite, with magnitudes summing to at most "
+            f"{MAGNITUDE_LIMIT:.0e} so that no norm overflows; got {magnitude:.3e}"
+        )
+    return (re + 1j * im).reshape(dim, dim)
 
 
 def _load_json(path) -> dict:
@@ -97,7 +104,10 @@ def parse_operator_file(path) -> BipartiteOperator:
             f"{path}: matrix asymmetry {delta:.3e} exceeds {ASYMMETRY_REJECT:.1e}; not Hermitian"
         )
     # BipartiteOperator symmetrizes, warning when delta is above rounding level.
-    return BipartiteOperator(n_a, n_b, m, hermitian=True)
+    try:
+        return BipartiteOperator(n_a, n_b, m, hermitian=True)
+    except ValueError as exc:
+        raise OperatorFileError(f"{path}: {exc}") from exc
 
 
 def write_operator_file(path, op: BipartiteOperator) -> None:

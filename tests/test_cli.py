@@ -2,6 +2,7 @@
 codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,29 @@ def test_integer_beyond_float_range_exits_two(tmp_path, capsys, command, payload
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: field '{field}' contains an integer too large")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("ratio", {"n_a": 1, "n_b": 1, "re": [1e308], "im": [0.0]}),
+        ("ratio", {"n_a": 1, "n_b": 2, "re": [0.0, 1e308, 1e308, 0.0], "im": [0.0] * 4}),
+        ("xor", {**GAME_1X1, "states": [{"re": [1e308], "im": [0.0]}]}),
+        ("ratio", {"n_a": 1, "n_b": 3, "re": [7e307] * 9, "im": [0.0] * 9}),
+        ("xor", {**GAME_1X1, "signs": [1, 1], "probs": [1e308, 1e308], "states": GAME_1X1["states"] * 2}),
+    ],
+    ids=["ratio-1x1", "ratio-off-diagonal", "xor-state", "ratio-trace-norm", "xor-weight-sum"],
+)
+def test_values_past_the_float_range_exit_two(tmp_path, capsys, command, payload):
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(payload))
+    # a numpy overflow warning would surface here as an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--input", str(src)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}: ")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_ratio_csv_format(tmp_path):
@@ -358,6 +382,58 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["verify", "--out", str(out)])
     assert code == EXIT_SUITE_FAILURE
     assert "[FAIL] stub" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- rows
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "2", "--samples", "2", "--restarts", "4"],
+         SCALING_COLUMNS),
+        (["xor", "--na", "2", "--nb", "2", "--samples", "2", "--restarts", "4"], XOR_COLUMNS),
+        (["darwinism", "--da", "2:3", "--dr", "2"], DARWINISM_COLUMNS),
+    ],
+    ids=["scaling", "xor", "darwinism"],
+)
+def test_json_rows_carry_exactly_the_csv_columns(tmp_path, argv, columns):
+    code, rows = run_json(tmp_path, argv + ["--format", "json"])
+    assert code == EXIT_OK
+    assert len(rows) == 2
+    assert all(list(row) == sorted(columns) for row in rows)
+
+
+@pytest.mark.parametrize(
+    "source, generator",
+    [(["--gue", "3", "3"], "gue"), (["--induced", "3", "3"], "induced"), (["--werner", "3"], "werner")],
+    ids=["gue", "induced", "werner"],
+)
+def test_ratio_csv_row_is_the_first_scaling_row(tmp_path, source, generator):
+    common = ["--seed", "4", "--restarts", "4", "--format", "csv"]
+    _, ratio = run_text(tmp_path, ["ratio", *source, *common], name="ratio.csv")
+    _, scaling = run_text(tmp_path, [
+        "scaling", "--generator", generator, "--dmin", "3", "--dmax", "3", "--samples", "1", *common,
+    ], name="scaling.csv")
+    assert ratio == scaling
+    assert len(ratio.splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["darwinism", "--seed", "1"],
+        ["darwinism", "--restarts", "4"],
+        ["darwinism", "--max-iters", "5"],
+        ["darwinism", "--tol", "0.1"],
+        ["verify", "--format", "json"],
+    ],
+    ids=["darwinism-seed", "darwinism-restarts", "darwinism-max-iters", "darwinism-tol", "verify-format"],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- dispatch

@@ -60,6 +60,12 @@ def test_game_validation_errors():
         QuantumXorGame(**{**good, "states": (random_density_matrix(6, seed=202),)})
 
 
+def test_game_weights_whose_sum_overflows_are_rejected():
+    rho = random_density_matrix(4, seed=201)
+    with pytest.raises(ValueError, match="probs sum to inf"):
+        QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, 1), probs=(1e308, 1e308))
+
+
 # ---------------------------------------------------------------- operator
 
 def test_game_operator_single_state():

@@ -1,5 +1,7 @@
 """Matrix primitives against independent decomposition oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,16 @@ def test_hermitian_part_warning_band():
     dirty[0, 2] = 1e-8
     with pytest.warns(RuntimeWarning, match="asymmetry"):
         hermitian_part(dirty)
+
+
+def test_hermitian_part_rejects_an_overflowing_sum_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[1e308]], [[0.0, 1e308], [1e308, 0.0]]):
+            with pytest.raises(ValueError, match="overflow when symmetrized"):
+                hermitian_part(m)
+            with pytest.raises(ValueError, match="overflow when symmetrized"):
+                BipartiteOperator(1, len(m), m)
+    # finite sums keep their bits
+    a = np.random.default_rng(5).standard_normal((4, 4)) * 1e307
+    np.testing.assert_array_equal(hermitian_part(a, warn_tol=np.inf), (a + a.T) / 2)

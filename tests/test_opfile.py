@@ -124,6 +124,30 @@ def test_integer_beyond_float_range_names_the_field(tmp_path, parse, payload, fi
         parse(target)
 
 
+# finite values past what the float range can carry: an entry whose
+# Hermitian part overflows (1x1, off-diagonal pair, game state), entries
+# whose trace norm overflows, and weights whose sum overflows
+OVERFLOWING = [
+    (parse_operator_file, {"n_a": 1, "n_b": 1, "re": [1e308], "im": [0.0]}),
+    (parse_operator_file, {"n_a": 1, "n_b": 2, "re": [0.0, 1e308, 1e308, 0.0], "im": [0.0] * 4}),
+    (parse_game_file, {**GAME_1X1, "states": [{"re": [1e308], "im": [0.0]}]}),
+    (parse_operator_file, {"n_a": 1, "n_b": 3, "re": [7e307] * 9, "im": [0.0] * 9}),
+    (parse_game_file, {**GAME_1X1, "signs": [1, 1], "probs": [1e308, 1e308], "states": GAME_1X1["states"] * 2}),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, payload", OVERFLOWING, ids=["1x1", "off-diagonal", "game-state", "trace-norm", "weight-sum"]
+)
+def test_values_past_the_float_range_name_the_file(tmp_path, parse, payload):
+    target = tmp_path / "big.json"
+    write_json(target, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OperatorFileError, match=f"^{re.escape(str(target))}: .*(overflow|sum to inf)"):
+            parse(target)
+
+
 def test_operator_asymmetry_rejected(tmp_path):
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1e-4
