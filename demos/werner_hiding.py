@@ -10,8 +10,8 @@ import argparse
 
 from locnorms import (
     SeeSawConfig,
-    discrimination_operator,
     error_probability,
+    game_operator,
     hiding_ratio,
     werner_hiding_pair,
 )
@@ -26,7 +26,7 @@ def main():
     config = SeeSawConfig(restarts=args.restarts, seed=1)
     print(f"{'d':>3} {'trace':>8} {'product':>9} {'ratio':>7} {'cap':>7} {'P_err':>7}")
     for d in range(2, args.dmax + 1):
-        z = discrimination_operator(werner_hiding_pair(d))
+        z = game_operator(werner_hiding_pair(d))
         report = hiding_ratio(z, config)
         p_err = error_probability(report.eps_estimate.value)
         print(

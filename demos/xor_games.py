@@ -10,7 +10,6 @@ ensemble makes the gap nearly maximal, random ensembles do not.
 import argparse
 
 from locnorms import (
-    QuantumXorGame,
     SeeSawConfig,
     evaluate_game,
     random_game,
@@ -35,16 +34,8 @@ def main():
 
     config = SeeSawConfig(restarts=24, seed=args.seed)
 
-    inst = werner_hiding_pair(3)
-    werner_game = QuantumXorGame(
-        n_a=3,
-        n_b=3,
-        states=(inst.rho, inst.sigma),
-        signs=(1, -1),
-        probs=(0.5, 0.5),
-    )
     print("two-state werner game at d = 3 (ratio should be 3):")
-    describe("werner d=3", evaluate_game(werner_game, config))
+    describe("werner d=3", evaluate_game(werner_hiding_pair(3), config))
 
     print(f"\n{args.samples} random 4-state games at 3 x 3:")
     for k in range(args.samples):

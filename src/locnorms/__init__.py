@@ -17,7 +17,7 @@ from .darwinism import (
     omega_new,
     omega_ranard,
 )
-from .games import QuantumXorGame, evaluate_game, game_operator, random_game
+from .games import evaluate_game, random_game
 from .linalg import (
     BipartiteOperator,
     DegenerateOperatorError,
@@ -50,9 +50,9 @@ from .opfile import (
     write_operator_file,
 )
 from .states import (
-    DiscriminationInstance,
+    QuantumXorGame,
     check_density_matrix,
-    discrimination_operator,
+    game_operator,
     gue_hermitian,
     gue_operator,
     haar_unitary,
@@ -70,7 +70,6 @@ __all__ = [
     "BipartiteOperator",
     "DarwinismParams",
     "DegenerateOperatorError",
-    "DiscriminationInstance",
     "FIELD_COMPLEX",
     "FIELD_HERMITIAN",
     "NormEstimate",
@@ -85,7 +84,6 @@ __all__ = [
     "check_density_matrix",
     "coefficient_sweep",
     "diamond_bound_rhs",
-    "discrimination_operator",
     "epsilon_norm",
     "error_probability",
     "evaluate_game",

@@ -335,6 +335,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OperatorFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OverflowError as exc:  # an integer argument too large for float or index arithmetic
+        print(f"error: value too large ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -36,16 +36,17 @@ def asymmetry(m) -> float:
     a = np.asarray(m, dtype=np.complex128)
     if a.size == 0:
         return 0.0
-    return float(np.abs(a - a.conj().T).max())
+    with np.errstate(over="ignore"):  # an asymmetry beyond the float range is inf
+        return float(np.abs(a - a.conj().T).max())
 
 
-def hermitian_part(m, warn_tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """(m + m^dag)/2, warning when the asymmetry exceeds warn_tol; ValueError when the sum overflows."""
+def hermitian_part(m) -> np.ndarray:
+    """(m + m^dag)/2, warning when the asymmetry exceeds HERMITICITY_TOL; ValueError when the sum overflows."""
     a = as_square_matrix(m)
     delta = asymmetry(a)
-    if delta > warn_tol:
+    if delta > HERMITICITY_TOL:
         warnings.warn(
-            f"asymmetry {delta:.3e} exceeds {warn_tol:.1e}; taking the Hermitian part",
+            f"asymmetry {delta:.3e} exceeds {HERMITICITY_TOL:.1e}; taking the Hermitian part",
             RuntimeWarning,
             stacklevel=2,
         )

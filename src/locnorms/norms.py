@@ -226,12 +226,13 @@ def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, star
     running = np.arange(count)
     current = starts
     prev = np.nan  # no start passes the stopping test on its first iteration
+    tol = min(config.rel_tol, 1.0)  # v - prev <= v, so a tol above 1 stops where 1 does, and 1 cannot overflow
     for iters in range(1, config.max_iters + 1):
         other, first = optimal_contraction(to_other(current), hermitian)
         current, v = optimal_contraction(to_start(other), hermitian)
         steps.append((running, first, v))
         # v is a sum of singular values or |eigenvalues|, so |v| = v
-        done = v - prev <= config.rel_tol * np.maximum(v, _TINY)
+        done = v - prev <= tol * np.maximum(v, _TINY)
         stop = done if iters < config.max_iters else np.ones_like(done)
         if stop.any():
             finished = running[stop]

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import BipartiteOperator, asymmetry
-from .games import QuantumXorGame
+from .states import QuantumXorGame
 
 ASYMMETRY_REJECT = 1e-6
 MAGNITUDE_LIMIT = 1e300  # no norm or see-saw value of a matrix exceeds its entry magnitudes' sum

@@ -1,22 +1,30 @@
-"""Seedable generators for random and structured bipartite operators.
+"""Seedable generators of bipartite operators, and the signed state ensemble.
 
 Everything draws from counter-based Philox streams so runs are reproducible
 and independent substreams can be derived from (seed, index) without
 coordination between call sites.
+
+QuantumXorGame (states rho_x, signs c_x, weights p_x) is the one signed
+ensemble type and holds every check on its values, also for games read from
+files; game_operator builds sum_x c_x p_x rho_x. Discriminating rho from
+sigma at prior p is the two-state game with signs (+1, -1) and weights
+(p, 1 - p), as werner_hiding_pair returns and induced_difference builds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import BipartiteOperator, hermitian_part
 
-# Density-matrix admission tolerances: eigenvalues may dip this far below
-# zero and the trace may deviate this much from one.
+# Admission tolerances: density-matrix eigenvalues may dip this far below
+# zero, and traces and game weight sums may deviate this much from one.
 DENSITY_EIG_FLOOR = 1e-10
 DENSITY_TRACE_TOL = 1e-10
+PROB_SUM_TOL = 1e-10
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -78,55 +86,88 @@ def random_density_matrix(n: int, env: int | None = None, seed=0) -> np.ndarray:
     return hermitian_part(rho / np.trace(rho).real)
 
 
-def check_density_matrix(
-    m,
-    name: str = "state",
-    eig_floor: float = DENSITY_EIG_FLOOR,
-    trace_tol: float = DENSITY_TRACE_TOL,
-) -> np.ndarray:
-    """Validate unit trace and positivity within tolerances; returns the
-    Hermitian part."""
+def check_density_matrix(m, name: str = "state") -> np.ndarray:
+    """Validate unit trace and positivity within the DENSITY_* tolerances; returns the Hermitian part."""
     h = hermitian_part(m)
     tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"{name} has trace {tr!r}, deviating from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise ValueError(f"{name} has trace {tr!r}, deviating from 1 by more than {DENSITY_TRACE_TOL:.1e}")
     lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -eig_floor:
-        raise ValueError(f"{name} has eigenvalue {lam_min:.3e} below -{eig_floor:.1e}")
+    if lam_min < -DENSITY_EIG_FLOOR:
+        raise ValueError(f"{name} has eigenvalue {lam_min:.3e} below -{DENSITY_EIG_FLOOR:.1e}")
     return h
 
 
 @dataclass(frozen=True, eq=False)
-class DiscriminationInstance:
-    """Inputs of binary state discrimination: two states on A x B and the
-    prior probability p of the first."""
+class QuantumXorGame:
+    """Question states with signs and weights on A x B."""
 
-    rho: np.ndarray
-    sigma: np.ndarray
-    p: float
     n_a: int
     n_b: int
+    states: tuple[np.ndarray, ...]
+    signs: tuple[int, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self):
         if self.n_a < 1 or self.n_b < 1:
             raise ValueError(f"local dimensions must be >= 1, got ({self.n_a}, {self.n_b})")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"prior must lie in [0, 1], got {self.p}")
+        n = len(self.states)
+        if n < 1:
+            raise ValueError("a game needs at least one question state")
+        if len(self.signs) != n or len(self.probs) != n:
+            raise ValueError(
+                f"got {n} states, {len(self.signs)} signs, {len(self.probs)} probs; "
+                "all three must have equal length"
+            )
+        for x, c in enumerate(self.signs):
+            if c not in (-1, 1):
+                raise ValueError(f"signs[{x}] must be +1 or -1, got {c!r}")
+        for x, p in enumerate(self.probs):
+            if not (math.isfinite(p) and p >= 0.0):
+                raise ValueError(f"probs[{x}] must be a finite nonnegative weight, got {p!r}")
+        try:
+            total = math.fsum(self.probs)
+        except OverflowError:  # finite weights whose sum exceeds the float range
+            total = math.inf
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"probs sum to {total!r}, deviating from 1 by {abs(total - 1.0):.3e}")
         dim = self.n_a * self.n_b
-        for name in ("rho", "sigma"):
-            state = check_density_matrix(getattr(self, name), name=name)
-            if state.shape != (dim, dim):
+        checked = []
+        for x, state in enumerate(self.states):
+            h = check_density_matrix(state, name=f"states[{x}]")
+            if h.shape != (dim, dim):
                 raise ValueError(
-                    f"{name} has shape {state.shape}, expected ({dim}, {dim}) "
+                    f"states[{x}] has shape {h.shape}, expected ({dim}, {dim}) "
                     f"for local dimensions ({self.n_a}, {self.n_b})"
                 )
-            state.flags.writeable = False
-            object.__setattr__(self, name, state)
+            h.flags.writeable = False
+            checked.append(h)
+        object.__setattr__(self, "states", tuple(checked))
+        object.__setattr__(self, "signs", tuple(int(c) for c in self.signs))
+        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+
+    @property
+    def num_states(self) -> int:
+        return len(self.states)
 
 
-def werner_hiding_pair(d: int) -> DiscriminationInstance:
+def game_operator(game: QuantumXorGame) -> BipartiteOperator:
+    """The signed mixture sum_x c_x p_x rho_x.
+
+    Hermitian with trace norm at most 1; opposite signs on identical
+    states cancel, which is how degenerate games arise. For a two-state
+    game with signs (+1, -1) and weights (p, 1-p) this is p rho - (1-p) sigma,
+    whose norms give the optimal discrimination error via (1 - ||z||)/2."""
+    dim = game.n_a * game.n_b
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for c, p, state in zip(game.signs, game.probs, game.states):
+        m += (c * p) * state
+    return BipartiteOperator(game.n_a, game.n_b, m, hermitian=True)
+
+
+def werner_hiding_pair(d: int) -> QuantumXorGame:
     """Normalized projectors onto the symmetric and antisymmetric subspaces
-    of C^d x C^d at prior 1/2.
+    of C^d x C^d at prior 1/2, as the two-state game with signs (+1, -1).
 
     Globally the pair is orthogonal (perfectly distinguishable); under local
     strategies its distinguishability decays with d, which is the hiding
@@ -138,14 +179,7 @@ def werner_hiding_pair(d: int) -> DiscriminationInstance:
     flip = eye.reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     rho = (eye + flip) / (d * (d + 1))
     sigma = (eye - flip) / (d * (d - 1))
-    return DiscriminationInstance(rho=rho, sigma=sigma, p=0.5, n_a=d, n_b=d)
-
-
-def discrimination_operator(inst: DiscriminationInstance) -> BipartiteOperator:
-    """z = p rho - (1-p) sigma; its distinguishability norms give the
-    optimal discrimination error via (1 - ||z||)/2."""
-    z = inst.p * inst.rho - (1.0 - inst.p) * inst.sigma
-    return BipartiteOperator(inst.n_a, inst.n_b, z, hermitian=True)
+    return QuantumXorGame(n_a=d, n_b=d, states=(rho, sigma), signs=(1, -1), probs=(0.5, 0.5))
 
 
 def gue_operator(n_a: int, n_b: int, seed) -> BipartiteOperator:
@@ -153,11 +187,9 @@ def gue_operator(n_a: int, n_b: int, seed) -> BipartiteOperator:
     return BipartiteOperator(n_a, n_b, gue_hermitian(n_a * n_b, seed), hermitian=True)
 
 
-def induced_difference(n_a: int, n_b: int, seed, p: float = 0.5) -> BipartiteOperator:
-    """Discrimination operator of two independent induced-measure states."""
+def induced_difference(n_a: int, n_b: int, seed) -> BipartiteOperator:
+    """Discrimination operator of two independent induced-measure states at prior 1/2."""
     rng = rng_from(seed)
-    dim = n_a * n_b
-    rho = random_density_matrix(dim, seed=rng)
-    sigma = random_density_matrix(dim, seed=rng)
-    inst = DiscriminationInstance(rho=rho, sigma=sigma, p=p, n_a=n_a, n_b=n_b)
-    return discrimination_operator(inst)
+    rho = random_density_matrix(n_a * n_b, seed=rng)
+    sigma = random_density_matrix(n_a * n_b, seed=rng)
+    return game_operator(QuantumXorGame(n_a=n_a, n_b=n_b, states=(rho, sigma), signs=(1, -1), probs=(0.5, 0.5)))

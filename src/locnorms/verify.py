@@ -47,7 +47,7 @@ from .norms import (
     witness_value,
 )
 from .states import (
-    discrimination_operator,
+    game_operator,
     gue_hermitian,
     gue_operator,
     haar_unitary,
@@ -82,7 +82,7 @@ def make_operator(kind: str, n_a: int, n_b: int, rng) -> BipartiteOperator:
     n_b and rng.
     """
     if kind == "werner":
-        return discrimination_operator(werner_hiding_pair(n_a))
+        return game_operator(werner_hiding_pair(n_a))
     if kind == "gue":
         return gue_operator(n_a, n_b, rng)
     if kind == "induced":

@@ -21,9 +21,9 @@ from locnorms import (
     bound_factor,
     DarwinismParams,
     diamond_bound_rhs,
-    discrimination_operator,
     epsilon_norm,
     error_probability,
+    game_operator,
     gue_hermitian,
     gue_operator,
     haar_unitary,
@@ -189,7 +189,7 @@ def test_criterion_05_werner_growth_and_bloch_oracle():
     with criterion(5, "werner hiding ratios grow with dimension; d=2 matches the Bloch grid"):
         ratios = []
         for d in range(2, 6):
-            z = discrimination_operator(werner_hiding_pair(d))
+            z = game_operator(werner_hiding_pair(d))
             report = hiding_ratio(z, SeeSawConfig(restarts=32, seed=BASE_SEED + 5))
             assert report.ratio <= 2.0 * math.sqrt(2.0) * d + 1e-6
             ratios.append(report.ratio)
@@ -313,7 +313,7 @@ def test_criterion_12_error_probability_endpoints_and_pipeline():
         assert error_probability(1.0) == 0.0
         assert error_probability(0.0) == 0.5
         for d in (2, 3):
-            z = discrimination_operator(werner_hiding_pair(d))
+            z = game_operator(werner_hiding_pair(d))
             assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
             est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=BASE_SEED + 12))
             cap = 0.5 * (1.0 - 1.0 / (2.0 * math.sqrt(2.0) * d))

@@ -130,6 +130,17 @@ def test_values_past_the_float_range_exit_two(tmp_path, capsys, command, payload
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+def test_tolerance_above_one_stops_like_one_without_numpy_warnings(tmp_path):
+    # 1e308 times a value above 1.8 overflows; any tolerance >= 1 stops the
+    # see-saw at its second iteration
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, huge = run_json(tmp_path, ["ratio", "--gue", "3", "3", "--tol", "1e308"], name="huge.json")
+    _, one = run_json(tmp_path, ["ratio", "--gue", "3", "3", "--tol", "1"], name="one.json")
+    assert huge["epsilon"] == one["epsilon"]
+    assert huge["epsilon"]["iterations_used"] == 2
+
+
 def test_ratio_csv_format(tmp_path):
     code, text = run_text(tmp_path, ["ratio", "--werner", "2", "--format", "csv"])
     assert code == EXIT_OK
@@ -227,14 +238,8 @@ def test_xor_single_state_game_file(tmp_path):
 
 
 def test_xor_werner_game_matches_ratio_command(tmp_path):
-    inst = werner_hiding_pair(3)
-    game = QuantumXorGame(
-        n_a=3, n_b=3,
-        states=(inst.rho, inst.sigma),
-        signs=(1, -1), probs=(inst.p, 1.0 - inst.p),
-    )
     src = tmp_path / "game.json"
-    write_game_file(src, game)
+    write_game_file(src, werner_hiding_pair(3))
     _, xor = run_json(tmp_path, ["xor", "--input", str(src), "--restarts", "32"],
                       name="xor.json")
     _, ratio = run_json(tmp_path, ["ratio", "--werner", "3", "--restarts", "32"],
@@ -336,6 +341,9 @@ def test_darwinism_validation_errors(capsys):
     assert main(["darwinism", "--r", "0"]) == EXIT_VALIDATION
     assert main(["darwinism", "--q", "0"]) == EXIT_VALIDATION
     capsys.readouterr()
+    for flag in ("--da", "--dr", "--r", "--q"):  # an integer too large for float arithmetic; the last --da wins
+        assert main(["darwinism", "--da", "2", "--dr", "2", flag, str(10**400)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: value too large (")
 
 
 # ---------------------------------------------------------------- verify

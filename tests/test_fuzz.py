@@ -1,4 +1,5 @@
-"""Fuzzed operator and game files through the command line.
+"""Fuzzed operator and game files, and fuzzed argument lists, through the
+command line.
 
 Every file, however malformed, must end in exit 0, 2 or 3 without a
 traceback or a numpy warning, and a rejection (exit 2) must name the file.
@@ -7,6 +8,15 @@ huge and negative integers, +-1e308 and near-limit entries, NaN and
 Infinity literals, wrong lengths, nesting, missing fields, non-Hermitian
 matrices, non-PSD or wrongly normalised states, and zero operators and
 games.
+
+Every argument list of the five subcommands must end the same way (exit 4
+is also allowed from verify), whether argparse rejects it or the command
+runs. Each list is valid with at most one fault: a non-integer or nan
+token, a zero, negative or huge value, a seed of 2**64 or more, an unknown
+flag, an unwritable output or a missing input; empty ranges and
+tolerances of 1e308 and inf are valid. Sizes stay small: dimensions at
+most 4, samples at most 2, restarts at most 4, darwinism ranges at most
+10 long.
 """
 
 import contextlib
@@ -15,9 +25,10 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from locnorms.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_VALIDATION, main
+from locnorms.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_SUITE_FAILURE, EXIT_VALIDATION, main
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -158,3 +169,128 @@ def test_fuzzed_operator_files(tmp_path_factory, data):
 @given(data=game_files())
 def test_fuzzed_game_files(tmp_path_factory, data):
     check_cli("xor", data, tmp_path_factory.getbasetemp())
+
+
+# ---------------------------------------------------------------- argument lists
+
+HUGE = 10**400
+NOT_INT = ["x", "1.5", "nan", "", "1e3", "0x10"]
+
+
+def ints(lo: int, hi: int, width: int = 1):
+    """width integer tokens in [lo, hi]."""
+    return st.tuples(*[st.integers(lo, hi).map(str)] * width)
+
+
+def bad(*values, width: int = 1):
+    """One invalid token (a listed value or no integer at all), then valid ones."""
+    token = st.one_of(st.sampled_from(values), st.sampled_from(NOT_INT))
+    return token.map(lambda v: (str(v),) + ("2",) * (width - 1))
+
+
+def tokens(*values):
+    return st.sampled_from(values).map(lambda v: (v,))
+
+
+def spans(lo: int):
+    """MIN:MAX with lo <= MIN and MAX <= 10; MAX = MIN - 1 is an empty range."""
+    return st.integers(lo, 10).flatmap(lambda a: st.integers(a - 1, 10).map(lambda b: (f"{a}:{b}",)))
+
+
+# flag -> (valid values, invalid values), each a strategy of token tuples
+SEARCH = {
+    "--seed": (ints(0, 2**64 - 1), bad(2**64, 2**70, -1)),
+    "--restarts": (ints(1, 4), bad(0, -1)),
+    "--max-iters": (ints(1, 50), bad(0, -1)),
+    "--tol": (tokens("1e-10", "1e-3", "1", "1e308", "inf"), bad(0, -1, "-inf")),
+}
+FORMAT = {"--format": (tokens("csv", "json"), bad("xml"))}
+SOURCES = {
+    "--werner": (ints(2, 4), bad(1, 0, -1)),
+    "--gue": (ints(1, 4, 2), bad(0, -1, width=2)),
+    "--induced": (ints(1, 4, 2), bad(0, -1, width=2)),
+}
+SAMPLES = {"--samples": (ints(0, 2), bad(-1))}
+COMMANDS = {
+    "ratio": {**SOURCES, **SEARCH, **FORMAT},
+    "scaling": {
+        "--generator": (tokens("werner", "gue", "induced"), bad("haar")),
+        "--dmin": (ints(2, 4), bad(1, 0, -1)),
+        "--dmax": (ints(2, 4), bad(1, 0, -1)),
+        **SAMPLES,
+        **SEARCH,
+        **FORMAT,
+    },
+    "xor": {
+        "--na": (ints(1, 4), bad(0, -1)),
+        "--nb": (ints(1, 4), bad(0, -1)),
+        "--states": (ints(1, 4), bad(0, -1)),
+        **SAMPLES,
+        **SEARCH,
+        **FORMAT,
+    },
+    "darwinism": {
+        "--da": (spans(2), bad(1, HUGE, "a:b", "1:2:3", "2:")),
+        "--dr": (spans(1), bad(0, HUGE, "a:b", "2:")),
+        "--r": (ints(1, 3), bad(0, -1, HUGE)),
+        "--q": (ints(1, 3), bad(0, -1, HUGE)),
+        **FORMAT,
+    },
+    "verify": {"--samples": (ints(1, 2), bad(0, -1)), **SEARCH},
+}
+# Flags present in every list, one of each group: a ratio source, and the
+# flags whose defaults exceed the size bounds.
+ALWAYS = {"ratio": [sorted(SOURCES)], "scaling": [["--generator"], ["--samples"]], "verify": [["--samples"]]}
+UNKNOWN = ["--bogus", "--seeds", "-x", "7", "--format"]  # verify reads no --format
+
+
+@st.composite
+def argv(draw, command: str, directory) -> list[str]:
+    """A valid argument list of command with at most one fault."""
+    options = {**COMMANDS[command], "--out": (st.just((str(directory / "out"),)), st.just((str(directory),)))}
+    groups = ALWAYS.get(command, [])
+    fixed = {flag for group in groups for flag in group}
+    flags = draw(st.lists(st.sampled_from(sorted(set(options) - fixed)), unique=True))
+    for group in groups:
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(group)))
+    fault = draw(st.sampled_from(["none", "none", "value", "value", "unknown", "input"]))
+    faulty = draw(st.sampled_from(flags)) if fault == "value" and flags else None
+    missing = str(directory / "missing.json")
+    args = [command]
+    for flag in flags:
+        if fault == "input" and flag in SOURCES:
+            args += ["--input", missing]  # instead of the source
+        else:
+            valid, invalid = options[flag]
+            args += [flag, *draw(invalid if flag == faulty else valid)]
+    if fault == "unknown":
+        args.insert(draw(st.integers(1, len(args))), draw(st.sampled_from(UNKNOWN)))
+    elif fault == "input" and command != "ratio":  # a missing game file, or an unknown flag
+        args += ["--input", missing]
+    return args
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_fuzzed_argv(tmp_path_factory, command):
+    directory = tmp_path_factory.mktemp(command)
+    allowed = {EXIT_OK, EXIT_VALIDATION, EXIT_DEGENERATE}
+    if command == "verify":
+        allowed.add(EXIT_SUITE_FAILURE)
+
+    @settings(derandomize=True, max_examples=40 if command == "verify" else 150, deadline=None)
+    @given(args=argv(command, directory))
+    def run(args):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(args)
+                except SystemExit as exc:  # argparse rejections
+                    code = exc.code
+        assert code in allowed, (args, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert "RuntimeWarning" not in err.getvalue()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], args
+
+    run()

@@ -7,7 +7,6 @@ from locnorms import (
     QuantumXorGame,
     SeeSawConfig,
     bound_factor,
-    discrimination_operator,
     evaluate_game,
     game_operator,
     hiding_ratio,
@@ -19,16 +18,6 @@ from locnorms import (
 from locnorms.states import stream
 
 CFG = SeeSawConfig(restarts=16, seed=200)
-
-
-def two_state_game(rho, sigma, n_a, n_b, p=0.5):
-    return QuantumXorGame(
-        n_a=n_a,
-        n_b=n_b,
-        states=(rho, sigma),
-        signs=(1, -1),
-        probs=(p, 1.0 - p),
-    )
 
 
 # ---------------------------------------------------------------- validation
@@ -73,6 +62,10 @@ def test_game_operator_single_state():
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho,), signs=(1,), probs=(1.0,))
     gop = game_operator(game)
     np.testing.assert_allclose(gop.matrix, rho, atol=1e-15)
+    # discrimination at prior 1: the two-state game with weights (1, 0) is rho
+    sigma = random_density_matrix(4, seed=41)
+    prior_one = QuantumXorGame(n_a=2, n_b=2, states=(rho, sigma), signs=(1, -1), probs=(1.0, 0.0))
+    np.testing.assert_allclose(game_operator(prior_one).matrix, rho, atol=1e-15)
 
 
 def test_game_operator_cancellation():
@@ -80,13 +73,6 @@ def test_game_operator_cancellation():
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, -1),
                           probs=(0.5, 0.5))
     assert game_operator(game).is_zero()
-
-
-def test_game_operator_matches_discrimination_operator():
-    inst = werner_hiding_pair(3)
-    game = two_state_game(inst.rho, inst.sigma, 3, 3, p=inst.p)
-    np.testing.assert_allclose(game_operator(game).matrix,
-                               discrimination_operator(inst).matrix, atol=1e-15)
 
 
 def test_game_operator_trace_identity():
@@ -98,6 +84,10 @@ def test_game_operator_trace_identity():
     game = QuantumXorGame(n_a=2, n_b=3, states=states, signs=signs, probs=probs)
     expected = sum(c * p for c, p in zip(signs, probs))
     assert np.trace(game_operator(game).matrix).real == pytest.approx(expected, abs=1e-12)
+    # the werner pair: traceless, and orthogonal states give unit trace norm
+    z = game_operator(werner_hiding_pair(3))
+    assert abs(np.trace(z.matrix)) <= 1e-12
+    assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_game_operator_trace_norm_at_most_one():
@@ -105,6 +95,18 @@ def test_game_operator_trace_norm_at_most_one():
     for _ in range(10):
         game = random_game(2, 3, num_states=4, seed=rng)
         assert trace_norm(game_operator(game).matrix) <= 1.0 + 1e-9
+    # two-state games at prior p; at p = 1/2 the bound is hit iff the states are orthogonal
+    rng = stream(43)
+    for _ in range(20):
+        p = float(rng.uniform())
+        states = (random_density_matrix(4, seed=rng), random_density_matrix(4, seed=rng))
+        game = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1), probs=(p, 1.0 - p))
+        assert trace_norm(game_operator(game).matrix) <= 1.0 + 1e-9
+    for _ in range(10):
+        states = (random_density_matrix(4, seed=rng), random_density_matrix(4, seed=rng))
+        game = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1), probs=(0.5, 0.5))
+        # full-rank overlapping states: strictly inside the unit ball
+        assert trace_norm(game_operator(game).matrix) < 1.0 - 1e-3
 
 
 # ---------------------------------------------------------------- evaluation
@@ -120,8 +122,7 @@ def test_evaluate_single_state_game():
 
 
 def test_evaluate_werner_game_matches_hiding_ratio():
-    inst = werner_hiding_pair(3)
-    werner = two_state_game(inst.rho, inst.sigma, 3, 3, p=inst.p)
+    werner = werner_hiding_pair(3)
     rng = stream(215)
     games = [werner] + [random_game(n_a, n_b, num_states=3, seed=rng)
                         for n_a, n_b in ((2, 2), (2, 3), (3, 2))]
@@ -135,12 +136,7 @@ def test_evaluate_werner_game_matches_hiding_ratio():
         assert report.ratio == hiding.ratio
         assert report.bound == hiding.bound
         assert report.satisfied
-    report = evaluate_game(werner, cfg)
-    hiding = hiding_ratio(discrimination_operator(inst), cfg)
-    assert report.trace_norm == pytest.approx(hiding.trace_norm, abs=1e-12)
-    assert report.eps_estimate.value == pytest.approx(hiding.eps_estimate.value, abs=1e-9)
-    assert report.ratio == pytest.approx(hiding.ratio, abs=1e-9)
-    assert report.ratio == pytest.approx(3.0, abs=1e-6)
+    assert evaluate_game(werner, cfg).ratio == pytest.approx(3.0, abs=1e-6)
 
 
 def test_evaluate_zero_game():

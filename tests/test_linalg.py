@@ -7,6 +7,7 @@ import pytest
 
 from locnorms import (
     BipartiteOperator,
+    asymmetry,
     block_frame_sums,
     haar_unitary,
     hermitian_part,
@@ -101,7 +102,7 @@ def test_optimal_contraction_stack_matches_single_calls(hermitian):
             w1, v1 = optimal_contraction(m, hermitian)
             assert w1.tobytes() == w.tobytes() and v1 == v
             assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-12
-            target = hermitian_part(m, warn_tol=np.inf) if hermitian else m
+            target = (m + m.conj().T) / 2 if hermitian else m
             attained = np.trace(w @ target)
             assert abs(attained.imag) <= 1e-10
             assert attained.real == pytest.approx(trace_norm(target), rel=1e-10)
@@ -199,4 +200,16 @@ def test_hermitian_part_rejects_an_overflowing_sum_without_numpy_warnings():
                 BipartiteOperator(1, len(m), m)
     # finite sums keep their bits
     a = np.random.default_rng(5).standard_normal((4, 4)) * 1e307
-    np.testing.assert_array_equal(hermitian_part(a, warn_tol=np.inf), (a + a.T) / 2)
+    with pytest.warns(RuntimeWarning, match="asymmetry"):
+        np.testing.assert_array_equal(hermitian_part(a), (a + a.T) / 2)
+
+
+def test_asymmetry_beyond_the_float_range_is_inf_without_numpy_warnings():
+    m = [[0.0, 1e308], [-1e308, 0.0]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert asymmetry(m) == np.inf
+        z = BipartiteOperator(1, 2, m)
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert runtime == ["asymmetry inf exceeds 1.0e-12; taking the Hermitian part"]
+    assert z.is_zero()

@@ -15,9 +15,9 @@ from locnorms import (
     FIELD_HERMITIAN,
     SeeSawConfig,
     bound_factor,
-    discrimination_operator,
     epsilon_norm,
     error_probability,
+    game_operator,
     gue_hermitian,
     gue_operator,
     hermitian_sign,
@@ -201,7 +201,7 @@ def test_epsilon_norm_product_case_recovers_factor_norms():
 
 
 def test_epsilon_norm_restart_metadata():
-    z = discrimination_operator(werner_hiding_pair(2))
+    z = game_operator(werner_hiding_pair(2))
     est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=7))
     assert est.restart_index is not None and 0 <= est.restart_index <= 32
     # Identity is stuck at 0 here (both partial traces vanish), so the
@@ -467,7 +467,7 @@ def test_error_probability_orthogonal_pair_cap():
     # least 1/(8 sqrt(2)), so P_e is at most (1 - 1/(8 sqrt(2)))/2 = 0.4558.
     cap = 0.5 * (1.0 - 1.0 / (8.0 * math.sqrt(2.0)))
     assert cap == pytest.approx(0.4558, abs=5e-5)
-    z = discrimination_operator(werner_hiding_pair(4))
+    z = game_operator(werner_hiding_pair(4))
     est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=122))
     assert error_probability(est.value) <= cap
 
@@ -494,7 +494,7 @@ def test_hiding_ratio_product_is_one():
 
 
 def test_hiding_ratio_werner_d2():
-    z = discrimination_operator(werner_hiding_pair(2))
+    z = game_operator(werner_hiding_pair(2))
     report = hiding_ratio(z, SeeSawConfig(restarts=32, seed=126))
     assert report.trace_norm == pytest.approx(1.0, abs=1e-12)
     assert report.eps_estimate.value == pytest.approx(2.0 / 3.0, abs=1e-9)

@@ -5,9 +5,7 @@ import pytest
 
 from locnorms import (
     BipartiteOperator,
-    DiscriminationInstance,
     check_density_matrix,
-    discrimination_operator,
     gue_hermitian,
     gue_operator,
     haar_unitary,
@@ -116,72 +114,24 @@ def test_werner_hiding_pair_rejects_small_dimension():
 
 
 def test_werner_hiding_pair_d2_singlet():
-    inst = werner_hiding_pair(2)
+    game = werner_hiding_pair(2)
     singlet = np.zeros((4, 4))
     singlet[1, 1] = singlet[2, 2] = 0.5
     singlet[1, 2] = singlet[2, 1] = -0.5
-    np.testing.assert_allclose(inst.sigma, singlet, atol=1e-14)
-    assert inst.p == 0.5
+    np.testing.assert_allclose(game.states[1], singlet, atol=1e-14)
+    assert (game.n_a, game.n_b, game.signs, game.probs) == (2, 2, (1, -1), (0.5, 0.5))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_werner_projectors_resolve_identity(d):
-    inst = werner_hiding_pair(d)
+    rho, sigma = werner_hiding_pair(d).states
     # Undo the normalizations: the two projectors must sum to the identity.
-    p_sym = inst.rho * (d * (d + 1) / 2)
-    p_asym = inst.sigma * (d * (d - 1) / 2)
+    p_sym = rho * (d * (d + 1) / 2)
+    p_asym = sigma * (d * (d - 1) / 2)
     assert np.abs(p_sym + p_asym - np.eye(d * d)).max() <= 1e-12
     assert np.abs(p_sym @ p_asym).max() <= 1e-12
-    check_density_matrix(inst.rho, name="rho")
-    check_density_matrix(inst.sigma, name="sigma")
-
-
-# ---------------------------------------------------------------- discrimination operators
-
-def test_discrimination_operator_prior_one_returns_rho():
-    rho = random_density_matrix(4, seed=40)
-    sigma = random_density_matrix(4, seed=41)
-    inst = DiscriminationInstance(rho=rho, sigma=sigma, p=1.0, n_a=2, n_b=2)
-    np.testing.assert_allclose(discrimination_operator(inst).matrix, rho, atol=1e-15)
-
-
-def test_discrimination_operator_equal_states_cancel():
-    rho = random_density_matrix(4, seed=42)
-    inst = DiscriminationInstance(rho=rho, sigma=rho, p=0.5, n_a=2, n_b=2)
-    assert discrimination_operator(inst).is_zero()
-
-
-def test_discrimination_operator_werner_traceless_unit_norm():
-    z = discrimination_operator(werner_hiding_pair(3))
-    assert abs(np.trace(z.matrix)) <= 1e-12
-    assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_discrimination_operator_norm_at_most_one():
-    # At p=1/2, the trace norm hits 1 exactly iff the states are orthogonal.
-    rng = stream(43)
-    for _ in range(20):
-        p = float(rng.uniform())
-        rho = random_density_matrix(4, seed=rng)
-        sigma = random_density_matrix(4, seed=rng)
-        inst = DiscriminationInstance(rho=rho, sigma=sigma, p=p, n_a=2, n_b=2)
-        assert trace_norm(discrimination_operator(inst).matrix) <= 1.0 + 1e-9
-    for _ in range(10):
-        rho = random_density_matrix(4, seed=rng)
-        sigma = random_density_matrix(4, seed=rng)
-        inst = DiscriminationInstance(rho=rho, sigma=sigma, p=0.5, n_a=2, n_b=2)
-        # Full-rank overlapping states: strictly inside the unit ball.
-        assert trace_norm(discrimination_operator(inst).matrix) < 1.0 - 1e-3
-
-
-def test_discrimination_instance_validation():
-    rho = random_density_matrix(4, seed=44)
-    with pytest.raises(ValueError, match="prior"):
-        DiscriminationInstance(rho=rho, sigma=rho, p=1.5, n_a=2, n_b=2)
-    with pytest.raises(ValueError, match="shape"):
-        DiscriminationInstance(rho=rho, sigma=rho, p=0.5, n_a=2, n_b=3)
-    with pytest.raises(ValueError, match="trace"):
-        DiscriminationInstance(rho=2 * rho, sigma=rho, p=0.5, n_a=2, n_b=2)
+    check_density_matrix(rho, name="rho")
+    check_density_matrix(sigma, name="sigma")
 
 
 # ---------------------------------------------------------------- experiment generators
@@ -197,3 +147,15 @@ def test_induced_difference_is_bounded_discrimination_operator():
     assert (z.n_a, z.n_b) == (2, 3)
     assert abs(np.trace(z.matrix)) <= 1e-10
     assert trace_norm(z.matrix) <= 1.0 + 1e-9
+
+
+def test_induced_difference_is_half_rho_minus_half_sigma_bit_for_bit():
+    # The CLI's bytes depend on these bits: two induced-measure states drawn
+    # in order from one stream, combined at prior 1/2.
+    for n_a, n_b in ((1, 1), (2, 3), (3, 2), (4, 4)):
+        rng = stream(47, n_a, n_b)
+        rho = random_density_matrix(n_a * n_b, seed=rng)
+        sigma = random_density_matrix(n_a * n_b, seed=rng)
+        expected = BipartiteOperator(n_a, n_b, 0.5 * rho - 0.5 * sigma)
+        z = induced_difference(n_a, n_b, stream(47, n_a, n_b))
+        np.testing.assert_array_equal(z.matrix, expected.matrix)
