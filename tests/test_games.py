@@ -62,10 +62,6 @@ def test_game_operator_single_state():
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho,), signs=(1,), probs=(1.0,))
     gop = game_operator(game)
     np.testing.assert_allclose(gop.matrix, rho, atol=1e-15)
-    # discrimination at prior 1: the two-state game with weights (1, 0) is rho
-    sigma = random_density_matrix(4, seed=41)
-    prior_one = QuantumXorGame(n_a=2, n_b=2, states=(rho, sigma), signs=(1, -1), probs=(1.0, 0.0))
-    np.testing.assert_allclose(game_operator(prior_one).matrix, rho, atol=1e-15)
 
 
 def test_game_operator_cancellation():
@@ -84,10 +80,6 @@ def test_game_operator_trace_identity():
     game = QuantumXorGame(n_a=2, n_b=3, states=states, signs=signs, probs=probs)
     expected = sum(c * p for c, p in zip(signs, probs))
     assert np.trace(game_operator(game).matrix).real == pytest.approx(expected, abs=1e-12)
-    # the werner pair: traceless, and orthogonal states give unit trace norm
-    z = game_operator(werner_hiding_pair(3))
-    assert abs(np.trace(z.matrix)) <= 1e-12
-    assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_game_operator_trace_norm_at_most_one():
@@ -95,18 +87,6 @@ def test_game_operator_trace_norm_at_most_one():
     for _ in range(10):
         game = random_game(2, 3, num_states=4, seed=rng)
         assert trace_norm(game_operator(game).matrix) <= 1.0 + 1e-9
-    # two-state games at prior p; at p = 1/2 the bound is hit iff the states are orthogonal
-    rng = stream(43)
-    for _ in range(20):
-        p = float(rng.uniform())
-        states = (random_density_matrix(4, seed=rng), random_density_matrix(4, seed=rng))
-        game = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1), probs=(p, 1.0 - p))
-        assert trace_norm(game_operator(game).matrix) <= 1.0 + 1e-9
-    for _ in range(10):
-        states = (random_density_matrix(4, seed=rng), random_density_matrix(4, seed=rng))
-        game = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1), probs=(0.5, 0.5))
-        # full-rank overlapping states: strictly inside the unit ball
-        assert trace_norm(game_operator(game).matrix) < 1.0 - 1e-3
 
 
 # ---------------------------------------------------------------- evaluation

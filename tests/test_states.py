@@ -5,7 +5,9 @@ import pytest
 
 from locnorms import (
     BipartiteOperator,
+    QuantumXorGame,
     check_density_matrix,
+    game_operator,
     gue_hermitian,
     gue_operator,
     haar_unitary,
@@ -132,6 +134,56 @@ def test_werner_projectors_resolve_identity(d):
     assert np.abs(p_sym @ p_asym).max() <= 1e-12
     check_density_matrix(rho, name="rho")
     check_density_matrix(sigma, name="sigma")
+
+
+# ---------------------------------------------------------------- discrimination operators
+
+def binary_game(rho, sigma, p, n_a=2, n_b=2):
+    """Discrimination of rho from sigma at prior p: the two-state game with signs (+1, -1)."""
+    return QuantumXorGame(n_a=n_a, n_b=n_b, states=(rho, sigma), signs=(1, -1), probs=(p, 1.0 - p))
+
+
+def test_discrimination_operator_prior_one_returns_rho():
+    rho = random_density_matrix(4, seed=40)
+    sigma = random_density_matrix(4, seed=41)
+    np.testing.assert_allclose(game_operator(binary_game(rho, sigma, 1.0)).matrix, rho, atol=1e-15)
+
+
+def test_discrimination_operator_equal_states_cancel():
+    rho = random_density_matrix(4, seed=42)
+    assert game_operator(binary_game(rho, rho, 0.5)).is_zero()
+
+
+def test_discrimination_operator_werner_traceless_unit_norm():
+    z = game_operator(werner_hiding_pair(3))
+    assert abs(np.trace(z.matrix)) <= 1e-12
+    assert trace_norm(z.matrix) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_discrimination_operator_norm_at_most_one():
+    # At p=1/2, the trace norm hits 1 exactly iff the states are orthogonal.
+    rng = stream(43)
+    for _ in range(20):
+        p = float(rng.uniform())
+        rho = random_density_matrix(4, seed=rng)
+        sigma = random_density_matrix(4, seed=rng)
+        assert trace_norm(game_operator(binary_game(rho, sigma, p)).matrix) <= 1.0 + 1e-9
+    for _ in range(10):
+        rho = random_density_matrix(4, seed=rng)
+        sigma = random_density_matrix(4, seed=rng)
+        # Full-rank overlapping states: strictly inside the unit ball.
+        assert trace_norm(game_operator(binary_game(rho, sigma, 0.5)).matrix) < 1.0 - 1e-3
+
+
+def test_discrimination_instance_validation():
+    rho = random_density_matrix(4, seed=44)
+    # A prior outside [0, 1] leaves one of the two weights negative.
+    with pytest.raises(ValueError, match="nonnegative"):
+        binary_game(rho, rho, 1.5)
+    with pytest.raises(ValueError, match="shape"):
+        binary_game(rho, rho, 0.5, n_a=2, n_b=3)
+    with pytest.raises(ValueError, match="trace"):
+        binary_game(2 * rho, rho, 0.5)
 
 
 # ---------------------------------------------------------------- experiment generators
