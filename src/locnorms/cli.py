@@ -26,7 +26,7 @@ from .linalg import DegenerateOperatorError
 from .norms import SeeSawConfig, hiding_ratio
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
-from .verify import GENERATOR_CODE, make_operator, run_seed, run_verification
+from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, make_operator, run_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -66,8 +66,6 @@ DARWINISM_COLUMNS = (
     "improvement_factor",
     "diamond_bound",
 )
-
-_XOR_LABEL = 10
 
 
 def _seed_type(text: str) -> int:
@@ -183,8 +181,15 @@ def _operator_case(args, generator: str, op, seesaw_seed: int) -> dict:
     return _case(args, hiding_ratio, op, seesaw_seed, ("trace_norm", "eps_estimate"), generator=generator)
 
 
+def _check_dims(n_a: int, n_b: int) -> None:
+    # before the stream key is built, whose SeedSequence rejects a negative entry in its own words
+    if n_a < 1 or n_b < 1:
+        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
+
+
 def _drawn_case(args, generator: str, d_a: int, d_b: int, k: int) -> dict:
     """Instance k of a registered generator on d_a x d_b, evaluated."""
+    _check_dims(d_a, d_b)
     rng = stream(args.seed, GENERATOR_CODE[generator], d_a, d_b, k)
     op = make_operator(generator, d_a, d_b, rng)
     return _operator_case(args, generator, op, run_seed(rng))
@@ -197,7 +202,7 @@ def _game_case(args, game, seesaw_seed: int, sample: int) -> dict:
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     if args.input is not None:
-        row = _operator_case(args, "file", parse_operator_file(args.input), run_seed(stream(args.seed, 99)))
+        row = _operator_case(args, "file", parse_operator_file(args.input), run_seed(stream(args.seed, INPUT_LABEL)))
     elif args.werner is not None:
         row = _drawn_case(args, "werner", args.werner, args.werner, 0)
     elif args.gue is not None:
@@ -234,9 +239,10 @@ def cmd_xor(args: argparse.Namespace) -> int:
 
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
+    _check_dims(args.na, args.nb)
     rows = []
     for k in range(args.samples):
-        rng = stream(args.seed, _XOR_LABEL, args.na, args.nb, k)
+        rng = stream(args.seed, XOR_LABEL, args.na, args.nb, k)
         game = random_game(args.na, args.nb, num_states=args.states, seed=rng)
         rows.append(_game_case(args, game, run_seed(rng), k))
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)

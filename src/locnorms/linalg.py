@@ -3,6 +3,8 @@
 Operators are square complex numpy arrays. A bipartite operator on A x B
 with local dimensions (n_a, n_b) is an (n_a*n_b) x (n_a*n_b) matrix in
 row-major Kronecker ordering, i.e. composite index (a, b) = a*n_b + b.
+Every BipartiteOperator is Hermitian: it stores the Hermitian part of its
+input.
 """
 
 from __future__ import annotations
@@ -103,17 +105,15 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteOperator:
-    """A square operator on A x B with declared local dimensions.
+    """A Hermitian operator on A x B with declared local dimensions.
 
-    When `hermitian` is true the stored matrix is the Hermitian part of the
-    input (symmetrized on construction, warning above rounding level). The
-    matrix is frozen read-only.
+    The stored matrix is the Hermitian part of the input (symmetrized on
+    construction, warning above rounding level), frozen read-only.
     """
 
     n_a: int
     n_b: int
     matrix: np.ndarray
-    hermitian: bool = True
 
     def __post_init__(self):
         if self.n_a < 1 or self.n_b < 1:
@@ -125,7 +125,7 @@ class BipartiteOperator:
                 f"matrix has shape {m.shape}, expected ({dim}, {dim}) "
                 f"for local dimensions ({self.n_a}, {self.n_b})"
             )
-        m = hermitian_part(m) if self.hermitian else m.copy()
+        m = hermitian_part(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -144,7 +144,7 @@ class BipartiteOperator:
 def swap_subsystems(z: BipartiteOperator) -> BipartiteOperator:
     """Exchange the roles of A and B: S z S^dag for the flip S|a,b> = |b,a>."""
     m = z.reshaped().transpose(1, 0, 3, 2).reshape(z.dim, z.dim)
-    return BipartiteOperator(z.n_b, z.n_a, m, hermitian=z.hermitian)
+    return BipartiteOperator(z.n_b, z.n_a, m)
 
 
 def block_frame_sums(u, n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray]:

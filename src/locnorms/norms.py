@@ -274,11 +274,8 @@ def seesaw_run(
     """
     if start_side not in ("A", "B"):
         raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
-    field = config.field
-    if field == FIELD_HERMITIAN and not z.hermitian:
-        raise ValueError("hermitian-field see-saw requires a Hermitian operator")
     dim = z.n_b if start_side == "B" else z.n_a
-    start = _check_starts(as_square_matrix(g0)[None], dim, field)
+    start = _check_starts(as_square_matrix(g0)[None], dim, config.field)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
     return _seesaw(z, start, config, start_side).estimate(0)
@@ -317,8 +314,6 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
     between restarts resolve to the lowest restart index, so the result
     does not depend on evaluation order.
     """
-    if config.field == FIELD_HERMITIAN and not z.hermitian:
-        raise ValueError("hermitian-field estimate requires a Hermitian operator")
     n_a, n_b = z.n_a, z.n_b
     if z.is_zero():
         return _identity_estimate(n_a, n_b, restart_index=0)

@@ -105,7 +105,7 @@ def parse_operator_file(path) -> BipartiteOperator:
         )
     # BipartiteOperator symmetrizes, warning when delta is above rounding level.
     try:
-        return BipartiteOperator(n_a, n_b, m, hermitian=True)
+        return BipartiteOperator(n_a, n_b, m)
     except ValueError as exc:
         raise OperatorFileError(f"{path}: {exc}") from exc
 

@@ -28,10 +28,8 @@ PROB_SUM_TOL = 1e-10
 
 
 def rng_from(seed) -> np.random.Generator:
-    """Philox generator for an integer seed; Generator instances pass through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    """Philox generator for an integer seed, stream(seed); Generator instances pass through."""
+    return seed if isinstance(seed, np.random.Generator) else stream(seed)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -68,20 +66,14 @@ def gue_hermitian(n: int, seed) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def random_density_matrix(n: int, env: int | None = None, seed=0) -> np.ndarray:
-    """Induced-measure density matrix G G^dag / tr(G G^dag) for an n x env
-    complex Ginibre G.
-
-    env defaults to n (the Hilbert-Schmidt measure); expected purity is
-    (n + env)/(n*env + 1).
+def random_density_matrix(n: int, seed=0) -> np.ndarray:
+    """Hilbert-Schmidt density matrix G G^dag / tr(G G^dag) for an n x n
+    complex Ginibre G; expected purity is 2n/(n^2 + 1).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    env = n if env is None else env
-    if env < 1:
-        raise ValueError(f"environment dimension must be >= 1, got {env}")
     rng = rng_from(seed)
-    g = rng.standard_normal((n, env)) + 1j * rng.standard_normal((n, env))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
     return hermitian_part(rho / np.trace(rho).real)
 
@@ -162,7 +154,7 @@ def game_operator(game: QuantumXorGame) -> BipartiteOperator:
     m = np.zeros((dim, dim), dtype=np.complex128)
     for c, p, state in zip(game.signs, game.probs, game.states):
         m += (c * p) * state
-    return BipartiteOperator(game.n_a, game.n_b, m, hermitian=True)
+    return BipartiteOperator(game.n_a, game.n_b, m)
 
 
 def werner_hiding_pair(d: int) -> QuantumXorGame:
@@ -184,7 +176,7 @@ def werner_hiding_pair(d: int) -> QuantumXorGame:
 
 def gue_operator(n_a: int, n_b: int, seed) -> BipartiteOperator:
     """GUE sample on the full product space, tagged with local dimensions."""
-    return BipartiteOperator(n_a, n_b, gue_hermitian(n_a * n_b, seed), hermitian=True)
+    return BipartiteOperator(n_a, n_b, gue_hermitian(n_a * n_b, seed))
 
 
 def induced_difference(n_a: int, n_b: int, seed) -> BipartiteOperator:

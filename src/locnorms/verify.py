@@ -64,13 +64,20 @@ BLOCK_RESIDUAL_TOL = 1e-10
 FIELD_RATIO_SLACK = 0.02
 
 # Stream codes of the instance generators and substream labels of the
-# suites. The numbers are fixed: changing one changes every drawn instance.
+# suites and of the CLI's random games and file inputs. The numbers are
+# fixed: changing one changes every drawn instance.
 GENERATOR_CODE = {"werner": 0, "gue": 1, "induced": 2}
 _SCAN_LABEL = 3
 _GAME_LABEL = 4
 _FIELD_LABEL = 5
 _COVARIANCE_LABEL = 6
 _PROPERTY_LABEL = 7
+_BLOCK_LABEL = 8
+XOR_LABEL = 10
+INPUT_LABEL = 99
+
+# Restart budget a cap violation is retried at before it counts.
+ESCALATE_RESTARTS = 500
 
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
 
@@ -141,9 +148,9 @@ def _suite(checks: int, failures: list, stats: dict) -> dict:
     }
 
 
-def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
+def _escalating_scan(cases, evaluate, row) -> dict:
     """Evaluate each (label, instance, config, fields) case and retry a
-    cap violation at escalate_restarts.
+    cap violation at ESCALATE_RESTARTS.
 
     evaluate(instance, config) returns a report with ratio (None when the
     instance is zero), bound and satisfied; row(report) gives the row's
@@ -156,7 +163,7 @@ def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
         report = evaluate(instance, config)
         escalated = report.ratio is not None and not report.satisfied
         if escalated:
-            report = evaluate(instance, replace(config, restarts=escalate_restarts))
+            report = evaluate(instance, replace(config, restarts=ESCALATE_RESTARTS))
         rows.append(
             {
                 **fields,
@@ -169,25 +176,19 @@ def _escalating_scan(cases, evaluate, row, escalate_restarts: int) -> dict:
         )
         message = (
             f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
-            f"after escalation to {escalate_restarts} restarts"
+            f"after escalation to {ESCALATE_RESTARTS} restarts"
         )
         worst = None if report.ratio is None else report.ratio / report.bound
         tally.check((not report.satisfied, message), worst_ratio_over_bound=worst)
     return {"rows": rows, "failures": tally.failures, **tally.stats()}
 
 
-def main_bound_scan(
-    dims,
-    samples_per_pair: int,
-    seed: int,
-    config: SeeSawConfig,
-    escalate_restarts: int = 500,
-) -> dict:
+def main_bound_scan(dims, samples_per_pair: int, seed: int, config: SeeSawConfig) -> dict:
     """Trace norm against 2 sqrt(2) min-dim times the product-witness
     estimate, over GUE and induced-difference instances.
 
     Each instance alternates generator kind by index. Violations at the
-    working budget are retried at escalate_restarts; rows record both
+    working budget are retried at ESCALATE_RESTARTS; rows record both
     stages and only post-escalation violations are returned as failures.
     """
     cases = (
@@ -203,26 +204,17 @@ def main_bound_scan(
         cases,
         hiding_ratio,
         lambda report: {"trace_norm": float(report.trace_norm), "eps": float(report.eps_estimate.value)},
-        escalate_restarts,
     )
 
 
-def game_bound_scan(
-    samples: int,
-    n_a: int,
-    n_b: int,
-    num_states: int,
-    seed: int,
-    config: SeeSawConfig,
-    escalate_restarts: int = 500,
-) -> dict:
-    """Unrestricted versus product bias over random games, with the same
-    escalation policy as the operator scan."""
+def game_bound_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawConfig) -> dict:
+    """Unrestricted versus product bias over random four-state games, with
+    the same escalation policy as the operator scan."""
 
     def cases():
         for index in range(samples):
             rng = stream(seed, _GAME_LABEL, n_a, n_b, index)
-            game = random_game(n_a, n_b, num_states=num_states, seed=rng)
+            game = random_game(n_a, n_b, num_states=4, seed=rng)
             run_config = replace(config, seed=run_seed(rng))
             yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
 
@@ -233,18 +225,18 @@ def game_bound_scan(
             "beta_all": float(report.trace_norm),
             "beta_product": float(report.eps_estimate.value),
         },
-        escalate_restarts,
     )
 
 
-def field_ratio_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawConfig) -> dict:
-    """Complex against Hermitian witness values on GUE instances at the
-    same budget. The complex value provably exceeds the Hermitian one by
-    at most sqrt(2), which it must meet up to estimator slack; the row's
+def field_ratio_scan(samples: int, seed: int, config: SeeSawConfig) -> dict:
+    """Complex against Hermitian witness values on 3 x 3 GUE instances at
+    the same budget. The complex value provably exceeds the Hermitian one
+    by at most sqrt(2), which it must meet up to estimator slack; the row's
     ratio is 1.0 when both vanish and inf when only the Hermitian does."""
     rows = []
     tally = _Tally(worst_ratio=0.0)
     cap = math.sqrt(2.0)
+    n_a = n_b = 3
     for index in range(samples):
         rng = stream(seed, _FIELD_LABEL, n_a, n_b, index)
         z = gue_operator(n_a, n_b, rng)
@@ -266,7 +258,7 @@ def _suite_block_identities(seed: int, samples: int) -> dict:
         dim = n_a * n_b
         target = n_a * np.eye(n_b)
         for index in range(samples):
-            u = haar_unitary(dim, stream(seed, 8, n_a, n_b, index))
+            u = haar_unitary(dim, stream(seed, _BLOCK_LABEL, n_a, n_b, index))
             left, right = block_frame_sums(u, n_a, n_b)
             residual = max(float(np.abs(left - target).max()), float(np.abs(right - target).max()))
             message = f"unitary blocks ({n_a},{n_b})[{index}]: residual {residual!r} > {BLOCK_RESIDUAL_TOL}"
@@ -333,7 +325,7 @@ def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tup
     direct = seesaw_run(z, g0, config).value_history
     swapped = seesaw_run(swap_subsystems(z), g0, config, start_side="A").value_history
     w = np.kron(u, v)
-    rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T, hermitian=z.hermitian)
+    rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T)
     conjugated = seesaw_run(rotated, v @ g0 @ v.conj().T, config).value_history
     return _history_gap(direct, swapped), _history_gap(direct, conjugated)
 
@@ -375,14 +367,14 @@ def run_verification(
     """Run every suite and return the deterministic summary dict.
 
     samples scales each randomized suite; restarts is the multistart
-    budget of the scans (escalation goes to 500 regardless).
+    budget of the scans (escalation goes to ESCALATE_RESTARTS regardless).
     """
     config = SeeSawConfig(restarts=restarts, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     quarter = max(1, samples // 4)
 
     scan = main_bound_scan(DEFAULT_PAIRS, samples, seed, config)
-    games = game_bound_scan(samples, 2, 2, 4, seed, config)
-    fields = field_ratio_scan(max(1, samples // 2), 3, 3, seed, config)
+    games = game_bound_scan(samples, 2, 2, seed, config)
+    fields = field_ratio_scan(max(1, samples // 2), seed, config)
     blocks = _suite_block_identities(seed, quarter)
     monotonicity, ordering = _property_suites(seed, quarter, config)
     swap, rotation = _covariance_suites(seed, quarter, config)

@@ -117,7 +117,6 @@ def test_criterion_04_main_bound_scan():
             samples_per_pair=200,
             seed=BASE_SEED + 4,
             config=SeeSawConfig(restarts=50, seed=0),
-            escalate_restarts=500,
         )
         assert len(result["rows"]) == 1800
         assert result["failures"] == []
@@ -207,10 +206,8 @@ def test_criterion_06_game_bound_scan():
             samples=50,
             n_a=3,
             n_b=3,
-            num_states=4,
             seed=BASE_SEED + 6,
             config=SeeSawConfig(restarts=50, seed=0),
-            escalate_restarts=500,
         )
         assert len(result["rows"]) == 50
         assert result["failures"] == []
@@ -223,8 +220,6 @@ def test_criterion_07_field_ratio_scan():
     with criterion(7, "complex witness values stay within sqrt(2) of Hermitian ones"):
         result = field_ratio_scan(
             samples=100,
-            n_a=3,
-            n_b=3,
             seed=BASE_SEED + 7,
             config=SeeSawConfig(restarts=16, seed=0),
         )

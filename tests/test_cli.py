@@ -218,6 +218,23 @@ def test_scaling_validation_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, dims",
+    [
+        (["ratio", "--gue", "-1", "2"], "(-1, 2)"),
+        (["ratio", "--werner", "-1"], "(-1, -1)"),
+        (["xor", "--na", "-1"], "(-1, 3)"),
+    ],
+    ids=["ratio-gue", "ratio-werner", "xor"],
+)
+def test_negative_dimensions_exit_two_in_library_words(capsys, argv, dims):
+    # the dimensions are checked before they key a Philox stream
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == f"error: local dimensions must be >= 1, got {dims}\n"
+    assert "non-negative integer" not in err
+
+
 # ---------------------------------------------------------------- xor
 
 def test_xor_single_state_game_file(tmp_path):

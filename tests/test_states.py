@@ -35,6 +35,8 @@ def test_rng_from_passes_generators_through():
     x = rng_from(7).standard_normal(4)
     y = rng_from(7).standard_normal(4)
     np.testing.assert_array_equal(x, y)
+    for seed in (0, 7, 2**32, 2**64 - 1):
+        np.testing.assert_array_equal(rng_from(seed).standard_normal(4), stream(seed).standard_normal(4))
 
 
 # ---------------------------------------------------------------- haar unitaries
@@ -91,21 +93,15 @@ def test_random_density_matrix_contract():
 
 
 def test_random_density_matrix_purity_moment():
-    # Induced measure with env: E tr(rho^2) = (n + env)/(n*env + 1).
-    n = env = 4
-    expected = (n + env) / (n * env + 1)
+    # Hilbert-Schmidt measure: E tr(rho^2) = 2n/(n^2 + 1).
+    n = 4
+    expected = 2 * n / (n * n + 1)
     rng = stream(37)
     acc = 0.0
     for _ in range(500):
-        rho = random_density_matrix(n, env=env, seed=rng)
+        rho = random_density_matrix(n, seed=rng)
         acc += float(np.trace(rho @ rho).real)
     assert acc / 500 == pytest.approx(expected, abs=0.02)
-
-
-def test_random_density_matrix_env_defaults_to_n():
-    a = random_density_matrix(3, seed=38)
-    b = random_density_matrix(3, env=3, seed=38)
-    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------- werner pair
@@ -190,8 +186,9 @@ def test_discrimination_instance_validation():
 
 def test_gue_operator_tags_dimensions():
     z = gue_operator(2, 3, 45)
-    assert (z.n_a, z.n_b, z.hermitian) == (2, 3, True)
+    assert (z.n_a, z.n_b) == (2, 3)
     assert z.matrix.shape == (6, 6)
+    np.testing.assert_array_equal(z.matrix, z.matrix.conj().T)
 
 
 def test_induced_difference_is_bounded_discrimination_operator():

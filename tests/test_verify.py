@@ -43,7 +43,7 @@ SCANS = {
     "game_bound_scan": (
         "evaluate_game",
         ("game[0] at (2,2)", "game[1] at (2,2)"),
-        lambda: verify.game_bound_scan(2, 2, 2, 4, 162, CONFIG),
+        lambda: verify.game_bound_scan(2, 2, 2, 162, CONFIG),
     ),
 }
 
@@ -222,7 +222,7 @@ def test_field_quotient_above_cap_fails_field_scan(monkeypatch):
     summary = verification()
     suite = failed_suite(summary, "field_ratio_scan")
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
-    rows = verify.field_ratio_scan(1, 3, 3, SEED, config)["rows"]
+    rows = verify.field_ratio_scan(1, SEED, config)["rows"]
     assert suite["failures"] == [
         f"field[0] at (3,3): complex {row['complex']!r} exceeds sqrt(2) * {row['hermitian']!r} + 0.02"
         for row in rows
