@@ -9,7 +9,7 @@ by a factor growing like sqrt(2 d_a) when fragments are large.
 import argparse
 import math
 
-from locnorms import DarwinismParams, coefficient_sweep, diamond_bound_rhs
+from locnorms import coefficient_sweep, diamond_bound_rhs
 
 
 def main():
@@ -22,15 +22,13 @@ def main():
     print(f"{'d_a':>5} {'omega_new':>11} {'omega_prev':>11} {'factor':>8} {'sqrt(2 d_a)':>12}")
     for row in coefficient_sweep(dims, [args.dr]):
         print(
-            f"{row.d_a:>5} {row.omega_new:>11.3f} {row.omega_ranard:>11.3f} "
-            f"{row.improvement_factor:>8.3f} {math.sqrt(2.0 * row.d_a):>12.3f}"
+            f"{row['d_a']:>5} {row['omega_new']:>11.3f} {row['omega_ranard']:>11.3f} "
+            f"{row['improvement_factor']:>8.3f} {math.sqrt(2.0 * row['d_a']):>12.3f}"
         )
 
     print("\nqubit system broadcast over 100 fragments, observers reading one:")
-    params = DarwinismParams(d_a=2, d_r=5, r_size=1, q_size=100)
-    print(f"  deviation from objectivity at most {diamond_bound_rhs(params):.4f} in diamond norm")
-    params = DarwinismParams(d_a=2, d_r=5, r_size=1, q_size=10**4)
-    print(f"  with 10^4 fragments the bound tightens to {diamond_bound_rhs(params):.4f}")
+    print(f"  deviation from objectivity at most {diamond_bound_rhs(2, 5, 1, 100):.4f} in diamond norm")
+    print(f"  with 10^4 fragments the bound tightens to {diamond_bound_rhs(2, 5, 1, 10**4):.4f}")
 
 
 if __name__ == "__main__":

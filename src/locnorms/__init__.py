@@ -9,14 +9,7 @@ data-hiding ratio between them, which provably never exceeds
 biases and the dimensional coefficients of observer-objectivity bounds.
 """
 
-from .darwinism import (
-    DarwinismParams,
-    SweepRow,
-    coefficient_sweep,
-    diamond_bound_rhs,
-    omega_new,
-    omega_ranard,
-)
+from .darwinism import coefficient_sweep, diamond_bound_rhs, omega_new, omega_ranard
 from .games import evaluate_game, random_game
 from .linalg import (
     BipartiteOperator,
@@ -68,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteOperator",
-    "DarwinismParams",
     "DegenerateOperatorError",
     "FIELD_COMPLEX",
     "FIELD_HERMITIAN",
@@ -77,7 +69,6 @@ __all__ = [
     "QuantumXorGame",
     "RatioReport",
     "SeeSawConfig",
-    "SweepRow",
     "asymmetry",
     "block_frame_sums",
     "bound_factor",

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .darwinism import DarwinismParams, coefficient_sweep, diamond_bound_rhs
+from .darwinism import coefficient_sweep, diamond_bound_rhs
 from .games import evaluate_game, random_game
 from .linalg import DegenerateOperatorError
 from .norms import SeeSawConfig, hiding_ratio
@@ -254,11 +254,10 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
         raise ValueError(f"fragment counts must be >= 1, got r={args.r}, q={args.q}")
     if len(args.da) > 0 and args.da[0] < 2:
         raise ValueError(f"observed-system dimension must be >= 2, got {args.da[0]}")
-    rows = []
-    if len(args.da) > 0 and len(args.dr) > 0:
-        for entry in coefficient_sweep(args.da, args.dr):
-            params = DarwinismParams(d_a=entry.d_a, d_r=entry.d_r, r_size=args.r, q_size=args.q)
-            rows.append({**vars(entry), "diamond_bound": diamond_bound_rhs(params)})
+    rows = [
+        {**row, "diamond_bound": diamond_bound_rhs(row["d_a"], row["d_r"], args.r, args.q)}
+        for row in coefficient_sweep(args.da, args.dr)
+    ]
     _emit_rows(rows, DARWINISM_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
@@ -343,6 +342,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OverflowError as exc:  # an integer argument too large for float or index arithmetic
         print(f"error: value too large ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # an instance too large to allocate
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -11,7 +11,6 @@ five-way minimum it improves on for d_a >= 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 
@@ -49,57 +48,29 @@ def omega_ranard(d_a: int, d_r: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class DarwinismParams:
-    """Dimensions and fragment counts in the channel-deviation bound.
-
-    d_a, d_r as above; r_size counts observer fragments addressed jointly,
-    q_size the fragments the channel broadcasts over."""
-
-    d_a: int
-    d_r: int
-    r_size: int
-    q_size: int
-
-    def __post_init__(self):
-        _check_dims(self.d_a, self.d_r)
-        if self.r_size < 1:
-            raise ValueError(f"r_size must be >= 1, got {self.r_size}")
-        if self.q_size < 1:
-            raise ValueError(f"q_size must be >= 1, got {self.q_size}")
-
-
-def diamond_bound_rhs(params: DarwinismParams) -> float:
+def diamond_bound_rhs(d_a: int, d_r: int, r_size: int, q_size: int) -> float:
     """d_a * Omega(d_a, d_r) * sqrt(2 ln(d_a) * r_size / q_size), the
-    right-hand side of the objectivity deviation bound in diamond norm."""
-    return (
-        params.d_a
-        * omega_new(params.d_a, params.d_r)
-        * math.sqrt(2.0 * math.log(params.d_a) * params.r_size / params.q_size)
-    )
+    right-hand side of the objectivity deviation bound in diamond norm.
+
+    r_size counts the observer fragments addressed jointly, q_size the
+    fragments the channel broadcasts over."""
+    if r_size < 1:
+        raise ValueError(f"r_size must be >= 1, got {r_size}")
+    if q_size < 1:
+        raise ValueError(f"q_size must be >= 1, got {q_size}")
+    return d_a * omega_new(d_a, d_r) * math.sqrt(2.0 * math.log(d_a) * r_size / q_size)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    d_a: int
-    d_r: int
-    omega_new: float
-    omega_ranard: float
-    improvement_factor: float
-
-
-def coefficient_sweep(d_a_values, d_r_values) -> list[SweepRow]:
-    """One row per (d_a, d_r) pair with both coefficients and their
-    quotient omega_ranard / omega_new (>= 1 exactly when the new
-    coefficient is at least as strong). Ranges must be nonempty."""
-    das = [int(d) for d in d_a_values]
-    drs = [int(d) for d in d_r_values]
-    if not das or not drs:
-        raise ValueError("dimension ranges must be nonempty")
+def coefficient_sweep(d_a_values, d_r_values) -> list[dict]:
+    """One row per (d_a, d_r) pair, d_a outer, keyed d_a, d_r, omega_new,
+    omega_ranard and improvement_factor, the quotient omega_ranard /
+    omega_new (>= 1 exactly when the new coefficient is at least as
+    strong). An empty range gives no rows."""
+    drs = list(map(int, d_r_values))
     rows = []
-    for d_a in das:
+    for d_a in map(int, d_a_values):
         for d_r in drs:
             new = omega_new(d_a, d_r)
             old = omega_ranard(d_a, d_r)
-            rows.append(SweepRow(d_a, d_r, new, old, old / new))
+            rows.append(dict(d_a=d_a, d_r=d_r, omega_new=new, omega_ranard=old, improvement_factor=old / new))
     return rows

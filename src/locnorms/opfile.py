@@ -53,10 +53,17 @@ def _positive_int(data: dict, key: str, path) -> int:
     return value
 
 
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # more digits than int's string conversion allows
+        return f"2^{n.bit_length() - 1} or more"
+
+
 def _number_list(value, key: str, length: int, path) -> np.ndarray:
     if not isinstance(value, list) or len(value) != length:
         got = f"length {len(value)}" if isinstance(value, list) else type(value).__name__
-        raise OperatorFileError(f"{path}: field '{key}' must be a list of {length} numbers, got {got}")
+        raise OperatorFileError(f"{path}: field '{key}' must be a list of {_decimal(length)} numbers, got {got}")
     for entry in value:
         if not isinstance(entry, numbers.Real) or isinstance(entry, bool):
             raise OperatorFileError(f"{path}: field '{key}' contains non-numeric entry {entry!r}")
@@ -90,6 +97,8 @@ def _load_json(path) -> dict:
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit.
         raise OperatorFileError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer literal longer than int's string conversion allows
+        raise OperatorFileError(f"{path}: {exc}") from exc
 
 
 def parse_operator_file(path) -> BipartiteOperator:

@@ -19,7 +19,6 @@ from locnorms import (
     SeeSawConfig,
     block_frame_sums,
     bound_factor,
-    DarwinismParams,
     diamond_bound_rhs,
     epsilon_norm,
     error_probability,
@@ -263,7 +262,7 @@ def test_criterion_09_darwinism_coefficients():
         assert worst >= -1e-12
         # independent arithmetic: 2 * Omega(2,2) * sqrt(2 ln 2 / 100) with
         # Omega(2,2) = 3, written as 6 sqrt(ln 4)/10 = 0.70645 to five digits
-        value = diamond_bound_rhs(DarwinismParams(d_a=2, d_r=2, r_size=1, q_size=100))
+        value = diamond_bound_rhs(2, 2, 1, 100)
         assert value == pytest.approx(6.0 * math.sqrt(math.log(4.0)) / 10.0, abs=1e-5)
 
 

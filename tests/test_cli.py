@@ -363,6 +363,107 @@ def test_darwinism_validation_errors(capsys):
         assert capsys.readouterr().err.startswith("error: value too large (")
 
 
+# The exact stdout of one small grid in both formats: any change to the
+# sweep, the bound or the row projection shows as a byte difference.
+DARWINISM_GRID = ["darwinism", "--da", "2:4", "--dr", "1:3", "--r", "2", "--q", "5"]
+DARWINISM_GRID_CSV = """\
+d_a,d_r,omega_new,omega_ranard,improvement_factor,diamond_bound
+2,1,1.0,1.0,1.0,1.4893189644236136
+2,2,3.0,3.0,1.0,4.4679568932708404
+2,3,4.0,4.0,1.0,5.957275857694454
+3,1,1.0,1.0,1.0,2.812473729372488
+3,2,3.0,3.0,1.0,8.437421188117463
+3,3,5.0,5.0,1.0,14.06236864686244
+4,1,1.0,1.0,1.0,4.212430156374655
+4,2,3.0,3.0,1.0,12.637290469123965
+4,3,5.0,5.0,1.0,21.062150781873274
+"""
+DARWINISM_GRID_JSON = """\
+[
+  {
+    "d_a": 2,
+    "d_r": 1,
+    "diamond_bound": 1.4893189644236136,
+    "improvement_factor": 1.0,
+    "omega_new": 1.0,
+    "omega_ranard": 1.0
+  },
+  {
+    "d_a": 2,
+    "d_r": 2,
+    "diamond_bound": 4.4679568932708404,
+    "improvement_factor": 1.0,
+    "omega_new": 3.0,
+    "omega_ranard": 3.0
+  },
+  {
+    "d_a": 2,
+    "d_r": 3,
+    "diamond_bound": 5.957275857694454,
+    "improvement_factor": 1.0,
+    "omega_new": 4.0,
+    "omega_ranard": 4.0
+  },
+  {
+    "d_a": 3,
+    "d_r": 1,
+    "diamond_bound": 2.812473729372488,
+    "improvement_factor": 1.0,
+    "omega_new": 1.0,
+    "omega_ranard": 1.0
+  },
+  {
+    "d_a": 3,
+    "d_r": 2,
+    "diamond_bound": 8.437421188117463,
+    "improvement_factor": 1.0,
+    "omega_new": 3.0,
+    "omega_ranard": 3.0
+  },
+  {
+    "d_a": 3,
+    "d_r": 3,
+    "diamond_bound": 14.06236864686244,
+    "improvement_factor": 1.0,
+    "omega_new": 5.0,
+    "omega_ranard": 5.0
+  },
+  {
+    "d_a": 4,
+    "d_r": 1,
+    "diamond_bound": 4.212430156374655,
+    "improvement_factor": 1.0,
+    "omega_new": 1.0,
+    "omega_ranard": 1.0
+  },
+  {
+    "d_a": 4,
+    "d_r": 2,
+    "diamond_bound": 12.637290469123965,
+    "improvement_factor": 1.0,
+    "omega_new": 3.0,
+    "omega_ranard": 3.0
+  },
+  {
+    "d_a": 4,
+    "d_r": 3,
+    "diamond_bound": 21.062150781873274,
+    "improvement_factor": 1.0,
+    "omega_new": 5.0,
+    "omega_ranard": 5.0
+  }
+]
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [([], DARWINISM_GRID_CSV), (["--format", "json"], DARWINISM_GRID_JSON)], ids=["csv", "json"]
+)
+def test_darwinism_grid_bytes(capsys, fmt, expected):
+    assert main(DARWINISM_GRID + fmt) == EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_small_run_passes(tmp_path, capsys):
@@ -477,6 +578,18 @@ def test_usage_errors_exit_two(capsys):
         main(["darwinism", "--da", "2:3:4"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, builder", [(["ratio", "--gue", "2", "2"], "make_operator"), (["xor"], "random_game")], ids=["ratio", "xor"]
+)
+def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, argv, builder):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+    monkeypatch.setattr(cli_module, builder, too_large)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: out of memory (Unable to allocate 7.45 TiB for an array)\n"
 
 
 def test_unwritable_output_path(tmp_path, capsys):

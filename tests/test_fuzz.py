@@ -4,10 +4,10 @@ command line.
 Every file, however malformed, must end in exit 0, 2 or 3 without a
 traceback or a numpy warning, and a rejection (exit 2) must name the file.
 Each example is a valid file with at most one fault: wrong types and bools,
-huge and negative integers, +-1e308 and near-limit entries, NaN and
-Infinity literals, wrong lengths, nesting, missing fields, non-Hermitian
-matrices, non-PSD or wrongly normalised states, and zero operators and
-games.
+huge and negative integers (one past int's 4300-digit string conversion),
++-1e308 and near-limit entries, NaN and Infinity literals, wrong lengths,
+nesting, missing fields, non-Hermitian matrices, non-PSD or wrongly
+normalised states, and zero operators and games.
 
 Every argument list of the five subcommands must end the same way (exit 4
 is also allowed from verify), whether argparse rejects it or the command
@@ -32,9 +32,12 @@ from locnorms.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_SUITE_FAILURE, EXIT_VALI
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 
-SPECIAL = [1e308, -1e308, float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
+# json.dumps rejects an integer past int's 4300-digit string conversion, so
+# LONG stands for one and check_cli writes its digits into the file text.
+LONG = "<5001-digit integer>"
+SPECIAL = [1e308, -1e308, float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), LONG]
 JUNK = st.sampled_from([None, True, False, "1", [], {}, [[[[[1.0]]]]]])
-BAD_DIM = st.one_of(st.sampled_from([0, -1, -(10**30), 10**30, 2.0]), JUNK)
+BAD_DIM = st.one_of(st.sampled_from([0, -1, -(10**30), 10**30, 2.0, LONG]), JUNK)
 BAD_NUMBER = st.one_of(st.sampled_from(SPECIAL), JUNK)
 MATRIX_FAULTS = ["entry", "length", "asymmetric", "huge"]
 
@@ -144,7 +147,7 @@ def game_files(draw):
 
 def check_cli(command: str, data, directory) -> int:
     path = directory / f"{command}.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data).replace(json.dumps(LONG), "9" * 5001))
     err = io.StringIO()
     with warnings.catch_warnings():
         # numpy warnings become exceptions; the documented symmetrization warning stays allowed

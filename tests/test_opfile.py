@@ -17,6 +17,7 @@ from locnorms import (
     write_game_file,
     write_operator_file,
 )
+from locnorms.cli import EXIT_VALIDATION, main
 
 
 def write_json(path, data):
@@ -122,6 +123,26 @@ def test_integer_beyond_float_range_names_the_field(tmp_path, parse, payload, fi
     prefix = f"{re.escape(str(target))}: field '{re.escape(field)}'"
     with pytest.raises(OperatorFileError, match=f"^{prefix} contains an integer too large for a float$"):
         parse(target)
+
+
+# integers past int's 4300-digit string-conversion limit: a literal in the
+# file, and the (n_a n_b)^2 entry count of the length message. One file
+# holds both schemas' fields, so ratio and xor reach the same check.
+WIDE = "9" * 1101
+BOTH_SCHEMAS = json.dumps({**GAME_1X1, "re": [1.0], "im": [0.0]})
+LONG_INTEGERS = [
+    BOTH_SCHEMAS.replace('"n_a": 1', '"n_a": ' + "9" * 5001),
+    BOTH_SCHEMAS.replace('"n_a": 1, "n_b": 1', f'"n_a": {WIDE}, "n_b": {WIDE}'),
+]
+
+
+@pytest.mark.parametrize("command", ["ratio", "xor"])
+@pytest.mark.parametrize("text", LONG_INTEGERS, ids=["literal", "entry-count"])
+def test_integers_past_the_digit_limit_name_the_file(tmp_path, capsys, text, command):
+    target = tmp_path / "long.json"
+    target.write_text(text)
+    assert main([command, "--input", str(target)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
 
 # finite values past what the float range can carry: an entry whose
