@@ -20,12 +20,7 @@ def main():
     args = parser.parse_args()
 
     dims = ((2, 2), (2, 3), (3, 3), (3, 4))
-    result = main_bound_scan(
-        dims,
-        samples_per_pair=args.samples,
-        seed=args.seed,
-        config=SeeSawConfig(restarts=args.restarts, seed=0),
-    )
+    result = main_bound_scan(dims, args.samples, SeeSawConfig(restarts=args.restarts, seed=args.seed))
     rows = result["rows"]
     print(f"{len(rows)} instances over {len(dims)} dimension pairs")
     for n_a, n_b in dims:

@@ -22,8 +22,6 @@ from .linalg import (
     trace_norm,
 )
 from .norms import (
-    FIELD_COMPLEX,
-    FIELD_HERMITIAN,
     NormEstimate,
     RatioReport,
     SeeSawConfig,
@@ -62,8 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BipartiteOperator",
     "DegenerateOperatorError",
-    "FIELD_COMPLEX",
-    "FIELD_HERMITIAN",
     "NormEstimate",
     "OperatorFileError",
     "QuantumXorGame",

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .darwinism import coefficient_sweep, diamond_bound_rhs
@@ -97,6 +98,12 @@ def _add_search(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-10, help="relative stopping tolerance (default 1e-10)")
 
 
+def _config(args) -> SeeSawConfig:
+    """The one config of a command, built from its search flags after the
+    command's own checks, so that a bad flag fails even with no rows."""
+    return SeeSawConfig(restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.tol, seed=args.seed)
+
+
 def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     parser.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
     if formats:
@@ -147,19 +154,18 @@ def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
     _emit_json({**report, **extras}, args.out)
 
 
-def _case(args, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **keys) -> dict:
+def _case(config: SeeSawConfig, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **keys) -> dict:
     """One operator or game evaluated into its row; names key the trace
     norm and the estimate's value, "estimate" holds its full payload."""
-    config = SeeSawConfig(restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.tol, seed=seesaw_seed)
-    report = evaluate(instance, config)
+    report = evaluate(instance, replace(config, seed=seesaw_seed))
     est = report.eps_estimate
     ratio = None if report.ratio is None else float(report.ratio)
     return {
         **keys,
-        "seed": args.seed,
+        "seed": config.seed,
         "n_a": instance.n_a,
         "n_b": instance.n_b,
-        "restarts": args.restarts,
+        "restarts": config.restarts,
         names[0]: float(report.trace_norm),
         names[1]: float(est.value),
         "converged": bool(est.converged),
@@ -177,8 +183,8 @@ def _case(args, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **
     }
 
 
-def _operator_case(args, generator: str, op, seesaw_seed: int) -> dict:
-    return _case(args, hiding_ratio, op, seesaw_seed, ("trace_norm", "eps_estimate"), generator=generator)
+def _operator_case(config: SeeSawConfig, generator: str, op, seesaw_seed: int) -> dict:
+    return _case(config, hiding_ratio, op, seesaw_seed, ("trace_norm", "eps_estimate"), generator=generator)
 
 
 def _check_dims(n_a: int, n_b: int) -> None:
@@ -187,29 +193,30 @@ def _check_dims(n_a: int, n_b: int) -> None:
         raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
 
 
-def _drawn_case(args, generator: str, d_a: int, d_b: int, k: int) -> dict:
-    """Instance k of a registered generator on d_a x d_b, evaluated."""
+def _draw(seed: int, generator: str, d_a: int, d_b: int, k: int) -> tuple:
+    """Instance k of a registered generator on d_a x d_b, and its see-saw seed."""
     _check_dims(d_a, d_b)
-    rng = stream(args.seed, GENERATOR_CODE[generator], d_a, d_b, k)
-    op = make_operator(generator, d_a, d_b, rng)
-    return _operator_case(args, generator, op, run_seed(rng))
+    rng = stream(seed, GENERATOR_CODE[generator], d_a, d_b, k)
+    return make_operator(generator, d_a, d_b, rng), run_seed(rng)
 
 
-def _game_case(args, game, seesaw_seed: int, sample: int) -> dict:
+def _game_case(config: SeeSawConfig, game, seesaw_seed: int, sample: int) -> dict:
     names = ("beta_all", "beta_product")
-    return _case(args, evaluate_game, game, seesaw_seed, names, sample=sample, num_states=game.num_states)
+    return _case(config, evaluate_game, game, seesaw_seed, names, sample=sample, num_states=game.num_states)
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     if args.input is not None:
-        row = _operator_case(args, "file", parse_operator_file(args.input), run_seed(stream(args.seed, INPUT_LABEL)))
+        generator, drawn = "file", (parse_operator_file(args.input), run_seed(stream(args.seed, INPUT_LABEL)))
     elif args.werner is not None:
-        row = _drawn_case(args, "werner", args.werner, args.werner, 0)
+        generator, drawn = "werner", _draw(args.seed, "werner", args.werner, args.werner, 0)
     elif args.gue is not None:
-        row = _drawn_case(args, "gue", *args.gue, 0)
+        generator, drawn = "gue", _draw(args.seed, "gue", *args.gue, 0)
     else:
-        row = _drawn_case(args, "induced", *args.induced, 0)
-    extras = {"command": "ratio", "max_iters": args.max_iters, "rel_tol": args.tol}
+        generator, drawn = "induced", _draw(args.seed, "induced", *args.induced, 0)
+    config = _config(args)
+    row = _operator_case(config, generator, *drawn)
+    extras = {"command": "ratio", "max_iters": config.max_iters, "rel_tol": config.rel_tol}
     _emit_case(args, row, SCALING_COLUMNS, ("eps_estimate", "converged"), "epsilon", **extras)
     return EXIT_OK
 
@@ -219,10 +226,11 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ValueError(f"dimension sweep needs 2 <= dmin <= dmax, got {args.dmin}..{args.dmax}")
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
+    config = _config(args)
     # The werner pair is deterministic: one row per dimension.
     per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
     rows = [
-        _drawn_case(args, args.generator, d, d, k)
+        _operator_case(config, args.generator, *_draw(args.seed, args.generator, d, d, k))
         for d in range(args.dmin, args.dmax + 1)
         for k in range(per_dim)
     ]
@@ -232,7 +240,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def cmd_xor(args: argparse.Namespace) -> int:
     if args.input is not None:
-        row = _game_case(args, parse_game_file(args.input), args.seed, 0)
+        game = parse_game_file(args.input)
+        row = _game_case(_config(args), game, args.seed, 0)
         extras = {"command": "xor", "input": str(args.input)}
         _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
@@ -240,11 +249,13 @@ def cmd_xor(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise ValueError(f"samples must be >= 0, got {args.samples}")
     _check_dims(args.na, args.nb)
-    rows = []
+    # games first, so that a bad --states is reported before a bad search flag
+    drawn = []
     for k in range(args.samples):
         rng = stream(args.seed, XOR_LABEL, args.na, args.nb, k)
-        game = random_game(args.na, args.nb, num_states=args.states, seed=rng)
-        rows.append(_game_case(args, game, run_seed(rng), k))
+        drawn.append((random_game(args.na, args.nb, num_states=args.states, seed=rng), run_seed(rng)))
+    config = _config(args)
+    rows = [_game_case(config, game, seesaw_seed, k) for k, (game, seesaw_seed) in enumerate(drawn)]
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 
@@ -254,6 +265,8 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
         raise ValueError(f"fragment counts must be >= 1, got r={args.r}, q={args.q}")
     if len(args.da) > 0 and args.da[0] < 2:
         raise ValueError(f"observed-system dimension must be >= 2, got {args.da[0]}")
+    if len(args.dr) > 0 and args.dr[0] < 1:
+        raise ValueError(f"fragment dimension must be >= 1, got {args.dr[0]}")
     rows = [
         {**row, "diamond_bound": diamond_bound_rhs(row["d_a"], row["d_r"], args.r, args.q)}
         for row in coefficient_sweep(args.da, args.dr)
@@ -265,9 +278,7 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    summary = run_verification(
-        seed=args.seed, samples=args.samples, restarts=args.restarts, max_iters=args.max_iters, rel_tol=args.tol
-    )
+    summary = run_verification(_config(args), samples=args.samples)
     _emit_json(summary, args.out)
     for name, suite in summary["suites"].items():
         status = "PASS" if suite["passed"] else "FAIL"

@@ -26,16 +26,17 @@ relaid once per kernel call as (b, a, a', b') for the A side and
 order as on the strided (a, b, a', b') view, so they give the same bits;
 other layouts and BLAS (matmul) forms are faster but round differently.
 
-For a Hermitian witness pair (f, g), the two outcomes (1 +- f x g)/2 form
-a local binary measurement with classical postprocessing, so
-Hermitian-field values are achievable local distinguishability; the trace
-norm can exceed them by at most the factor 2 sqrt(2) min(n_a, n_b).
+Witnesses are Hermitian contractions unless hermitian=False. For a
+Hermitian pair (f, g), the two outcomes (1 +- f x g)/2 form a local
+binary measurement with classical postprocessing, so Hermitian values
+are achievable local distinguishability; the trace norm can exceed them
+by at most the factor 2 sqrt(2) min(n_a, n_b).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
 
@@ -50,9 +51,6 @@ from .linalg import (
 )
 from .states import gue_hermitian, stream
 
-FIELD_HERMITIAN = "hermitian"
-FIELD_COMPLEX = "complex"
-
 # Slack accepted on contraction operator norms and on the ratio-vs-bound
 # comparison; both absorb eigensolver rounding, nothing more.
 OPNORM_SLACK = 1e-12
@@ -63,13 +61,12 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class SeeSawConfig:
-    """Budget and determinism knobs for the see-saw estimator."""
+    """Search budget and root seed of the see-saw estimator."""
 
     restarts: int = 32
     max_iters: int = 500
     rel_tol: float = 1e-10
     seed: int = 0
-    field: str = FIELD_HERMITIAN
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -78,8 +75,6 @@ class SeeSawConfig:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.field not in (FIELD_HERMITIAN, FIELD_COMPLEX):
-            raise ValueError(f'field must be "{FIELD_HERMITIAN}" or "{FIELD_COMPLEX}", got {self.field!r}')
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +147,7 @@ def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("acij,rca->rij", za, f)
 
 
-def _check_starts(starts: np.ndarray, dim: int, field: str) -> np.ndarray:
+def _check_starts(starts: np.ndarray, dim: int, hermitian: bool) -> np.ndarray:
     """Validate a stack (R, dim, dim) of initial contractions."""
     if not np.isfinite(starts).all():
         raise ValueError("initial contraction entries must be finite")
@@ -162,7 +157,7 @@ def _check_starts(starts: np.ndarray, dim: int, field: str) -> np.ndarray:
     if (opnorms > 1.0 + OPNORM_SLACK).any():
         opnorm = float(opnorms[np.argmax(opnorms > 1.0 + OPNORM_SLACK)])
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
-    if field == FIELD_HERMITIAN and np.abs(starts - starts.conj().swapaxes(1, 2)).max() > 1e-12:
+    if hermitian and np.abs(starts - starts.conj().swapaxes(1, 2)).max() > 1e-12:
         raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
     return starts
 
@@ -206,12 +201,11 @@ class _Runs(NamedTuple):
         )
 
 
-def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, start_side: str) -> _Runs:
+def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, start_side: str, hermitian: bool) -> _Runs:
     """The see-saw kernel: alternate exact half-steps from every start of
     the stack (R, n, n) at once, dropping each start from the batch as soon
     as it meets its own stopping test."""
     zb, za = _relays(z)
-    hermitian = config.field == FIELD_HERMITIAN
     if start_side == "B":
         to_other, to_start, n_other = partial(_operand_a, zb), partial(_operand_b, za), z.n_a
     else:
@@ -256,6 +250,7 @@ def seesaw_run(
     config: SeeSawConfig,
     *,
     start_side: str = "B",
+    hermitian: bool = True,
 ) -> NormEstimate:
     """Alternate exact half-steps of tr((f x g) z) from one initial
     contraction.
@@ -264,7 +259,8 @@ def seesaw_run(
     opposite side, so a start with zero overlap against z can leave the run
     at the fixed point 0. Each half-step is the exact optimum of its side,
     hence value_history is nondecreasing up to eigensolver noise and the
-    run is deterministic given (z, g0, config).
+    run is deterministic given (z, g0, config). hermitian=False optimizes
+    over all complex contractions instead of the Hermitian ones.
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
@@ -275,10 +271,10 @@ def seesaw_run(
     if start_side not in ("A", "B"):
         raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
     dim = z.n_b if start_side == "B" else z.n_a
-    start = _check_starts(as_square_matrix(g0)[None], dim, config.field)
+    start = _check_starts(as_square_matrix(g0)[None], dim, hermitian)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _seesaw(z, start, config, start_side).estimate(0)
+    return _seesaw(z, start, config, start_side, hermitian).estimate(0)
 
 
 def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
@@ -299,9 +295,10 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
     yield from enumerate(_start_stack(dim, config))
 
 
-def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
+def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
     """Best see-saw value over the multistart: a lower bound on the
-    product-witness (injective tensor) norm of z.
+    product-witness (injective tensor) norm of z, over Hermitian
+    contractions or, with hermitian=False, over all complex ones.
 
     All initial_contractions run as one stacked batch through the see-saw
     kernel, each start stopping on its own test, and every restart equals
@@ -319,14 +316,14 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig) -> NormEstimate:
         return _identity_estimate(n_a, n_b, restart_index=0)
     if n_a == 1 or n_b == 1:
         # One factor is scalar: the single nontrivial side is solved exactly.
-        w, v = optimal_contraction(z.matrix, config.field == FIELD_HERMITIAN)
+        w, v = optimal_contraction(z.matrix, hermitian)
         v = float(v)
         one = np.ones((1, 1), dtype=np.complex128)
         f, g = (one, w) if n_a == 1 else (w, one)
         return NormEstimate(v, 1, True, f, g, (v,), restart_index=0)
 
-    starts = _check_starts(_start_stack(n_b, config), n_b, config.field)
-    runs = _seesaw(z, starts, config, "B")
+    starts = _check_starts(_start_stack(n_b, config), n_b, hermitian)
+    runs = _seesaw(z, starts, config, "B", hermitian)
     # argmax takes the first maximum: ties go to the lowest restart index
     k = int(np.argmax(runs.values))
     return runs.estimate(k, restart_index=k)
@@ -342,7 +339,7 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
     if z.is_zero():
         raise DegenerateOperatorError("hiding ratio is undefined for the zero operator")
     tn = trace_norm(z.matrix)
-    est = epsilon_norm(z, replace(config, field=FIELD_HERMITIAN))
+    est = epsilon_norm(z, config)
     ratio = tn / est.value if est.value > 0 else math.inf
     bound = bound_factor(z.n_a, z.n_b)
     return RatioReport(

@@ -4,7 +4,8 @@ Each suite draws reproducible instances from (seed, labeled substream),
 checks an exact or proven property, and reports a machine-readable
 summary: counts, worst residuals, and one failure string per violation.
 The summary contains no volatile data, so identical arguments produce
-byte-identical JSON.
+byte-identical JSON. Every scan and suite draws its instances from the
+root seed config.seed and searches at the budget of the same config.
 
 Each instance family is drawn once: one pass over the property
 instances feeds the monotonicity and ordering suites, one pass over the
@@ -37,8 +38,6 @@ import numpy as np
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, hermitian_sign, swap_subsystems, trace_norm
 from .norms import (
-    FIELD_COMPLEX,
-    FIELD_HERMITIAN,
     SeeSawConfig,
     epsilon_norm,
     hiding_ratio,
@@ -183,7 +182,7 @@ def _escalating_scan(cases, evaluate, row) -> dict:
     return {"rows": rows, "failures": tally.failures, **tally.stats()}
 
 
-def main_bound_scan(dims, samples_per_pair: int, seed: int, config: SeeSawConfig) -> dict:
+def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     """Trace norm against 2 sqrt(2) min-dim times the product-witness
     estimate, over GUE and induced-difference instances.
 
@@ -198,7 +197,7 @@ def main_bound_scan(dims, samples_per_pair: int, seed: int, config: SeeSawConfig
             replace(config, seed=restart_seed),
             {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index},
         )
-        for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _SCAN_LABEL, dims, samples_per_pair)
+        for n_a, n_b, kind, index, z, restart_seed in _instances(config.seed, _SCAN_LABEL, dims, samples_per_pair)
     )
     return _escalating_scan(
         cases,
@@ -207,13 +206,13 @@ def main_bound_scan(dims, samples_per_pair: int, seed: int, config: SeeSawConfig
     )
 
 
-def game_bound_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawConfig) -> dict:
+def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> dict:
     """Unrestricted versus product bias over random four-state games, with
     the same escalation policy as the operator scan."""
 
     def cases():
         for index in range(samples):
-            rng = stream(seed, _GAME_LABEL, n_a, n_b, index)
+            rng = stream(config.seed, _GAME_LABEL, n_a, n_b, index)
             game = random_game(n_a, n_b, num_states=4, seed=rng)
             run_config = replace(config, seed=run_seed(rng))
             yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
@@ -228,7 +227,7 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, seed: int, config: SeeSawC
     )
 
 
-def field_ratio_scan(samples: int, seed: int, config: SeeSawConfig) -> dict:
+def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
     """Complex against Hermitian witness values on 3 x 3 GUE instances at
     the same budget. The complex value provably exceeds the Hermitian one
     by at most sqrt(2), which it must meet up to estimator slack; the row's
@@ -238,11 +237,11 @@ def field_ratio_scan(samples: int, seed: int, config: SeeSawConfig) -> dict:
     cap = math.sqrt(2.0)
     n_a = n_b = 3
     for index in range(samples):
-        rng = stream(seed, _FIELD_LABEL, n_a, n_b, index)
+        rng = stream(config.seed, _FIELD_LABEL, n_a, n_b, index)
         z = gue_operator(n_a, n_b, rng)
         run_config = replace(config, seed=run_seed(rng))
-        c = epsilon_norm(z, replace(run_config, field=FIELD_COMPLEX)).value
-        h = epsilon_norm(z, replace(run_config, field=FIELD_HERMITIAN)).value
+        c = epsilon_norm(z, run_config, hermitian=False).value
+        h = epsilon_norm(z, run_config).value
         ratio = c / h if h > 0 else (1.0 if c == 0 else math.inf)
         rows.append({"index": index, "complex": float(c), "hermitian": float(h), "ratio": float(ratio)})
         message = (
@@ -279,14 +278,14 @@ def _suite_block_identities(seed: int, samples: int) -> dict:
     return tally.suite()
 
 
-def _property_suites(seed: int, samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     """The monotonicity and ordering suites, in one pass over the property
     instances: every single-start history is nondecreasing, and the
     multistart estimate stays below the trace norm with a witness pair
     that reproduces it."""
     monotone = _Tally(max_decrease=0.0)
     ordering = _Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
-    for n_a, n_b, kind, index, z, restart_seed in _instances(seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
+    for n_a, n_b, kind, index, z, restart_seed in _instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
         label = f"({n_a},{n_b}) {kind}[{index}]"
         run_config = replace(config, seed=restart_seed, restarts=2)
         for start_index, g0 in initial_contractions(n_b, run_config):
@@ -330,17 +329,17 @@ def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tup
     return _history_gap(direct, swapped), _history_gap(direct, conjugated)
 
 
-def _covariance_suites(seed: int, samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+def _covariance_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     """The swap and local-unitary covariance suites, in one pass over the
     covariance instances."""
     swap = _Tally(max_history_gap=0.0)
     rotation = _Tally(max_history_gap=0.0)
     for n_a, n_b in DEFAULT_PAIRS:
         for index in range(samples):
-            rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index)
+            rng = stream(config.seed, _COVARIANCE_LABEL, n_a, n_b, index)
             z = gue_operator(n_a, n_b, rng)
             g0 = hermitian_sign(gue_hermitian(n_b, rng))
-            rng = stream(seed, _COVARIANCE_LABEL, n_a, n_b, index, 1)
+            rng = stream(config.seed, _COVARIANCE_LABEL, n_a, n_b, index, 1)
             u = haar_unitary(n_a, rng)
             v = haar_unitary(n_b, rng)
             swap_gap, rotation_gap = covariance_gaps(z, g0, u, v, config)
@@ -357,27 +356,22 @@ def _scan_suite(scan: dict, stat: str) -> dict:
     return _suite(len(scan["rows"]), scan["failures"], {stat: scan[stat]})
 
 
-def run_verification(
-    seed: int = 0,
-    samples: int = 20,
-    restarts: int = 16,
-    max_iters: int = 500,
-    rel_tol: float = 1e-10,
-) -> dict:
-    """Run every suite and return the deterministic summary dict.
+def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
+    """Run every suite from the root seed config.seed and return the
+    deterministic summary dict, which echoes the four config values.
 
-    samples scales each randomized suite; restarts is the multistart
-    budget of the scans (escalation goes to ESCALATE_RESTARTS regardless).
+    samples scales each randomized suite; config.restarts is the
+    multistart budget of the scans (escalation goes to ESCALATE_RESTARTS
+    regardless).
     """
-    config = SeeSawConfig(restarts=restarts, max_iters=max_iters, rel_tol=rel_tol, seed=seed)
     quarter = max(1, samples // 4)
 
-    scan = main_bound_scan(DEFAULT_PAIRS, samples, seed, config)
-    games = game_bound_scan(samples, 2, 2, seed, config)
-    fields = field_ratio_scan(max(1, samples // 2), seed, config)
-    blocks = _suite_block_identities(seed, quarter)
-    monotonicity, ordering = _property_suites(seed, quarter, config)
-    swap, rotation = _covariance_suites(seed, quarter, config)
+    scan = main_bound_scan(DEFAULT_PAIRS, samples, config)
+    games = game_bound_scan(samples, 2, 2, config)
+    fields = field_ratio_scan(max(1, samples // 2), config)
+    blocks = _suite_block_identities(config.seed, quarter)
+    monotonicity, ordering = _property_suites(quarter, config)
+    swap, rotation = _covariance_suites(quarter, config)
 
     suites = {
         "block_identities": blocks,
@@ -391,11 +385,11 @@ def run_verification(
     }
     return {
         "tool": "locnorms-verify",
-        "seed": int(seed),
+        "seed": int(config.seed),
         "samples": int(samples),
-        "restarts": int(restarts),
-        "max_iters": int(max_iters),
-        "rel_tol": float(rel_tol),
+        "restarts": int(config.restarts),
+        "max_iters": int(config.max_iters),
+        "rel_tol": float(config.rel_tol),
         "suites": suites,
         "passed": all(s["passed"] for s in suites.values()),
     }

@@ -114,8 +114,7 @@ def test_criterion_04_main_bound_scan():
         result = main_bound_scan(
             dims,
             samples_per_pair=200,
-            seed=BASE_SEED + 4,
-            config=SeeSawConfig(restarts=50, seed=0),
+            config=SeeSawConfig(restarts=50, seed=BASE_SEED + 4),
         )
         assert len(result["rows"]) == 1800
         assert result["failures"] == []
@@ -205,8 +204,7 @@ def test_criterion_06_game_bound_scan():
             samples=50,
             n_a=3,
             n_b=3,
-            seed=BASE_SEED + 6,
-            config=SeeSawConfig(restarts=50, seed=0),
+            config=SeeSawConfig(restarts=50, seed=BASE_SEED + 6),
         )
         assert len(result["rows"]) == 50
         assert result["failures"] == []
@@ -219,8 +217,7 @@ def test_criterion_07_field_ratio_scan():
     with criterion(7, "complex witness values stay within sqrt(2) of Hermitian ones"):
         result = field_ratio_scan(
             samples=100,
-            seed=BASE_SEED + 7,
-            config=SeeSawConfig(restarts=16, seed=0),
+            config=SeeSawConfig(restarts=16, seed=BASE_SEED + 7),
         )
         assert len(result["rows"]) == 100
         assert result["failures"] == []

@@ -361,6 +361,9 @@ def test_darwinism_validation_errors(capsys):
     for flag in ("--da", "--dr", "--r", "--q"):  # an integer too large for float arithmetic; the last --da wins
         assert main(["darwinism", "--da", "2", "--dr", "2", flag, str(10**400)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: value too large (")
+    # the --dr start is checked like the --da start, also when --da is empty
+    assert main(["darwinism", "--da", "5:3", "--dr", "0:2"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: fragment dimension must be >= 1, got 0\n"
 
 
 # The exact stdout of one small grid in both formats: any change to the
@@ -496,7 +499,7 @@ def test_verify_rejects_non_positive_samples(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
-    def failing(**kwargs):
+    def failing(config, samples):
         return {
             "passed": False,
             "suites": {"stub": {"passed": False, "checks": 1,
@@ -560,6 +563,23 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_VALIDATION
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each command checks its search flags once, after its own checks: a bad
+# flag fails even when no row is built, and an earlier error still wins.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scaling", "--generator", "gue", "--samples", "0", "--restarts", "0"], "restarts must be positive, got 0"),
+        (["xor", "--samples", "0", "--tol", "-1"], "rel_tol must be positive, got -1.0"),
+        (["ratio", "--werner", "1", "--restarts", "0"], "hiding pair needs d >= 2 (no antisymmetric subspace at d=1)"),
+        (["xor", "--states", "0", "--restarts", "0"], "num_states must be >= 1, got 0"),
+    ],
+    ids=["scaling-no-rows", "xor-no-rows", "ratio-instance-first", "xor-states-first"],
+)
+def test_search_flags_are_checked_after_the_command_checks(capsys, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------- dispatch

@@ -3,7 +3,6 @@ pipeline."""
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ import pytest
 from locnorms import (
     BipartiteOperator,
     DegenerateOperatorError,
-    FIELD_COMPLEX,
-    FIELD_HERMITIAN,
     SeeSawConfig,
     bound_factor,
     epsilon_norm,
@@ -52,8 +49,6 @@ def test_config_validation():
         SeeSawConfig(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         SeeSawConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="field"):
-        SeeSawConfig(field="real")
 
 
 # ---------------------------------------------------------------- seesaw_run
@@ -124,12 +119,12 @@ def test_seesaw_deterministic():
 
 def test_seesaw_witnesses_are_contractions_and_reproduce_value():
     rng = stream(105)
-    for field in ("hermitian", "complex"):
-        cfg = SeeSawConfig(restarts=4, seed=106, field=field)
+    cfg = SeeSawConfig(restarts=4, seed=106)
+    for hermitian in (True, False):
         for _ in range(10):
             z = gue_operator(3, 2, rng)
             g0 = hermitian_sign(gue_hermitian(2, rng))
-            est = seesaw_run(z, g0, cfg)
+            est = seesaw_run(z, g0, cfg, hermitian=hermitian)
             for w in (est.best_f, est.best_g):
                 assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-12
             assert witness_value(z, est) == pytest.approx(est.value, abs=1e-9)
@@ -159,16 +154,16 @@ def test_epsilon_norm_bounded_by_trace_norm():
 
 
 def test_epsilon_norm_scalar_factor_shortcut():
-    for field in ("hermitian", "complex"):
-        cfg = SeeSawConfig(restarts=4, seed=110, field=field)
+    cfg = SeeSawConfig(restarts=4, seed=110)
+    for hermitian in (True, False):
         m = gue_hermitian(4, 111)
         z = BipartiteOperator(1, 4, m)
-        est = epsilon_norm(z, cfg)
+        est = epsilon_norm(z, cfg, hermitian=hermitian)
         assert est.value == pytest.approx(trace_norm(m), abs=1e-12)
         assert est.iterations_used == 1
         assert witness_value(z, est) == pytest.approx(est.value, abs=1e-10)
         zt = BipartiteOperator(4, 1, m)
-        assert epsilon_norm(zt, cfg).value == pytest.approx(trace_norm(m), abs=1e-12)
+        assert epsilon_norm(zt, cfg, hermitian=hermitian).value == pytest.approx(trace_norm(m), abs=1e-12)
 
 
 def test_epsilon_norm_zero_operator():
@@ -250,12 +245,12 @@ def test_relaid_operands_equal_strided_einsum(count):
 EQUIV_SIZES = (2, 3, 4, 6)
 
 
-def per_restart_reference(z, config):
+def per_restart_reference(z, config, hermitian):
     """epsilon_norm as a loop of seesaw_run calls with strict-improvement
     selection, so ties go to the lowest restart index."""
     best, winner, values = None, None, []
     for index, g0 in initial_contractions(z.n_b, config):
-        est = seesaw_run(z, g0, config)
+        est = seesaw_run(z, g0, config, hermitian=hermitian)
         values.append(est.value)
         if best is None or est.value > best.value:
             best, winner = est, index
@@ -272,12 +267,12 @@ def assert_bit_identical(est, ref, winner):
     assert np.array_equal(est.best_g, ref.best_g)
 
 
-def loop_seesaw(z, g0, config, start_side="B"):
+def loop_seesaw(z, g0, config, hermitian, start_side="B"):
     """One see-saw run as a plain loop of unbatched half-steps: the
     reference for the arithmetic of the batched kernel."""
 
     def half_step(m):
-        if config.field == "hermitian":
+        if hermitian:
             vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
             w = (vecs * np.where(vals >= 0.0, 1.0, -1.0)) @ vecs.conj().T
             return (w + w.conj().T) / 2, float(np.abs(vals).sum())
@@ -304,17 +299,20 @@ def loop_seesaw(z, g0, config, start_side="B"):
     return history, iters, converged, f, g
 
 
-@pytest.mark.parametrize("field", ["hermitian", "complex"])
+FIELDS = pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "complex"])
+
+
+@FIELDS
 @pytest.mark.parametrize("start_side", ["A", "B"])
 @pytest.mark.parametrize("max_iters", [3, 500])
-def test_seesaw_run_equals_unbatched_loop(field, start_side, max_iters):
-    config = SeeSawConfig(restarts=3, seed=147, field=field, max_iters=max_iters)
+def test_seesaw_run_equals_unbatched_loop(hermitian, start_side, max_iters):
+    config = SeeSawConfig(restarts=3, seed=147, max_iters=max_iters)
     for n_a, n_b in [(2, 2), (2, 3), (4, 3), (6, 5)]:
         z = equivalence_operator(n_a, n_b, n_a + n_b)
         dim = n_b if start_side == "B" else n_a
         for _, g0 in initial_contractions(dim, config):
-            est = seesaw_run(z, g0, config, start_side=start_side)
-            history, iters, converged, f, g = loop_seesaw(z, g0, config, start_side)
+            est = seesaw_run(z, g0, config, start_side=start_side, hermitian=hermitian)
+            history, iters, converged, f, g = loop_seesaw(z, g0, config, hermitian, start_side)
             assert est.value_history == tuple(history) and est.value == history[-1]
             assert (est.iterations_used, est.converged) == (iters, converged)
             assert np.array_equal(est.best_f, f) and np.array_equal(est.best_g, g)
@@ -326,42 +324,44 @@ def equivalence_operator(n_a, n_b, k):
     return gue_operator(n_a, n_b, rng) if k % 2 == 0 else induced_difference(n_a, n_b, rng)
 
 
-@pytest.mark.parametrize("field", ["hermitian", "complex"])
+@FIELDS
 @pytest.mark.parametrize("n_a", EQUIV_SIZES)
 @pytest.mark.parametrize("n_b", EQUIV_SIZES)
-def test_epsilon_norm_equals_per_restart_loop(field, n_a, n_b):
+def test_epsilon_norm_equals_per_restart_loop(hermitian, n_a, n_b):
     for k in range(2):
         z = equivalence_operator(n_a, n_b, k)
         for config in (
-            SeeSawConfig(restarts=50, seed=141 + k, field=field),
+            SeeSawConfig(restarts=50, seed=141 + k),
             # capped and converged restarts share one batch
-            SeeSawConfig(restarts=50, seed=143 + k, field=field, max_iters=3),
+            SeeSawConfig(restarts=50, seed=143 + k, max_iters=3),
         ):
-            ref, winner, _ = per_restart_reference(z, config)
-            assert_bit_identical(epsilon_norm(z, config), ref, winner)
+            ref, winner, _ = per_restart_reference(z, config, hermitian)
+            assert_bit_identical(epsilon_norm(z, config, hermitian=hermitian), ref, winner)
 
 
-@pytest.mark.parametrize("field,n_a,n_b", [("hermitian", 2, 3), ("complex", 3, 2)])
-def test_epsilon_norm_equals_per_restart_loop_at_escalation_budget(field, n_a, n_b):
+@pytest.mark.parametrize(
+    "hermitian,n_a,n_b", [(True, 2, 3), (False, 3, 2)], ids=["hermitian-2-3", "complex-3-2"]
+)
+def test_epsilon_norm_equals_per_restart_loop_at_escalation_budget(hermitian, n_a, n_b):
     z = equivalence_operator(n_a, n_b, 0)
-    config = SeeSawConfig(restarts=500, seed=145, field=field)
-    ref, winner, values = per_restart_reference(z, config)
-    assert_bit_identical(epsilon_norm(z, config), ref, winner)
+    config = SeeSawConfig(restarts=500, seed=145)
+    ref, winner, values = per_restart_reference(z, config, hermitian)
+    assert_bit_identical(epsilon_norm(z, config, hermitian=hermitian), ref, winner)
     assert len(values) == 501
 
 
-@pytest.mark.parametrize("field", ["hermitian", "complex"])
-def test_epsilon_norm_stalled_start_and_ties_pick_lowest_index(field):
+@FIELDS
+def test_epsilon_norm_stalled_start_and_ties_pick_lowest_index(hermitian):
     # The identity start has zero overlap with diag(1,-1) x diag(1,-1) and
     # stays at 0; most sign starts tie exactly at the optimum 4.
     sz = np.diag([1.0, -1.0])
     z = BipartiteOperator(2, 2, np.kron(sz, sz))
-    config = SeeSawConfig(restarts=20, seed=146, field=field)
-    ref, winner, values = per_restart_reference(z, config)
+    config = SeeSawConfig(restarts=20, seed=146)
+    ref, winner, values = per_restart_reference(z, config, hermitian)
     assert values[0] == 0.0
     assert values.count(max(values)) > 1
     assert winner == values.index(max(values)) > 0
-    assert_bit_identical(epsilon_norm(z, config), ref, winner)
+    assert_bit_identical(epsilon_norm(z, config, hermitian=hermitian), ref, winner)
 
 
 # ---------------------------------------------------------------- properties
@@ -494,7 +494,7 @@ def test_hiding_ratio_werner_d2():
 
 def field_values(z, config):
     """(complex, Hermitian) estimates of z at the same budget."""
-    return tuple(epsilon_norm(z, replace(config, field=f)).value for f in (FIELD_COMPLEX, FIELD_HERMITIAN))
+    return tuple(epsilon_norm(z, config, hermitian=h).value for h in (False, True))
 
 
 def test_complex_vs_hermitian_product_and_density_agree():

@@ -8,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from locnorms import FIELD_COMPLEX, SeeSawConfig, norms, verify
+from locnorms import SeeSawConfig, norms, verify
 from locnorms.cli import EXIT_SUITE_FAILURE, main
 
-CONFIG = SeeSawConfig(restarts=4, seed=160)
+CONFIG = SeeSawConfig(restarts=4)
 
 
 def violating(monkeypatch, name, fail_budgets):
@@ -38,12 +38,12 @@ SCANS = {
     "main_bound_scan": (
         "hiding_ratio",
         ("(2,2) gue[0]", "(2,2) induced[1]"),
-        lambda: verify.main_bound_scan([(2, 2)], 2, 161, CONFIG),
+        lambda: verify.main_bound_scan([(2, 2)], 2, replace(CONFIG, seed=161)),
     ),
     "game_bound_scan": (
         "evaluate_game",
         ("game[0] at (2,2)", "game[1] at (2,2)"),
-        lambda: verify.game_bound_scan(2, 2, 2, 162, CONFIG),
+        lambda: verify.game_bound_scan(2, 2, 2, replace(CONFIG, seed=162)),
     ),
 }
 
@@ -79,6 +79,33 @@ def test_satisfied_rows_do_not_escalate(monkeypatch, scan):
     assert result["failures"] == []
 
 
+# scan -> a run of it on instances drawn from the root seed of config
+SEEDED_SCANS = {
+    "main_bound_scan": lambda config: verify.main_bound_scan([(2, 2)], 2, config),
+    "game_bound_scan": lambda config: verify.game_bound_scan(2, 2, 2, config),
+    "field_ratio_scan": lambda config: verify.field_ratio_scan(2, config),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(SEEDED_SCANS))
+def test_scans_draw_from_the_config_seed(scan):
+    run = SEEDED_SCANS[scan]
+    first = run(replace(CONFIG, seed=163))
+    assert run(replace(CONFIG, seed=163)) == first
+    other = run(replace(CONFIG, seed=164))
+    assert len(other["rows"]) == len(first["rows"])
+    assert other["rows"] != first["rows"]
+
+
+def test_run_verification_echoes_and_seeds_from_its_config():
+    config = SeeSawConfig(restarts=3, max_iters=40, rel_tol=1e-6, seed=165)
+    summary = verify.run_verification(config, samples=1)
+    echoed = {key: summary[key] for key in ("seed", "samples", "restarts", "max_iters", "rel_tol")}
+    assert echoed == {"seed": 165, "samples": 1, "restarts": 3, "max_iters": 40, "rel_tol": 1e-6}
+    assert verify.run_verification(config, samples=1) == summary
+    assert verify.run_verification(replace(config, seed=166), samples=1)["suites"] != summary["suites"]
+
+
 # ------------------------------------------------------- failure branches
 #
 # Each test forces one invariant to break by patching a name the suites
@@ -90,7 +117,7 @@ RESTARTS = 2
 
 
 def verification():
-    return verify.run_verification(seed=SEED, samples=1, restarts=RESTARTS)
+    return verify.run_verification(SeeSawConfig(restarts=RESTARTS, seed=SEED), samples=1)
 
 
 def failed_suite(summary, name):
@@ -211,9 +238,9 @@ def test_block_residual_fails_block_identities(monkeypatch):
 def test_field_quotient_above_cap_fails_field_scan(monkeypatch):
     real = verify.epsilon_norm
 
-    def inflated(z, config):
-        est = real(z, config)
-        return replace(est, value=2.0 * est.value) if config.field == FIELD_COMPLEX else est
+    def inflated(z, config, *, hermitian=True):
+        est = real(z, config, hermitian=hermitian)
+        return est if hermitian else replace(est, value=2.0 * est.value)
 
     # patched on both modules, so the test holds whichever one the scan
     # calls the estimator through
@@ -222,7 +249,7 @@ def test_field_quotient_above_cap_fails_field_scan(monkeypatch):
     summary = verification()
     suite = failed_suite(summary, "field_ratio_scan")
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
-    rows = verify.field_ratio_scan(1, SEED, config)["rows"]
+    rows = verify.field_ratio_scan(1, config)["rows"]
     assert suite["failures"] == [
         f"field[0] at (3,3): complex {row['complex']!r} exceeds sqrt(2) * {row['hermitian']!r} + 0.02"
         for row in rows
