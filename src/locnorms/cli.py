@@ -3,10 +3,13 @@
 Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
 ratio, scaling and xor evaluate each operator or game into one row dict
-(`_case`); a CSV or JSON row is its projection onto the subcommand's
-columns, and a single-case JSON report is the row with its estimate
-payload. Outputs use shortest round-trip float formatting and fixed
-row/key order, so identical invocations produce byte-identical files.
+(`_case`): the command's own keys and the record `verify.case_row` that
+the verify scans' rows carry too. A CSV or JSON row is its projection onto
+the subcommand's columns, and a single-case JSON report is the row with
+its estimate payload. These commands report the cap check at the working
+budget; only the verify scans escalate. Outputs use shortest round-trip
+float formatting and fixed row/key order, so identical invocations produce
+byte-identical files.
 Exit codes: 0 success, 2 validation error, 3 degenerate input,
 4 verification-suite failure.
 """
@@ -27,7 +30,8 @@ from .linalg import DegenerateOperatorError
 from .norms import SeeSawConfig, hiding_ratio
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
-from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, make_operator, run_seed, run_verification
+from .verify import GAME_NAMES, GENERATOR_CODE, INPUT_LABEL, OPERATOR_NAMES, XOR_LABEL
+from .verify import case_row, make_operator, run_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -155,36 +159,21 @@ def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
 
 
 def _case(config: SeeSawConfig, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **keys) -> dict:
-    """One operator or game evaluated into its row; names key the trace
-    norm and the estimate's value, "estimate" holds its full payload."""
+    """One operator or game evaluated into its row: the command's keys and
+    the case_row of its report."""
     report = evaluate(instance, replace(config, seed=seesaw_seed))
-    est = report.eps_estimate
-    ratio = None if report.ratio is None else float(report.ratio)
     return {
         **keys,
         "seed": config.seed,
         "n_a": instance.n_a,
         "n_b": instance.n_b,
         "restarts": config.restarts,
-        names[0]: float(report.trace_norm),
-        names[1]: float(est.value),
-        "converged": bool(est.converged),
-        "ratio": ratio,
-        "bound": float(report.bound),
-        "satisfied": bool(report.satisfied),
-        "margin": None if ratio is None else float(report.bound - report.ratio),
-        "estimate": {
-            "value": float(est.value),
-            "is_lower_bound": True,  # every reported estimate is a lower bound
-            "iterations_used": int(est.iterations_used),
-            "converged": bool(est.converged),
-            "restart_index": est.restart_index,
-        },
+        **case_row(report, names),
     }
 
 
 def _operator_case(config: SeeSawConfig, generator: str, op, seesaw_seed: int) -> dict:
-    return _case(config, hiding_ratio, op, seesaw_seed, ("trace_norm", "eps_estimate"), generator=generator)
+    return _case(config, hiding_ratio, op, seesaw_seed, OPERATOR_NAMES, generator=generator)
 
 
 def _check_dims(n_a: int, n_b: int) -> None:
@@ -201,8 +190,7 @@ def _draw(seed: int, generator: str, d_a: int, d_b: int, k: int) -> tuple:
 
 
 def _game_case(config: SeeSawConfig, game, seesaw_seed: int, sample: int) -> dict:
-    names = ("beta_all", "beta_product")
-    return _case(config, evaluate_game, game, seesaw_seed, names, sample=sample, num_states=game.num_states)
+    return _case(config, evaluate_game, game, seesaw_seed, GAME_NAMES, sample=sample, num_states=game.num_states)
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:

@@ -14,11 +14,10 @@ of the game operator, and a vanishing operator gets ratio None.
 
 from __future__ import annotations
 
-from .norms import RatioReport, SeeSawConfig, bound_factor, hiding_ratio, _identity_estimate
+from .norms import RatioReport, SeeSawConfig, bound_factor, epsilon_norm, hiding_ratio
 
-# Unused here; kept because the benchmark's tracer patches them on this module by name.
+# Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .linalg import trace_norm  # noqa: F401
-from .norms import epsilon_norm  # noqa: F401
 from .states import QuantumXorGame, game_operator, random_density_matrix, rng_from
 
 
@@ -31,7 +30,7 @@ def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     biases are 0, every strategy is optimal and ratio is None."""
     gop = game_operator(game)
     if gop.is_zero():
-        zero = _identity_estimate(game.n_a, game.n_b, restart_index=0)
+        zero = epsilon_norm(gop, config)
         bound = bound_factor(game.n_a, game.n_b)
         return RatioReport(trace_norm=0.0, eps_estimate=zero, ratio=None, bound=bound, satisfied=True)
     return hiding_ratio(gop, config)

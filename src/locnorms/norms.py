@@ -148,9 +148,7 @@ def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _check_starts(starts: np.ndarray, dim: int, hermitian: bool) -> np.ndarray:
-    """Validate a stack (R, dim, dim) of initial contractions."""
-    if not np.isfinite(starts).all():
-        raise ValueError("initial contraction entries must be finite")
+    """Validate a stack (R, dim, dim) of finite initial contractions."""
     if starts.shape[1:] != (dim, dim):
         raise ValueError(f"initial contraction has shape {starts.shape[1:]}, expected ({dim}, {dim})")
     opnorms = np.linalg.svd(starts, compute_uv=False)[:, 0]

@@ -17,7 +17,9 @@ The operator scan and the game scan, which the test suite also calls,
 share one scan-and-escalate loop, `_escalating_scan`: a bound violation at
 the working restart budget is retried at a larger budget before it counts,
 since a see-saw shortfall on a hard instance is an estimator artifact, not
-a counterexample.
+a counterexample. Every case checked against the cap, a scan row or a row
+of the CLI, carries the fields of one record, `case_row`, keyed by
+OPERATOR_NAMES or GAME_NAMES.
 
 The one registry of instance generators, for the scans and the CLI alike,
 is `make_operator` with its stream codes `GENERATOR_CODE` and `run_seed`.
@@ -147,14 +149,43 @@ def _suite(checks: int, failures: list, stats: dict) -> dict:
     }
 
 
-def _escalating_scan(cases, evaluate, row) -> dict:
+# Row keys of a case's trace norm and estimate value, for operators and for games.
+OPERATOR_NAMES = ("trace_norm", "eps_estimate")
+GAME_NAMES = ("beta_all", "beta_product")
+
+
+def case_row(report, names: tuple[str, str]) -> dict:
+    """The reported fields of one RatioReport: names key the trace norm
+    and the estimate's value, "estimate" holds its full payload, and ratio
+    and margin are None for a zero game."""
+    est = report.eps_estimate
+    ratio = None if report.ratio is None else float(report.ratio)
+    return {
+        names[0]: float(report.trace_norm),
+        names[1]: float(est.value),
+        "converged": bool(est.converged),
+        "ratio": ratio,
+        "bound": float(report.bound),
+        "satisfied": bool(report.satisfied),
+        "margin": None if ratio is None else float(report.bound - report.ratio),
+        "estimate": {
+            "value": float(est.value),
+            "is_lower_bound": True,  # every reported estimate is a lower bound
+            "iterations_used": int(est.iterations_used),
+            "converged": bool(est.converged),
+            "restart_index": est.restart_index,
+        },
+    }
+
+
+def _escalating_scan(cases, evaluate, names: tuple[str, str]) -> dict:
     """Evaluate each (label, instance, config, fields) case and retry a
     cap violation at ESCALATE_RESTARTS.
 
-    evaluate(instance, config) returns a report with ratio (None when the
-    instance is zero), bound and satisfied; row(report) gives the row's
-    value fields. Only violations that persist after escalation count as
-    failures.
+    evaluate(instance, config) returns a RatioReport; each row is the
+    case's fields, the case_row of its final report (the escalated one
+    when escalation fired) and escalated. Only violations that persist
+    after escalation count as failures.
     """
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
@@ -163,16 +194,7 @@ def _escalating_scan(cases, evaluate, row) -> dict:
         escalated = report.ratio is not None and not report.satisfied
         if escalated:
             report = evaluate(instance, replace(config, restarts=ESCALATE_RESTARTS))
-        rows.append(
-            {
-                **fields,
-                **row(report),
-                "ratio": None if report.ratio is None else float(report.ratio),
-                "bound": float(report.bound),
-                "escalated": escalated,
-                "satisfied": bool(report.satisfied),
-            }
-        )
+        rows.append({**fields, **case_row(report, names), "escalated": escalated})
         message = (
             f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
             f"after escalation to {ESCALATE_RESTARTS} restarts"
@@ -199,11 +221,7 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
         )
         for n_a, n_b, kind, index, z, restart_seed in _instances(config.seed, _SCAN_LABEL, dims, samples_per_pair)
     )
-    return _escalating_scan(
-        cases,
-        hiding_ratio,
-        lambda report: {"trace_norm": float(report.trace_norm), "eps": float(report.eps_estimate.value)},
-    )
+    return _escalating_scan(cases, hiding_ratio, OPERATOR_NAMES)
 
 
 def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> dict:
@@ -217,14 +235,7 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> d
             run_config = replace(config, seed=run_seed(rng))
             yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
 
-    return _escalating_scan(
-        cases(),
-        evaluate_game,
-        lambda report: {
-            "beta_all": float(report.trace_norm),
-            "beta_product": float(report.eps_estimate.value),
-        },
-    )
+    return _escalating_scan(cases(), evaluate_game, GAME_NAMES)
 
 
 def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
@@ -360,10 +371,12 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     """Run every suite from the root seed config.seed and return the
     deterministic summary dict, which echoes the four config values.
 
-    samples scales each randomized suite; config.restarts is the
+    samples >= 1 scales each randomized suite; config.restarts is the
     multistart budget of the scans (escalation goes to ESCALATE_RESTARTS
     regardless).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     quarter = max(1, samples // 4)
 
     scan = main_bound_scan(DEFAULT_PAIRS, samples, config)

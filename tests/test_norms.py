@@ -138,6 +138,8 @@ def test_seesaw_input_validation():
         seesaw_run(z, 2.0 * np.eye(2), CFG)
     with pytest.raises(ValueError, match="Hermitian initial"):
         seesaw_run(z, np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
+    with pytest.raises(ValueError, match="must be finite"):
+        seesaw_run(z, np.array([[np.nan, 0.0], [0.0, 1.0]]), CFG)
     with pytest.raises(ValueError, match="start_side"):
         seesaw_run(z, np.eye(2), CFG, start_side="C")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from locnorms import SeeSawConfig, norms, verify
-from locnorms.cli import EXIT_SUITE_FAILURE, main
+from locnorms.cli import EXIT_SUITE_FAILURE, SCALING_COLUMNS, XOR_COLUMNS, main
 
 CONFIG = SeeSawConfig(restarts=4)
 
@@ -17,19 +17,33 @@ CONFIG = SeeSawConfig(restarts=4)
 def violating(monkeypatch, name, fail_budgets):
     """Wrap verify.<name> so that its report violates the cap whenever the
     call runs at a budget in fail_budgets; return the list of budgets the
-    scan called it with."""
+    scan called it with and the list of reports it returned."""
     real = getattr(verify, name)
     budgets = []
+    reports = []
 
     def forced(obj, config):
         budgets.append(config.restarts)
         report = real(obj, config)
         if config.restarts in fail_budgets:
             report = replace(report, ratio=2.0 * report.bound, satisfied=False)
+        reports.append(report)
         return report
 
     monkeypatch.setattr(verify, name, forced)
-    return budgets
+    return budgets, reports
+
+
+def payload(report):
+    """The estimate payload a row carries for report."""
+    est = report.eps_estimate
+    return {
+        "value": est.value,
+        "is_lower_bound": True,
+        "iterations_used": est.iterations_used,
+        "converged": est.converged,
+        "restart_index": est.restart_index,
+    }
 
 
 # scan -> (the evaluator it calls per instance, the labels of its two
@@ -52,10 +66,12 @@ SCANS = {
 @pytest.mark.parametrize("persists", [False, True])
 def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
     evaluator, labels, run = SCANS[scan]
-    budgets = violating(monkeypatch, evaluator, {4, 500} if persists else {4})
+    budgets, reports = violating(monkeypatch, evaluator, {4, 500} if persists else {4})
     result = run()
     assert budgets == [4, 500, 4, 500]
     assert [row["escalated"] for row in result["rows"]] == [True, True]
+    # each row reports the escalated run, not the working one
+    assert [row["estimate"] for row in result["rows"]] == [payload(r) for r in reports[1::2]]
     assert [row["satisfied"] for row in result["rows"]] == [not persists] * 2
     if persists:
         assert result["failures"] == [
@@ -69,14 +85,24 @@ def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
         assert result["worst_ratio_over_bound"] < 1.0
 
 
+# scan -> the columns of the CLI command that reports the same cases, and
+# those of its keys that only the command sets
+CLI_COLUMNS = {
+    "main_bound_scan": (SCALING_COLUMNS, {"seed", "generator", "restarts"}),
+    "game_bound_scan": (XOR_COLUMNS, {"sample", "n_a", "n_b", "num_states"}),
+}
+
+
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_satisfied_rows_do_not_escalate(monkeypatch, scan):
     evaluator, _, run = SCANS[scan]
-    budgets = violating(monkeypatch, evaluator, set())
+    budgets, _ = violating(monkeypatch, evaluator, set())
     result = run()
     assert budgets == [4, 4]
     assert [row["escalated"] for row in result["rows"]] == [False, False]
     assert result["failures"] == []
+    columns, cli_only = CLI_COLUMNS[scan]
+    assert all(set(columns) - cli_only <= row.keys() for row in result["rows"])
 
 
 # scan -> a run of it on instances drawn from the root seed of config
@@ -104,6 +130,12 @@ def test_run_verification_echoes_and_seeds_from_its_config():
     assert echoed == {"seed": 165, "samples": 1, "restarts": 3, "max_iters": 40, "rel_tol": 1e-6}
     assert verify.run_verification(config, samples=1) == summary
     assert verify.run_verification(replace(config, seed=166), samples=1)["suites"] != summary["suites"]
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_run_verification_needs_a_sample(samples):
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        verify.run_verification(CONFIG, samples=samples)
 
 
 # ------------------------------------------------------- failure branches
