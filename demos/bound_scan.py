@@ -28,7 +28,7 @@ def main():
         worst = max(r["ratio"] / r["bound"] for r in sub)
         kinds = {r["kind"] for r in sub}
         print(f"  ({n_a},{n_b}): worst ratio/bound = {worst:.4f} over {sorted(kinds)}")
-    print(f"overall worst ratio/bound: {result['worst_ratio_over_bound']:.4f}")
+    print(f"overall worst ratio/bound: {result['stats']['worst_ratio_over_bound']:.4f}")
     print(f"violations after escalation: {len(result['failures'])}")
     if result["failures"]:
         for line in result["failures"]:

@@ -29,7 +29,6 @@ from .norms import (
     epsilon_norm,
     error_probability,
     hiding_ratio,
-    initial_contractions,
     seesaw_run,
     witness_value,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "hermitian_sign",
     "hiding_ratio",
     "induced_difference",
-    "initial_contractions",
     "main_bound_scan",
     "omega_new",
     "omega_ranard",

@@ -74,9 +74,12 @@ DARWINISM_COLUMNS = (
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}")
+    try:
+        value = int(text)
+        if not 0 <= value < 2**64:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text}") from None
     return value
 
 

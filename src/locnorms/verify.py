@@ -11,7 +11,10 @@ Each instance family is drawn once: one pass over the property
 instances feeds the monotonicity and ordering suites, one pass over the
 covariance instances (`covariance_gaps`) the swap and local-unitary
 suites. Every suite and scan counts its checks, failures and worst
-values in one accumulator, `_Tally`.
+values in one accumulator, `_Tally`, whose `suite()` is the one summary
+record: passed, checks, failures and the worst values under stats. A
+scan returns that record with its rows, one per check, and
+`run_verification` reports it without them.
 
 The operator scan and the game scan, which the test suite also calls,
 share one scan-and-escalate loop, `_escalating_scan`: a bound violation at
@@ -133,20 +136,15 @@ class _Tally:
                 self.worst[name] = max(self.worst[name], value)
         self.failures.extend(message for failed, message in conditions if failed)
 
-    def stats(self) -> dict:
-        return {name: float(value) for name, value in self.worst.items()}
-
-    def suite(self) -> dict:
-        return _suite(self.checks, self.failures, self.stats())
-
-
-def _suite(checks: int, failures: list, stats: dict) -> dict:
-    return {
-        "passed": not failures,
-        "checks": int(checks),
-        "failures": list(failures),
-        "stats": stats,
-    }
+    def suite(self, **extra) -> dict:
+        """The summary record, followed by extra (a scan passes its rows)."""
+        return {
+            "passed": not self.failures,
+            "checks": self.checks,
+            "failures": self.failures,
+            "stats": {name: float(value) for name, value in self.worst.items()},
+            **extra,
+        }
 
 
 # Row keys of a case's trace norm and estimate value, for operators and for games.
@@ -185,7 +183,8 @@ def _escalating_scan(cases, evaluate, names: tuple[str, str]) -> dict:
     evaluate(instance, config) returns a RatioReport; each row is the
     case's fields, the case_row of its final report (the escalated one
     when escalation fired) and escalated. Only violations that persist
-    after escalation count as failures.
+    after escalation count as failures. Returns the scan's summary record
+    with its rows.
     """
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
@@ -201,7 +200,7 @@ def _escalating_scan(cases, evaluate, names: tuple[str, str]) -> dict:
         )
         worst = None if report.ratio is None else report.ratio / report.bound
         tally.check((not report.satisfied, message), worst_ratio_over_bound=worst)
-    return {"rows": rows, "failures": tally.failures, **tally.stats()}
+    return tally.suite(rows=rows)
 
 
 def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
@@ -259,16 +258,16 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
             f"field[{index}] at ({n_a},{n_b}): complex {c!r} exceeds sqrt(2) * {h!r} + {FIELD_RATIO_SLACK}"
         )
         tally.check((c > cap * h + FIELD_RATIO_SLACK, message), worst_ratio=ratio)
-    return {"rows": rows, "failures": tally.failures, **tally.stats()}
+    return tally.suite(rows=rows)
 
 
-def _suite_block_identities(seed: int, samples: int) -> dict:
+def _suite_block_identities(samples: int, config: SeeSawConfig) -> dict:
     tally = _Tally(max_unitary_residual=0.0, max_unit_residual=0.0)
     for n_a, n_b in DEFAULT_PAIRS:
         dim = n_a * n_b
         target = n_a * np.eye(n_b)
         for index in range(samples):
-            u = haar_unitary(dim, stream(seed, _BLOCK_LABEL, n_a, n_b, index))
+            u = haar_unitary(dim, stream(config.seed, _BLOCK_LABEL, n_a, n_b, index))
             left, right = block_frame_sums(u, n_a, n_b)
             residual = max(float(np.abs(left - target).max()), float(np.abs(right - target).max()))
             message = f"unitary blocks ({n_a},{n_b})[{index}]: residual {residual!r} > {BLOCK_RESIDUAL_TOL}"
@@ -363,10 +362,6 @@ def _covariance_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     return swap.suite(), rotation.suite()
 
 
-def _scan_suite(scan: dict, stat: str) -> dict:
-    return _suite(len(scan["rows"]), scan["failures"], {stat: scan[stat]})
-
-
 def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     """Run every suite from the root seed config.seed and return the
     deterministic summary dict, which echoes the four config values.
@@ -379,23 +374,20 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
         raise ValueError(f"samples must be >= 1, got {samples}")
     quarter = max(1, samples // 4)
 
-    scan = main_bound_scan(DEFAULT_PAIRS, samples, config)
-    games = game_bound_scan(samples, 2, 2, config)
-    fields = field_ratio_scan(max(1, samples // 2), config)
-    blocks = _suite_block_identities(config.seed, quarter)
     monotonicity, ordering = _property_suites(quarter, config)
     swap, rotation = _covariance_suites(quarter, config)
-
     suites = {
-        "block_identities": blocks,
+        "block_identities": _suite_block_identities(quarter, config),
         "seesaw_monotonicity": monotonicity,
         "ordering": ordering,
         "swap_covariance": swap,
         "local_unitary_covariance": rotation,
-        "main_bound_scan": _scan_suite(scan, "worst_ratio_over_bound"),
-        "game_bound_scan": _scan_suite(games, "worst_ratio_over_bound"),
-        "field_ratio_scan": _scan_suite(fields, "worst_ratio"),
+        "main_bound_scan": main_bound_scan(DEFAULT_PAIRS, samples, config),
+        "game_bound_scan": game_bound_scan(samples, 2, 2, config),
+        "field_ratio_scan": field_ratio_scan(max(1, samples // 2), config),
     }
+    for suite in suites.values():
+        suite.pop("rows", None)
     return {
         "tool": "locnorms-verify",
         "seed": int(config.seed),

@@ -600,6 +600,15 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["1e3", "abc", str(2**64)])
+def test_bad_seed_names_the_seed_range(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", "--werner", "2", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: seed must be an unsigned 64-bit integer, got {seed}\n")
+
+
 @pytest.mark.parametrize(
     "argv, builder", [(["ratio", "--gue", "2", "2"], "make_operator"), (["xor"], "random_game")], ids=["ratio", "xor"]
 )

@@ -79,10 +79,10 @@ def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
             "after escalation to 500 restarts"
             for label, row in zip(labels, result["rows"])
         ]
-        assert result["worst_ratio_over_bound"] == 2.0
+        assert result["stats"] == {"worst_ratio_over_bound": 2.0}
     else:
         assert result["failures"] == []
-        assert result["worst_ratio_over_bound"] < 1.0
+        assert result["stats"]["worst_ratio_over_bound"] < 1.0
 
 
 # scan -> the columns of the CLI command that reports the same cases, and
@@ -130,6 +130,20 @@ def test_run_verification_echoes_and_seeds_from_its_config():
     assert echoed == {"seed": 165, "samples": 1, "restarts": 3, "max_iters": 40, "rel_tol": 1e-6}
     assert verify.run_verification(config, samples=1) == summary
     assert verify.run_verification(replace(config, seed=166), samples=1)["suites"] != summary["suites"]
+
+
+def test_scan_summaries_are_their_suites():
+    config = replace(CONFIG, seed=167)
+    suites = verify.run_verification(config, samples=2)["suites"]
+    scans = {
+        "main_bound_scan": verify.main_bound_scan(verify.DEFAULT_PAIRS, 2, config),
+        "game_bound_scan": verify.game_bound_scan(2, 2, 2, config),
+        "field_ratio_scan": verify.field_ratio_scan(1, config),
+    }
+    for name, scan in scans.items():
+        rows = scan.pop("rows")
+        assert suites[name] == scan
+        assert scan["checks"] == len(rows)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
