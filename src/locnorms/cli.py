@@ -2,14 +2,16 @@
 
 Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
-ratio, scaling and xor evaluate each operator or game into one row dict
-(`_case`): the command's own keys and the record `verify.case_row` that
-the verify scans' rows carry too. A CSV or JSON row is its projection onto
-the subcommand's columns, and a single-case JSON report is the row with
-its estimate payload. These commands report the cap check at the working
-budget; only the verify scans escalate. Outputs use shortest round-trip
-float formatting and fixed row/key order, so identical invocations produce
-byte-identical files.
+ratio, scaling and xor draw each seeded operator or game with
+`verify.draw` under the command's stream key, and evaluate it into one
+row dict (`_case`): the command's own keys and the `verify.evaluate_case`
+record that the verify scans' rows carry too. A CSV or JSON row is its
+projection onto the subcommand's columns, and a single-case JSON report is
+the row with its estimate payload. These commands report the cap check at
+the working budget; only the verify scans escalate. Outputs use shortest
+round-trip float formatting and fixed row/key order, so identical
+invocations produce byte-identical files. A warning is printed as one
+line, "warning: <message>".
 Exit codes: 0 success, 2 validation error, 3 degenerate input,
 4 verification-suite failure.
 """
@@ -21,17 +23,17 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from .darwinism import coefficient_sweep, diamond_bound_rhs
-from .games import evaluate_game, random_game
 from .linalg import DegenerateOperatorError
-from .norms import SeeSawConfig, hiding_ratio
+from .norms import SeeSawConfig
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
-from .verify import GAME_NAMES, GENERATOR_CODE, INPUT_LABEL, OPERATOR_NAMES, XOR_LABEL
-from .verify import case_row, make_operator, run_seed, run_verification
+from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, check_dims, check_samples
+from .verify import draw, evaluate_case, run_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -161,52 +163,28 @@ def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
     _emit_json({**report, **extras}, args.out)
 
 
-def _case(config: SeeSawConfig, evaluate, instance, seesaw_seed: int, names: tuple[str, str], **keys) -> dict:
+def _case(config: SeeSawConfig, instance, seesaw_seed: int, **keys) -> dict:
     """One operator or game evaluated into its row: the command's keys and
-    the case_row of its report."""
-    report = evaluate(instance, replace(config, seed=seesaw_seed))
+    the verify.evaluate_case record."""
     return {
         **keys,
         "seed": config.seed,
         "n_a": instance.n_a,
         "n_b": instance.n_b,
         "restarts": config.restarts,
-        **case_row(report, names),
+        **evaluate_case(instance, replace(config, seed=seesaw_seed)),
     }
-
-
-def _operator_case(config: SeeSawConfig, generator: str, op, seesaw_seed: int) -> dict:
-    return _case(config, hiding_ratio, op, seesaw_seed, OPERATOR_NAMES, generator=generator)
-
-
-def _check_dims(n_a: int, n_b: int) -> None:
-    # before the stream key is built, whose SeedSequence rejects a negative entry in its own words
-    if n_a < 1 or n_b < 1:
-        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
-
-
-def _draw(seed: int, generator: str, d_a: int, d_b: int, k: int) -> tuple:
-    """Instance k of a registered generator on d_a x d_b, and its see-saw seed."""
-    _check_dims(d_a, d_b)
-    rng = stream(seed, GENERATOR_CODE[generator], d_a, d_b, k)
-    return make_operator(generator, d_a, d_b, rng), run_seed(rng)
-
-
-def _game_case(config: SeeSawConfig, game, seesaw_seed: int, sample: int) -> dict:
-    return _case(config, evaluate_game, game, seesaw_seed, GAME_NAMES, sample=sample, num_states=game.num_states)
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     if args.input is not None:
         generator, drawn = "file", (parse_operator_file(args.input), run_seed(stream(args.seed, INPUT_LABEL)))
-    elif args.werner is not None:
-        generator, drawn = "werner", _draw(args.seed, "werner", args.werner, args.werner, 0)
-    elif args.gue is not None:
-        generator, drawn = "gue", _draw(args.seed, "gue", *args.gue, 0)
     else:
-        generator, drawn = "induced", _draw(args.seed, "induced", *args.induced, 0)
+        generator = next(kind for kind in GENERATOR_CODE if getattr(args, kind) is not None)
+        n_a, n_b = [args.werner] * 2 if generator == "werner" else getattr(args, generator)
+        drawn = draw(generator, n_a, n_b, args.seed, GENERATOR_CODE[generator], n_a, n_b, 0)
     config = _config(args)
-    row = _operator_case(config, generator, *drawn)
+    row = _case(config, *drawn, generator=generator)
     extras = {"command": "ratio", "max_iters": config.max_iters, "rel_tol": config.rel_tol}
     _emit_case(args, row, SCALING_COLUMNS, ("eps_estimate", "converged"), "epsilon", **extras)
     return EXIT_OK
@@ -215,13 +193,13 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 def cmd_scaling(args: argparse.Namespace) -> int:
     if args.dmin < 2 or args.dmax < args.dmin:
         raise ValueError(f"dimension sweep needs 2 <= dmin <= dmax, got {args.dmin}..{args.dmax}")
-    if args.samples < 0:
-        raise ValueError(f"samples must be >= 0, got {args.samples}")
+    check_samples(args.samples)
     config = _config(args)
     # The werner pair is deterministic: one row per dimension.
     per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
+    code = GENERATOR_CODE[args.generator]
     rows = [
-        _operator_case(config, args.generator, *_draw(args.seed, args.generator, d, d, k))
+        _case(config, *draw(args.generator, d, d, args.seed, code, d, d, k), generator=args.generator)
         for d in range(args.dmin, args.dmax + 1)
         for k in range(per_dim)
     ]
@@ -232,21 +210,20 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 def cmd_xor(args: argparse.Namespace) -> int:
     if args.input is not None:
         game = parse_game_file(args.input)
-        row = _game_case(_config(args), game, args.seed, 0)
+        row = _case(_config(args), game, args.seed, sample=0, num_states=game.num_states)
         extras = {"command": "xor", "input": str(args.input)}
         _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
 
-    if args.samples < 0:
-        raise ValueError(f"samples must be >= 0, got {args.samples}")
-    _check_dims(args.na, args.nb)
+    check_samples(args.samples)
+    check_dims(args.na, args.nb)
     # games first, so that a bad --states is reported before a bad search flag
-    drawn = []
-    for k in range(args.samples):
-        rng = stream(args.seed, XOR_LABEL, args.na, args.nb, k)
-        drawn.append((random_game(args.na, args.nb, num_states=args.states, seed=rng), run_seed(rng)))
+    drawn = [
+        draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
+        for k in range(args.samples)
+    ]
     config = _config(args)
-    rows = [_game_case(config, game, seesaw_seed, k) for k, (game, seesaw_seed) in enumerate(drawn)]
+    rows = [_case(config, *case, sample=k, num_states=args.states) for k, case in enumerate(drawn)]
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 
@@ -297,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("scaling", help="ratio sweep over square dimensions, CSV by default")
-    p.add_argument("--generator", choices=("werner", "gue", "induced"), required=True)
+    p.add_argument("--generator", choices=tuple(GENERATOR_CODE), required=True)
     p.add_argument("--dmin", type=int, default=2, help="first dimension (default 2)")
     p.add_argument("--dmax", type=int, default=4, help="last dimension (default 4)")
     p.add_argument("--samples", type=int, default=10, help="instances per dimension (default 10)")
@@ -334,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a shown warning is one line, without the library's file path and source line
+    formatwarning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except DegenerateOperatorError as exc:
@@ -348,6 +327,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # an instance too large to allocate
         print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

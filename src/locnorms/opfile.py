@@ -11,12 +11,14 @@ with re/im flat row-major length (n_a*n_b)^2 arrays. Game files::
 
 Loading validates the schema. Matrix entries must be finite, with
 magnitudes summing to at most 1e300, which bounds every norm of the
-matrix. Operator files are also checked for Hermiticity: asymmetry above
-1e-6 is rejected, asymmetry above rounding level (1e-12) is symmetrized
-with a warning. The values of a game (signs, weights, density matrices)
-are checked by QuantumXorGame, whose errors are raised here with the
-file path. Writing uses shortest round-trip float formatting, so a write
-followed by a read reproduces the matrix exactly.
+matrix. Every matrix, an operator or a game's question state, is also
+checked for Hermiticity: asymmetry above 1e-6 is rejected, naming the
+operator's matrix or the state states[x]; asymmetry above rounding level
+(1e-12) is symmetrized with a warning. The values of a game (signs,
+weights, density matrices) are checked by QuantumXorGame, whose errors
+are raised here with the file path. Writing uses shortest round-trip
+float formatting, so a write followed by a read reproduces the matrix
+exactly.
 """
 
 from __future__ import annotations
@@ -85,7 +87,13 @@ def _matrix_from(data: dict, dim: int, path, label: str = "") -> np.ndarray:
             f"{path}: field '{prefix}re'/'{prefix}im' must be finite, with magnitudes summing to at most "
             f"{MAGNITUDE_LIMIT:.0e} so that no norm overflows; got {magnitude:.3e}"
         )
-    return (re + 1j * im).reshape(dim, dim)
+    m = (re + 1j * im).reshape(dim, dim)
+    delta = asymmetry(m)
+    if delta > ASYMMETRY_REJECT:
+        raise OperatorFileError(
+            f"{path}: {label or 'matrix'} asymmetry {delta:.3e} exceeds {ASYMMETRY_REJECT:.1e}; not Hermitian"
+        )
+    return m
 
 
 def _load_json(path) -> dict:
@@ -107,12 +115,7 @@ def parse_operator_file(path) -> BipartiteOperator:
     n_a = _positive_int(data, "n_a", path)
     n_b = _positive_int(data, "n_b", path)
     m = _matrix_from(data, n_a * n_b, path)
-    delta = asymmetry(m)
-    if delta > ASYMMETRY_REJECT:
-        raise OperatorFileError(
-            f"{path}: matrix asymmetry {delta:.3e} exceeds {ASYMMETRY_REJECT:.1e}; not Hermitian"
-        )
-    # BipartiteOperator symmetrizes, warning when delta is above rounding level.
+    # BipartiteOperator symmetrizes, warning when the asymmetry is above rounding level.
     try:
         return BipartiteOperator(n_a, n_b, m)
     except ValueError as exc:

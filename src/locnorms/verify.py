@@ -16,21 +16,20 @@ record: passed, checks, failures and the worst values under stats. A
 scan returns that record with its rows, one per check, and
 `run_verification` reports it without them.
 
-The operator scan and the game scan, which the test suite also calls,
-share one scan-and-escalate loop, `_escalating_scan`: a bound violation at
-the working restart budget is retried at a larger budget before it counts,
-since a see-saw shortfall on a hard instance is an estimator artifact, not
-a counterexample. Every case checked against the cap, a scan row or a row
-of the CLI, carries the fields of one record, `case_row`, keyed by
-OPERATOR_NAMES or GAME_NAMES.
+Every seeded case of the scans and of the CLI takes one path: `draw`,
+the one registry of instance generators, draws it from its substream
+with its see-saw seed, and `evaluate_case` reports it in one record, a
+scan row and a CLI row alike. The stream codes `GENERATOR_CODE` are
+fixed: they key every drawn instance, so changing one changes every
+output. The operator and game scans share one scan-and-escalate loop,
+`_escalating_scan`: a bound violation at the working restart budget is
+retried at a larger budget before it counts, since a see-saw shortfall
+on a hard instance is an estimator artifact, not a counterexample.
 
-The one registry of instance generators, for the scans and the CLI alike,
-is `make_operator` with its stream codes `GENERATOR_CODE` and `run_seed`.
-The codes are fixed: they key every drawn instance, so changing one
-changes every output. The registry lives here because the benchmark's
-tracing wrappers and the tests patch the generators and evaluators on
-this module; the registry and the scans look those names up in this
-module's globals at call time, so a patch reaches every caller.
+The registry lives here because the benchmark's tracing wrappers and the
+tests patch the generators and evaluators on this module; `draw`,
+`evaluate_case` and the suites look those names up in this module's
+globals at call time, so a patch reaches every caller.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .norms import (
     witness_value,
 )
 from .states import (
+    QuantumXorGame,
     game_operator,
     gue_hermitian,
     gue_operator,
@@ -86,19 +86,15 @@ ESCALATE_RESTARTS = 500
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
 
 
-def make_operator(kind: str, n_a: int, n_b: int, rng) -> BipartiteOperator:
-    """One instance of the generator registered as kind, drawn from rng.
+def check_dims(n_a: int, n_b: int) -> None:
+    # before a stream key is built, whose SeedSequence rejects a negative entry in its own words
+    if n_a < 1 or n_b < 1:
+        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
 
-    The werner pair is deterministic and lives on n_a x n_a; it ignores
-    n_b and rng.
-    """
-    if kind == "werner":
-        return game_operator(werner_hiding_pair(n_a))
-    if kind == "gue":
-        return gue_operator(n_a, n_b, rng)
-    if kind == "induced":
-        return induced_difference(n_a, n_b, rng)
-    raise ValueError(f"unknown generator kind {kind!r}")
+
+def check_samples(samples: int) -> None:
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
 
 
 def run_seed(rng) -> int:
@@ -106,14 +102,32 @@ def run_seed(rng) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
+def draw(kind: str, n_a: int, n_b: int, seed: int, *key: int, num_states: int = 4) -> tuple:
+    """One seeded case on n_a x n_b drawn from stream(seed, *key): the
+    instance of kind, a GENERATOR_CODE name or "game" (a random_game of
+    num_states states), and the see-saw seed drawn after it. The werner
+    pair is deterministic and lives on n_a x n_a; it ignores n_b."""
+    check_dims(n_a, n_b)
+    rng = stream(seed, *key)
+    build = {
+        "werner": lambda: game_operator(werner_hiding_pair(n_a)),
+        "gue": lambda: gue_operator(n_a, n_b, rng),
+        "induced": lambda: induced_difference(n_a, n_b, rng),
+        "game": lambda: random_game(n_a, n_b, num_states=num_states, seed=rng),
+    }
+    return build[kind](), run_seed(rng)
+
+
 def _instances(seed: int, label: int, dims, samples: int):
-    """samples instances per (n_a, n_b) in dims, GUE at even and induced
-    at odd index, each with the see-saw seed drawn after it."""
+    """samples cases per (n_a, n_b) in dims, GUE at even and induced at
+    odd index: (case label, operator, see-saw seed, fields), with fields
+    n_a, n_b, kind and index."""
     for n_a, n_b in dims:
         for index in range(samples):
             kind = "gue" if index % 2 == 0 else "induced"
-            rng = stream(seed, label, GENERATOR_CODE[kind], n_a, n_b, index)
-            yield n_a, n_b, kind, index, make_operator(kind, n_a, n_b, rng), run_seed(rng)
+            z, seesaw_seed = draw(kind, n_a, n_b, seed, label, GENERATOR_CODE[kind], n_a, n_b, index)
+            fields = {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index}
+            yield f"({n_a},{n_b}) {kind}[{index}]", z, seesaw_seed, fields
 
 
 class _Tally:
@@ -147,15 +161,16 @@ class _Tally:
         }
 
 
-# Row keys of a case's trace norm and estimate value, for operators and for games.
-OPERATOR_NAMES = ("trace_norm", "eps_estimate")
-GAME_NAMES = ("beta_all", "beta_product")
-
-
-def case_row(report, names: tuple[str, str]) -> dict:
-    """The reported fields of one RatioReport: names key the trace norm
-    and the estimate's value, "estimate" holds its full payload, and ratio
-    and margin are None for a zero game."""
+def evaluate_case(instance, config: SeeSawConfig) -> dict:
+    """The reported fields of one case at config: a QuantumXorGame through
+    evaluate_game, its trace norm and estimate value keyed beta_all and
+    beta_product, an operator through hiding_ratio, keyed trace_norm and
+    eps_estimate. "estimate" holds the estimate's full payload; ratio and
+    margin are None for a zero game."""
+    if isinstance(instance, QuantumXorGame):
+        report, names = evaluate_game(instance, config), ("beta_all", "beta_product")
+    else:
+        report, names = hiding_ratio(instance, config), ("trace_norm", "eps_estimate")
     est = report.eps_estimate
     ratio = None if report.ratio is None else float(report.ratio)
     return {
@@ -176,30 +191,30 @@ def case_row(report, names: tuple[str, str]) -> dict:
     }
 
 
-def _escalating_scan(cases, evaluate, names: tuple[str, str]) -> dict:
-    """Evaluate each (label, instance, config, fields) case and retry a
-    cap violation at ESCALATE_RESTARTS.
+def _escalating_scan(cases, config: SeeSawConfig) -> dict:
+    """Evaluate each (label, instance, seesaw_seed, fields) case at config
+    with its see-saw seed, and retry a cap violation at ESCALATE_RESTARTS.
 
-    evaluate(instance, config) returns a RatioReport; each row is the
-    case's fields, the case_row of its final report (the escalated one
-    when escalation fired) and escalated. Only violations that persist
-    after escalation count as failures. Returns the scan's summary record
-    with its rows.
+    Each row is the case's fields, the evaluate_case record of its final
+    run (the escalated one when escalation fired) and escalated. Only
+    violations that persist after escalation count as failures. Returns
+    the scan's summary record with its rows.
     """
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
-    for label, instance, config, fields in cases:
-        report = evaluate(instance, config)
-        escalated = report.ratio is not None and not report.satisfied
+    for label, instance, seesaw_seed, fields in cases:
+        run_config = replace(config, seed=seesaw_seed)
+        row = evaluate_case(instance, run_config)
+        escalated = row["ratio"] is not None and not row["satisfied"]
         if escalated:
-            report = evaluate(instance, replace(config, restarts=ESCALATE_RESTARTS))
-        rows.append({**fields, **case_row(report, names), "escalated": escalated})
+            row = evaluate_case(instance, replace(run_config, restarts=ESCALATE_RESTARTS))
+        rows.append({**fields, **row, "escalated": escalated})
         message = (
-            f"{label}: ratio {report.ratio!r} exceeds bound {report.bound!r} "
+            f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} "
             f"after escalation to {ESCALATE_RESTARTS} restarts"
         )
-        worst = None if report.ratio is None else report.ratio / report.bound
-        tally.check((not report.satisfied, message), worst_ratio_over_bound=worst)
+        worst = None if row["ratio"] is None else row["ratio"] / row["bound"]
+        tally.check((not row["satisfied"], message), worst_ratio_over_bound=worst)
     return tally.suite(rows=rows)
 
 
@@ -211,30 +226,17 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     working budget are retried at ESCALATE_RESTARTS; rows record both
     stages and only post-escalation violations are returned as failures.
     """
-    cases = (
-        (
-            f"({n_a},{n_b}) {kind}[{index}]",
-            z,
-            replace(config, seed=restart_seed),
-            {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index},
-        )
-        for n_a, n_b, kind, index, z, restart_seed in _instances(config.seed, _SCAN_LABEL, dims, samples_per_pair)
-    )
-    return _escalating_scan(cases, hiding_ratio, OPERATOR_NAMES)
+    check_samples(samples_per_pair)
+    return _escalating_scan(_instances(config.seed, _SCAN_LABEL, dims, samples_per_pair), config)
 
 
 def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> dict:
     """Unrestricted versus product bias over random four-state games, with
     the same escalation policy as the operator scan."""
-
-    def cases():
-        for index in range(samples):
-            rng = stream(config.seed, _GAME_LABEL, n_a, n_b, index)
-            game = random_game(n_a, n_b, num_states=4, seed=rng)
-            run_config = replace(config, seed=run_seed(rng))
-            yield f"game[{index}] at ({n_a},{n_b})", game, run_config, {"index": index}
-
-    return _escalating_scan(cases(), evaluate_game, GAME_NAMES)
+    check_samples(samples)
+    drawn = (draw("game", n_a, n_b, config.seed, _GAME_LABEL, n_a, n_b, index) for index in range(samples))
+    cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
+    return _escalating_scan(cases, config)
 
 
 def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
@@ -242,14 +244,14 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
     the same budget. The complex value provably exceeds the Hermitian one
     by at most sqrt(2), which it must meet up to estimator slack; the row's
     ratio is 1.0 when both vanish and inf when only the Hermitian does."""
+    check_samples(samples)
     rows = []
     tally = _Tally(worst_ratio=0.0)
     cap = math.sqrt(2.0)
     n_a = n_b = 3
     for index in range(samples):
-        rng = stream(config.seed, _FIELD_LABEL, n_a, n_b, index)
-        z = gue_operator(n_a, n_b, rng)
-        run_config = replace(config, seed=run_seed(rng))
+        z, seesaw_seed = draw("gue", n_a, n_b, config.seed, _FIELD_LABEL, n_a, n_b, index)
+        run_config = replace(config, seed=seesaw_seed)
         c = epsilon_norm(z, run_config, hermitian=False).value
         h = epsilon_norm(z, run_config).value
         ratio = c / h if h > 0 else (1.0 if c == 0 else math.inf)
@@ -295,17 +297,16 @@ def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     that reproduces it."""
     monotone = _Tally(max_decrease=0.0)
     ordering = _Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
-    for n_a, n_b, kind, index, z, restart_seed in _instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
-        label = f"({n_a},{n_b}) {kind}[{index}]"
-        run_config = replace(config, seed=restart_seed, restarts=2)
-        for start_index, g0 in initial_contractions(n_b, run_config):
+    for label, z, seesaw_seed, _ in _instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
+        run_config = replace(config, seed=seesaw_seed, restarts=2)
+        for start_index, g0 in initial_contractions(z.n_b, run_config):
             diffs = np.diff(seesaw_run(z, g0, run_config).value_history)
             step = -float(diffs.min()) if diffs.size else 0.0
             monotone.check(
                 (step > MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
                 max_decrease=step,
             )
-        est = epsilon_norm(z, replace(config, seed=restart_seed))
+        est = epsilon_norm(z, replace(config, seed=seesaw_seed))
         tn = trace_norm(z.matrix)
         gap = abs(witness_value(z, est) - est.value)
         ordering.check(

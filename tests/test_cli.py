@@ -2,11 +2,16 @@
 codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locnorms
 from locnorms import (
     BipartiteOperator,
     QuantumXorGame,
@@ -26,6 +31,7 @@ from locnorms.cli import (
     main,
 )
 import locnorms.cli as cli_module
+from locnorms import verify
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -128,6 +134,30 @@ def test_values_past_the_float_range_exit_two(tmp_path, capsys, command, payload
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: ")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def run_module(argv):
+    """The exit code and stderr of `python -m locnorms` in a new process,
+    where warnings are shown as a plain command-line run shows them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(locnorms.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "locnorms", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["ratio", "xor"])
+def test_warnings_print_as_one_line_without_the_library_path(tmp_path, command):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 1e-9  # in the symmetrization warning band
+    matrix = {"re": m.real.ravel().tolist(), "im": m.imag.ravel().tolist()}
+    if command == "ratio":
+        payload = {"n_a": 2, "n_b": 2, **matrix}
+    else:
+        payload = {"n_a": 2, "n_b": 2, "signs": [1], "probs": [1.0], "states": [matrix]}
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(payload))
+    code, err = run_module([command, "--input", str(src), "--restarts", "2", "--out", str(tmp_path / "out.json")])
+    assert code == EXIT_OK
+    assert err == "warning: asymmetry 1.000e-09 exceeds 1.0e-12; taking the Hermitian part\n"
 
 
 def test_tolerance_above_one_stops_like_one_without_numpy_warnings(tmp_path):
@@ -610,13 +640,13 @@ def test_bad_seed_names_the_seed_range(capsys, seed):
 
 
 @pytest.mark.parametrize(
-    "argv, builder", [(["ratio", "--gue", "2", "2"], "make_operator"), (["xor"], "random_game")], ids=["ratio", "xor"]
+    "argv, builder", [(["ratio", "--gue", "2", "2"], "gue_operator"), (["xor"], "random_game")], ids=["ratio", "xor"]
 )
 def test_out_of_memory_exits_two_without_traceback(capsys, monkeypatch, argv, builder):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 TiB for an array")
 
-    monkeypatch.setattr(cli_module, builder, too_large)
+    monkeypatch.setattr(verify, builder, too_large)
     assert main(argv) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: out of memory (Unable to allocate 7.45 TiB for an array)\n"
 

@@ -174,7 +174,8 @@ def test_operator_asymmetry_rejected(tmp_path):
     m[0, 1] = 1e-4
     target = tmp_path / "op.json"
     write_json(target, operator_payload(m))
-    with pytest.raises(OperatorFileError, match="asymmetry"):
+    message = f"{target}: matrix asymmetry 1.000e-04 exceeds 1.0e-06; not Hermitian"
+    with pytest.raises(OperatorFileError, match=f"^{re.escape(message)}$"):
         parse_operator_file(target)
 
 
@@ -278,3 +279,34 @@ def test_game_state_length_error_names_index(tmp_path):
     write_json(target, data)
     with pytest.raises(OperatorFileError, match=r"states\[0\]\.re"):
         parse_game_file(target)
+
+
+def game_payload(state):
+    """A one-state 2 x 2 game file whose question state is state."""
+    state = np.asarray(state, dtype=complex)
+    return {"n_a": 2, "n_b": 2, "signs": [1], "probs": [1.0], "states": [operator_payload(state)]}
+
+
+def asymmetric_state(delta):
+    """The maximally mixed two-qubit state with delta added above the diagonal."""
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = delta
+    return rho
+
+
+def test_game_state_asymmetry_rejected(tmp_path, capsys):
+    target = tmp_path / "game.json"
+    write_json(target, game_payload(asymmetric_state(0.05)))
+    assert main(["xor", "--input", str(target)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "",
+        f"error: {target}: states[0] asymmetry 5.000e-02 exceeds 1.0e-06; not Hermitian\n",
+    )
+
+
+def test_game_state_asymmetry_warn_band(tmp_path):
+    target = tmp_path / "game.json"
+    write_json(target, game_payload(asymmetric_state(1e-9)))
+    with pytest.warns(RuntimeWarning, match="Hermitian part"):
+        game = parse_game_file(target)
+    np.testing.assert_array_equal(game.states[0], game.states[0].conj().T)

@@ -3,6 +3,7 @@ bound violations and broken invariants."""
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,26 @@ def test_scan_summaries_are_their_suites():
         assert scan["checks"] == len(rows)
 
 
+# a scan run on a negative count or dimension -> the error it raises
+NEGATIVE_SCANS = {
+    "main-samples": (lambda: verify.main_bound_scan([(2, 2)], -5, CONFIG), "samples must be >= 0, got -5"),
+    "game-samples": (lambda: verify.game_bound_scan(-3, 2, 2, CONFIG), "samples must be >= 0, got -3"),
+    "field-samples": (lambda: verify.field_ratio_scan(-1, CONFIG), "samples must be >= 0, got -1"),
+    "main-dims": (
+        lambda: verify.main_bound_scan([(-1, 2)], 1, CONFIG),
+        "local dimensions must be >= 1, got (-1, 2)",
+    ),
+    "game-dims": (lambda: verify.game_bound_scan(1, -1, 2, CONFIG), "local dimensions must be >= 1, got (-1, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SCANS))
+def test_scans_reject_negative_counts_and_dimensions(case):
+    run, message = NEGATIVE_SCANS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_run_verification_needs_a_sample(samples):
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
@@ -177,10 +198,9 @@ def property_estimates():
     """(label, estimate) of the ordering suite's instances, computed here
     with the suite's own budget."""
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
-    for n_a, n_b, kind, index, z, restart_seed in verify._instances(
-        SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1
-    ):
-        yield f"({n_a},{n_b}) {kind}[{index}]", verify.epsilon_norm(z, replace(config, seed=restart_seed))
+    for _, z, restart_seed, fields in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
+        label = "({n_a},{n_b}) {kind}[{index}]".format(**fields)
+        yield label, verify.epsilon_norm(z, replace(config, seed=restart_seed))
 
 
 def test_decreasing_history_fails_monotonicity(monkeypatch):
