@@ -7,25 +7,20 @@ the product-witness tensor norm by see-saw maximization, and reports the
 data-hiding ratio between them, which provably never exceeds
 2 sqrt(2) min(n_a, n_b). The same machinery evaluates quantum XOR game
 biases and the dimensional coefficients of observer-objectivity bounds.
+
+The top level exports the entry points and the types they take, return
+or raise. The matrix, stream and generator helpers they are built on
+(hermitian_sign, stream, haar_unitary, ...) are imported from their
+modules: locnorms.linalg, locnorms.states and locnorms.norms.
 """
 
 from .darwinism import coefficient_sweep, diamond_bound_rhs, omega_new, omega_ranard
 from .games import evaluate_game, random_game
-from .linalg import (
-    BipartiteOperator,
-    DegenerateOperatorError,
-    asymmetry,
-    block_frame_sums,
-    hermitian_part,
-    hermitian_sign,
-    swap_subsystems,
-    trace_norm,
-)
+from .linalg import BipartiteOperator, DegenerateOperatorError, trace_norm
 from .norms import (
     NormEstimate,
     RatioReport,
     SeeSawConfig,
-    bound_factor,
     epsilon_norm,
     error_probability,
     hiding_ratio,
@@ -39,19 +34,7 @@ from .opfile import (
     write_game_file,
     write_operator_file,
 )
-from .states import (
-    QuantumXorGame,
-    check_density_matrix,
-    game_operator,
-    gue_hermitian,
-    gue_operator,
-    haar_unitary,
-    induced_difference,
-    random_density_matrix,
-    rng_from,
-    stream,
-    werner_hiding_pair,
-)
+from .states import QuantumXorGame, game_operator, gue_operator, random_density_matrix, werner_hiding_pair
 from .verify import field_ratio_scan, game_bound_scan, main_bound_scan, run_verification
 
 __version__ = "0.1.0"
@@ -64,10 +47,6 @@ __all__ = [
     "QuantumXorGame",
     "RatioReport",
     "SeeSawConfig",
-    "asymmetry",
-    "block_frame_sums",
-    "bound_factor",
-    "check_density_matrix",
     "coefficient_sweep",
     "diamond_bound_rhs",
     "epsilon_norm",
@@ -76,13 +55,8 @@ __all__ = [
     "field_ratio_scan",
     "game_bound_scan",
     "game_operator",
-    "gue_hermitian",
     "gue_operator",
-    "haar_unitary",
-    "hermitian_part",
-    "hermitian_sign",
     "hiding_ratio",
-    "induced_difference",
     "main_bound_scan",
     "omega_new",
     "omega_ranard",
@@ -90,11 +64,8 @@ __all__ = [
     "parse_operator_file",
     "random_density_matrix",
     "random_game",
-    "rng_from",
     "run_verification",
     "seesaw_run",
-    "stream",
-    "swap_subsystems",
     "trace_norm",
     "werner_hiding_pair",
     "witness_value",

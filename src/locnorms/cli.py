@@ -28,11 +28,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .darwinism import coefficient_sweep, diamond_bound_rhs
-from .linalg import DegenerateOperatorError
+from .games import check_states
+from .linalg import DegenerateOperatorError, check_dims
 from .norms import SeeSawConfig
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
-from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, check_dims, check_samples
+from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, check_samples
 from .verify import draw, evaluate_case, run_seed, run_verification
 
 EXIT_OK = 0
@@ -217,13 +218,12 @@ def cmd_xor(args: argparse.Namespace) -> int:
 
     check_samples(args.samples)
     check_dims(args.na, args.nb)
-    # games first, so that a bad --states is reported before a bad search flag
-    drawn = [
-        draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
-        for k in range(args.samples)
-    ]
+    check_states(args.states)
     config = _config(args)
-    rows = [_case(config, *case, sample=k, num_states=args.states) for k, case in enumerate(drawn)]
+    rows = []
+    for k in range(args.samples):
+        case = draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
+        rows.append(_case(config, *case, sample=k, num_states=args.states))
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 

@@ -36,11 +36,15 @@ def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     return hiding_ratio(gop, config)
 
 
+def check_states(num_states: int) -> None:
+    if num_states < 1:
+        raise ValueError(f"num_states must be >= 1, got {num_states}")
+
+
 def random_game(n_a: int, n_b: int, num_states: int = 4, seed=0) -> QuantumXorGame:
     """Random game: induced-measure question states, uniform weights,
     independent uniform signs."""
-    if num_states < 1:
-        raise ValueError(f"num_states must be >= 1, got {num_states}")
+    check_states(num_states)
     rng = rng_from(seed)
     states = tuple(random_density_matrix(n_a * n_b, seed=rng) for _ in range(num_states))
     signs = tuple(int(c) for c in rng.choice((-1, 1), size=num_states))

@@ -23,6 +23,12 @@ class DegenerateOperatorError(ValueError):
     """Raised when a quantity is undefined on the zero operator."""
 
 
+def check_dims(n_a: int, n_b: int) -> None:
+    """ValueError unless both local dimensions are at least 1."""
+    if n_a < 1 or n_b < 1:
+        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
+
+
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a finite square complex128 array or raise ValueError."""
     a = np.asarray(m, dtype=np.complex128)
@@ -116,8 +122,7 @@ class BipartiteOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1:
-            raise ValueError(f"local dimensions must be >= 1, got ({self.n_a}, {self.n_b})")
+        check_dims(self.n_a, self.n_b)
         m = as_square_matrix(self.matrix)
         dim = self.n_a * self.n_b
         if m.shape != (dim, dim):

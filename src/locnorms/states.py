@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteOperator, hermitian_part
+from .linalg import BipartiteOperator, check_dims, hermitian_part
 
 # Admission tolerances: density-matrix eigenvalues may dip this far below
 # zero, and traces and game weight sums may deviate this much from one.
@@ -101,8 +101,7 @@ class QuantumXorGame:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n_a < 1 or self.n_b < 1:
-            raise ValueError(f"local dimensions must be >= 1, got ({self.n_a}, {self.n_b})")
+        check_dims(self.n_a, self.n_b)
         n = len(self.states)
         if n < 1:
             raise ValueError("a game needs at least one question state")

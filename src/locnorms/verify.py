@@ -40,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 
 from .games import evaluate_game, random_game
-from .linalg import BipartiteOperator, block_frame_sums, hermitian_sign, swap_subsystems, trace_norm
+from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
 from .norms import (
     SeeSawConfig,
     epsilon_norm,
@@ -86,12 +86,6 @@ ESCALATE_RESTARTS = 500
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
 
 
-def check_dims(n_a: int, n_b: int) -> None:
-    # before a stream key is built, whose SeedSequence rejects a negative entry in its own words
-    if n_a < 1 or n_b < 1:
-        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
-
-
 def check_samples(samples: int) -> None:
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -107,6 +101,7 @@ def draw(kind: str, n_a: int, n_b: int, seed: int, *key: int, num_states: int = 
     instance of kind, a GENERATOR_CODE name or "game" (a random_game of
     num_states states), and the see-saw seed drawn after it. The werner
     pair is deterministic and lives on n_a x n_a; it ignores n_b."""
+    # before a stream key is built, whose SeedSequence rejects a negative entry in its own words
     check_dims(n_a, n_b)
     rng = stream(seed, *key)
     build = {
@@ -225,8 +220,12 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     Each instance alternates generator kind by index. Violations at the
     working budget are retried at ESCALATE_RESTARTS; rows record both
     stages and only post-escalation violations are returned as failures.
+    Every pair is checked before the first draw.
     """
     check_samples(samples_per_pair)
+    dims = tuple(dims)
+    for n_a, n_b in dims:
+        check_dims(n_a, n_b)
     return _escalating_scan(_instances(config.seed, _SCAN_LABEL, dims, samples_per_pair), config)
 
 
@@ -234,6 +233,7 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> d
     """Unrestricted versus product bias over random four-state games, with
     the same escalation policy as the operator scan."""
     check_samples(samples)
+    check_dims(n_a, n_b)
     drawn = (draw("game", n_a, n_b, config.seed, _GAME_LABEL, n_a, n_b, index) for index in range(samples))
     cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
     return _escalating_scan(cases, config)

@@ -17,16 +17,11 @@ import pytest
 from locnorms import (
     BipartiteOperator,
     SeeSawConfig,
-    block_frame_sums,
-    bound_factor,
     diamond_bound_rhs,
     epsilon_norm,
     error_probability,
     game_operator,
-    gue_hermitian,
     gue_operator,
-    haar_unitary,
-    hermitian_sign,
     hiding_ratio,
     omega_new,
     omega_ranard,
@@ -35,8 +30,9 @@ from locnorms import (
     werner_hiding_pair,
 )
 from locnorms.cli import main as cli_main
-from locnorms.norms import initial_contractions
-from locnorms.states import stream
+from locnorms.linalg import block_frame_sums, hermitian_sign
+from locnorms.norms import bound_factor, initial_contractions
+from locnorms.states import gue_hermitian, haar_unitary, stream
 from locnorms.verify import covariance_gaps, field_ratio_scan, game_bound_scan, main_bound_scan
 
 BASE_SEED = 20260823

@@ -6,7 +6,6 @@ import pytest
 from locnorms import (
     QuantumXorGame,
     SeeSawConfig,
-    bound_factor,
     evaluate_game,
     game_operator,
     hiding_ratio,
@@ -15,6 +14,7 @@ from locnorms import (
     trace_norm,
     werner_hiding_pair,
 )
+from locnorms.norms import bound_factor
 from locnorms.states import stream
 
 CFG = SeeSawConfig(restarts=16, seed=200)

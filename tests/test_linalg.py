@@ -5,19 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from locnorms import (
-    BipartiteOperator,
+from locnorms import BipartiteOperator, trace_norm
+from locnorms.linalg import (
     asymmetry,
     block_frame_sums,
-    haar_unitary,
     hermitian_part,
     hermitian_sign,
-    gue_hermitian,
+    optimal_contraction,
     swap_subsystems,
-    trace_norm,
 )
-from locnorms.linalg import optimal_contraction
-from locnorms.states import stream
+from locnorms.states import gue_hermitian, haar_unitary, stream
 
 
 # ---------------------------------------------------------------- trace norm

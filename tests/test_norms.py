@@ -11,24 +11,20 @@ from locnorms import (
     BipartiteOperator,
     DegenerateOperatorError,
     SeeSawConfig,
-    bound_factor,
     epsilon_norm,
     error_probability,
     game_operator,
-    gue_hermitian,
     gue_operator,
-    hermitian_sign,
     hiding_ratio,
-    induced_difference,
     random_density_matrix,
     seesaw_run,
-    swap_subsystems,
     trace_norm,
     werner_hiding_pair,
     witness_value,
 )
-from locnorms.norms import _operand_a, _operand_b, _relays, initial_contractions
-from locnorms.states import haar_unitary, stream
+from locnorms.linalg import hermitian_sign, swap_subsystems
+from locnorms.norms import _operand_a, _operand_b, _relays, bound_factor, initial_contractions
+from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
 
 CFG = SeeSawConfig(restarts=16, seed=100)
 

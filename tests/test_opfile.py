@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from locnorms import (
-    BipartiteOperator,
     OperatorFileError,
     gue_operator,
     parse_game_file,

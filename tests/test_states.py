@@ -6,17 +6,20 @@ import pytest
 from locnorms import (
     BipartiteOperator,
     QuantumXorGame,
-    check_density_matrix,
     game_operator,
-    gue_hermitian,
     gue_operator,
-    haar_unitary,
-    induced_difference,
     random_density_matrix,
     trace_norm,
     werner_hiding_pair,
 )
-from locnorms.states import rng_from, stream
+from locnorms.states import (
+    check_density_matrix,
+    gue_hermitian,
+    haar_unitary,
+    induced_difference,
+    rng_from,
+    stream,
+)
 
 
 # ---------------------------------------------------------------- streams

@@ -157,6 +157,14 @@ NEGATIVE_SCANS = {
         "local dimensions must be >= 1, got (-1, 2)",
     ),
     "game-dims": (lambda: verify.game_bound_scan(1, -1, 2, CONFIG), "local dimensions must be >= 1, got (-1, 2)"),
+    "main-dims-no-samples": (
+        lambda: verify.main_bound_scan([(-1, 2)], 0, CONFIG),
+        "local dimensions must be >= 1, got (-1, 2)",
+    ),
+    "game-dims-no-samples": (
+        lambda: verify.game_bound_scan(0, -1, 2, CONFIG),
+        "local dimensions must be >= 1, got (-1, 2)",
+    ),
 }
 
 
