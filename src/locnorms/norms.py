@@ -20,11 +20,18 @@ is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
 
 The multistart starts are built as one stack as well: one GUE sample per
 restart substream, turned into spectral signs by a single stacked
-eigensolve. The operands contract against two contiguous copies of z,
-relaid once per kernel call as (b, a, a', b') for the A side and
-(a, a', b, b') for the B side. These layouts make einsum sum in the same
-order as on the strided (a, b, a', b') view, so they give the same bits;
-other layouts and BLAS (matmul) forms are faster but round differently.
+eigensolve. The Philox keys of all restart substreams come from one pass
+(states.spawn_keys), and one reused Philox generator draws every sample
+(states.gue_stack), bit for bit as gue_hermitian on stream(seed, i) would.
+_multistart runs the whole stack and returns every run, so a caller that
+needs single-start histories as well as the estimate (the verify property
+suites) runs each start once; epsilon_norm is its best run.
+
+The operands contract against two contiguous copies of z, relaid once per
+kernel call as (b, a, a', b') for the A side and (a, a', b, b') for the B
+side. These layouts make einsum sum in the same order as on the strided
+(a, b, a', b') view, so they give the same bits; other layouts and BLAS
+(matmul) forms are faster but round differently.
 
 Witnesses are Hermitian contractions unless hermitian=False. For a
 Hermitian pair (f, g), the two outcomes (1 +- f x g)/2 form a local
@@ -36,6 +43,7 @@ by at most the factor 2 sqrt(2) min(n_a, n_b).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple
@@ -49,7 +57,7 @@ from .linalg import (
     optimal_contraction,
     trace_norm,
 )
-from .states import gue_hermitian, stream
+from .states import gue_stack, spawn_keys
 
 # Slack accepted on contraction operator norms and on the ratio-vs-bound
 # comparison; both absorb eigensolver rounding, nothing more.
@@ -75,6 +83,12 @@ class SeeSawConfig:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        try:
+            negative = operator.index(self.seed) < 0
+        except TypeError:
+            negative = True
+        if negative:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +212,13 @@ class _Runs(NamedTuple):
             restart_index=restart_index,
         )
 
+    def best(self, count: int | None = None) -> NormEstimate:
+        """The estimate of the best of the first count runs (all of them by
+        default). argmax takes the first maximum, so ties go to the lowest
+        restart index."""
+        k = int(np.argmax(self.values[:count]))
+        return self.estimate(k, restart_index=k)
+
 
 def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, start_side: str, hermitian: bool) -> _Runs:
     """The see-saw kernel: alternate exact half-steps from every start of
@@ -277,9 +298,10 @@ def seesaw_run(
 
 def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
     """The (restarts + 1, dim, dim) multistart stack; see initial_contractions."""
-    # A GUE sample is exactly Hermitian, so the stacked sign equals
-    # hermitian_sign of each sample bit for bit.
-    samples = np.stack([gue_hermitian(dim, stream(config.seed, i)) for i in range(1, config.restarts + 1)])
+    # gue_stack draws gue_hermitian(dim, stream(config.seed, i)) for each
+    # restart i bit for bit. A GUE sample is exactly Hermitian, so the
+    # stacked sign equals hermitian_sign of each sample bit for bit.
+    samples = gue_stack(dim, spawn_keys(config.seed, np.arange(1, config.restarts + 1)))
     signs, _ = optimal_contraction(samples, hermitian=True)
     return np.concatenate([np.eye(dim, dtype=np.complex128)[None], signs])
 
@@ -291,6 +313,13 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
     The whole stack is built on the first step, so the iterator holds
     O(restarts * dim^2) memory however far it is consumed."""
     yield from enumerate(_start_stack(dim, config))
+
+
+def _multistart(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True) -> _Runs:
+    """Every initial_contractions start on B run as one kernel batch, for
+    n_a, n_b >= 2 and z != 0; epsilon_norm is its best run."""
+    starts = _check_starts(_start_stack(z.n_b, config), z.n_b, hermitian)
+    return _seesaw(z, starts, config, "B", hermitian)
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
@@ -320,11 +349,7 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
         f, g = (one, w) if n_a == 1 else (w, one)
         return NormEstimate(v, 1, True, f, g, (v,), restart_index=0)
 
-    starts = _check_starts(_start_stack(n_b, config), n_b, hermitian)
-    runs = _seesaw(z, starts, config, "B", hermitian)
-    # argmax takes the first maximum: ties go to the lowest restart index
-    k = int(np.argmax(runs.values))
-    return runs.estimate(k, restart_index=k)
+    return _multistart(z, config, hermitian).best()
 
 
 def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:

@@ -38,6 +38,101 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# The constants of numpy's SeedSequence (pool of four 32-bit words).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def spawn_keys(seed: int, indices) -> np.ndarray:
+    """The Philox keys of stream(seed, i) for every i in indices, as a
+    (len(indices), 2) uint64 array whose row r is
+    SeedSequence(seed, spawn_key=(indices[r],)).generate_state(2, np.uint64).
+
+    SeedSequence mixes the seed's words first and the spawn word last, so
+    the seed's part of the pool is mixed once, as Python ints, and only the
+    spawn word runs through uint64 arrays. There every value is a 32-bit
+    word and every product is of two such words, so nothing wraps and no
+    overflow warning can appear. Indices must lie in [0, 2**32)."""
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if indices.size and not (indices.min() >= 0 and indices.max() <= _MASK32):
+        raise ValueError("spawn indices must lie in [0, 2**32)")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # with a spawn key, the seed's words are zero-padded to the pool size
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+
+    # hashmix and mix take ints or uint64 arrays of 32-bit words alike
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        # (L x - R y) mod 2**32, kept nonnegative by adding 2**32
+        result = ((_MIX_MULT_L * x & _MASK32) + (1 << 32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        pool = [mix(entry, hashmix(word)) for entry in pool]
+    spawn = indices.astype(np.uint64)
+    pool = [mix(entry, hashmix(spawn)) for entry in pool]
+
+    # generate_state: one hashed output word per pool word
+    const = _INIT_B
+    out = []
+    for entry in pool:
+        value = entry ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=-1)
+
+
+def gue_stack(n: int, keys: np.ndarray) -> np.ndarray:
+    """One gue_hermitian(n, ...) sample per Philox key, stacked as
+    (len(keys), n, n): row r equals gue_hermitian(n, stream(seed, i)) bit
+    for bit when keys[r] is the key of stream(seed, i) (see spawn_keys).
+
+    One Philox generator is reused by assigning its state (the key, a zero
+    counter and an empty buffer); each sample takes its real and imaginary
+    parts from one standard_normal((2, n, n)) call, and the stack is
+    symmetrised once."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    parts = np.empty((len(keys), 2, n, n))
+    for r, key in enumerate(keys):
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": key},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        parts[r] = rng.standard_normal((2, n, n))
+    a = parts[:, 0] + 1j * parts[:, 1]
+    return (a + a.conj().swapaxes(1, 2)) / 2
+
+
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary.
 

@@ -41,14 +41,10 @@ import numpy as np
 
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
-from .norms import (
-    SeeSawConfig,
-    epsilon_norm,
-    hiding_ratio,
-    initial_contractions,
-    seesaw_run,
-    witness_value,
-)
+from .norms import SeeSawConfig, _multistart, epsilon_norm, hiding_ratio, seesaw_run, witness_value
+
+# Unused here; kept because the benchmark's tracer patches it on this module by name.
+from .norms import initial_contractions  # noqa: F401
 from .states import (
     QuantumXorGame,
     game_operator,
@@ -61,6 +57,8 @@ from .states import (
 )
 
 MONOTONE_STEP_TOL = 1e-12
+# Starts whose histories the monotonicity suite checks: 0 (identity) to 2.
+MONOTONE_STARTS = 3
 ORDERING_TOL = 1e-9
 WITNESS_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -294,19 +292,25 @@ def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     """The monotonicity and ordering suites, in one pass over the property
     instances: every single-start history is nondecreasing, and the
     multistart estimate stays below the trace norm with a witness pair
-    that reproduces it."""
+    that reproduces it.
+
+    Each instance runs one multistart of max(restarts, 2) restarts. Every
+    start runs on its own in the batch, so the histories of starts 0 to 2
+    are those of seesaw_run from the same starts, and the best of the
+    first restarts + 1 runs is epsilon_norm at config, bit for bit."""
     monotone = _Tally(max_decrease=0.0)
     ordering = _Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
     for label, z, seesaw_seed, _ in _instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
-        run_config = replace(config, seed=seesaw_seed, restarts=2)
-        for start_index, g0 in initial_contractions(z.n_b, run_config):
-            diffs = np.diff(seesaw_run(z, g0, run_config).value_history)
+        restarts = max(config.restarts, MONOTONE_STARTS - 1)
+        runs = _multistart(z, replace(config, seed=seesaw_seed, restarts=restarts))
+        for start_index in range(MONOTONE_STARTS):
+            diffs = np.diff(runs.estimate(start_index).value_history)
             step = -float(diffs.min()) if diffs.size else 0.0
             monotone.check(
                 (step > MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
                 max_decrease=step,
             )
-        est = epsilon_norm(z, replace(config, seed=seesaw_seed))
+        est = runs.best(config.restarts + 1)
         tn = trace_norm(z.matrix)
         gap = abs(witness_value(z, est) - est.value)
         ordering.check(

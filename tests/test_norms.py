@@ -47,6 +47,17 @@ def test_config_validation():
         SeeSawConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, "3", None, np.float64(2.0)])
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+        SeeSawConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**130, np.uint64(7), np.int64(3)])
+def test_config_accepts_nonnegative_integer_seeds(seed):
+    assert SeeSawConfig(seed=seed).seed == seed
+
+
 # ---------------------------------------------------------------- seesaw_run
 
 def test_seesaw_product_saturates_from_sign_start():

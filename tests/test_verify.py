@@ -212,12 +212,13 @@ def property_estimates():
 
 
 def test_decreasing_history_fails_monotonicity(monkeypatch):
-    real = verify.seesaw_run
+    # the suite reads each start's history from its multistart's runs
+    real = norms._Runs.estimate
 
     def decreasing(*args, **kwargs):
         return replace(real(*args, **kwargs), value_history=(1.0, 0.5))
 
-    monkeypatch.setattr(verify, "seesaw_run", decreasing)
+    monkeypatch.setattr(norms._Runs, "estimate", decreasing)
     suite = failed_suite(verification(), "seesaw_monotonicity")
     assert suite["failures"] == [
         f"({n_a},{n_b}) gue[0] start {start}: value decreased by 0.5"
@@ -226,6 +227,56 @@ def test_decreasing_history_fails_monotonicity(monkeypatch):
     ]
     assert suite["checks"] == 3 * (RESTARTS + 1)
     assert suite["stats"] == {"max_decrease": 0.5}
+
+
+def property_suites_reference(samples, config):
+    """_property_suites as separate runs: seesaw_run from initial_contractions
+    at 2 restarts for the histories, then epsilon_norm at config."""
+    monotone = verify._Tally(max_decrease=0.0)
+    ordering = verify._Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
+    for label, z, seesaw_seed, _ in verify._instances(config.seed, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, samples):
+        run_config = replace(config, seed=seesaw_seed, restarts=2)
+        for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
+            diffs = np.diff(norms.seesaw_run(z, g0, run_config).value_history)
+            step = -float(diffs.min()) if diffs.size else 0.0
+            monotone.check(
+                (step > verify.MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
+                max_decrease=step,
+            )
+        est = norms.epsilon_norm(z, replace(config, seed=seesaw_seed))
+        tn = norms.trace_norm(z.matrix)
+        gap = abs(norms.witness_value(z, est) - est.value)
+        ordering.check(
+            (est.value - tn > verify.ORDERING_TOL, f"{label}: estimate {est.value!r} exceeds trace norm {tn!r}"),
+            (gap > verify.WITNESS_TOL, f"{label}: witness reproduces {est.value!r} only to {gap!r}"),
+            max_excess_over_trace_norm=est.value - tn,
+            max_witness_gap=gap,
+        )
+    return monotone.suite(), ordering.suite()
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 16])
+def test_property_suites_equal_separate_runs(restarts):
+    # One multistart per instance gives the single-start histories and the
+    # estimate of separate seesaw_run and epsilon_norm calls, bit for bit.
+    config = SeeSawConfig(restarts=restarts, seed=SEED)
+    assert verify._property_suites(1, config) == property_suites_reference(1, config)
+    for _, z, seesaw_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
+        runs = norms._multistart(z, replace(config, seed=seesaw_seed, restarts=max(restarts, 2)))
+        run_config = replace(config, seed=seesaw_seed, restarts=2)
+        for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
+            ref = norms.seesaw_run(z, g0, run_config)
+            assert runs.estimate(start_index).value_history == ref.value_history
+        est = runs.best(restarts + 1)
+        ref = norms.epsilon_norm(z, replace(config, seed=seesaw_seed))
+        assert (est.value, est.restart_index, est.iterations_used, est.converged) == (
+            ref.value,
+            ref.restart_index,
+            ref.iterations_used,
+            ref.converged,
+        )
+        assert est.value_history == ref.value_history
+        assert np.array_equal(est.best_f, ref.best_f) and np.array_equal(est.best_g, ref.best_g)
 
 
 def test_estimate_above_trace_norm_fails_ordering(monkeypatch):
