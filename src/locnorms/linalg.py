@@ -71,10 +71,7 @@ def trace_norm(m) -> float:
     For Hermitian m this equals the sum of |eigenvalues| and is the
     unrestricted distinguishability norm of a discrimination operator.
     """
-    a = as_square_matrix(m)
-    if not a.any():
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(np.linalg.svd(as_square_matrix(m), compute_uv=False).sum())
 
 
 def hermitian_sign(m) -> np.ndarray:

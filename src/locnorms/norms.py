@@ -27,6 +27,10 @@ _multistart runs the whole stack and returns every run, so a caller that
 needs single-start histories as well as the estimate (the verify property
 suites) runs each start once; epsilon_norm is its best run.
 
+A start is checked where a caller passes it, in seesaw_run. The multistart
+stack is not checked at run time; tests pin it as exactly Hermitian
+contractions, the identity first.
+
 The operands contract against two contiguous copies of z, relaid once per
 kernel call as (b, a, a', b') for the A side and (a, a', b, b') for the B
 side. These layouts make einsum sum in the same order as on the strided
@@ -77,10 +81,15 @@ class SeeSawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        for name, value in (("restarts", self.restarts), ("max_iters", self.max_iters)):
+            try:
+                if operator.index(value) < 1:
+                    raise ValueError(f"{name} must be positive, got {value}")
+            except TypeError:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+        if self.restarts >= 2**32:
+            # restart i draws from substream i, and spawn keys index below 2**32
+            raise ValueError(f"restarts must be below 2**32, got {self.restarts}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         try:
@@ -159,19 +168,6 @@ def _operand_a(zb: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     # tr_A[z (f x 1)] for each f in the stack: the B-side operands once f is fixed
     return np.einsum("acij,rca->rij", za, f)
-
-
-def _check_starts(starts: np.ndarray, dim: int, hermitian: bool) -> np.ndarray:
-    """Validate a stack (R, dim, dim) of finite initial contractions."""
-    if starts.shape[1:] != (dim, dim):
-        raise ValueError(f"initial contraction has shape {starts.shape[1:]}, expected ({dim}, {dim})")
-    opnorms = np.linalg.svd(starts, compute_uv=False)[:, 0]
-    if (opnorms > 1.0 + OPNORM_SLACK).any():
-        opnorm = float(opnorms[np.argmax(opnorms > 1.0 + OPNORM_SLACK)])
-        raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
-    if hermitian and np.abs(starts - starts.conj().swapaxes(1, 2)).max() > 1e-12:
-        raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
-    return starts
 
 
 def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
@@ -290,10 +286,17 @@ def seesaw_run(
     if start_side not in ("A", "B"):
         raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
     dim = z.n_b if start_side == "B" else z.n_a
-    start = _check_starts(as_square_matrix(g0)[None], dim, hermitian)
+    start = as_square_matrix(g0)
+    if start.shape != (dim, dim):
+        raise ValueError(f"initial contraction has shape {start.shape}, expected ({dim}, {dim})")
+    opnorm = float(np.linalg.svd(start, compute_uv=False)[0])
+    if opnorm > 1.0 + OPNORM_SLACK:
+        raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
+    if hermitian and np.abs(start - start.conj().T).max() > 1e-12:
+        raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _seesaw(z, start, config, start_side, hermitian).estimate(0)
+    return _seesaw(z, start[None], config, start_side, hermitian).estimate(0)
 
 
 def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
@@ -318,8 +321,7 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
 def _multistart(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True) -> _Runs:
     """Every initial_contractions start on B run as one kernel batch, for
     n_a, n_b >= 2 and z != 0; epsilon_norm is its best run."""
-    starts = _check_starts(_start_stack(z.n_b, config), z.n_b, hermitian)
-    return _seesaw(z, starts, config, "B", hermitian)
+    return _seesaw(z, _start_stack(z.n_b, config), config, "B", hermitian)
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:

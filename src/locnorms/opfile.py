@@ -41,8 +41,6 @@ class OperatorFileError(ValueError):
 
 
 def _require(data: dict, key: str, path) -> object:
-    if not isinstance(data, dict):
-        raise OperatorFileError(f"{path}: top level must be a JSON object")
     if key not in data:
         raise OperatorFileError(f"{path}: missing field '{key}'")
     return data[key]
@@ -101,12 +99,15 @@ def _load_json(path) -> dict:
     if not p.is_file():
         raise OperatorFileError(f"{path}: file not found")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(p.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit.
         raise OperatorFileError(f"{path}: invalid JSON ({exc})") from exc
     except ValueError as exc:  # an integer literal longer than int's string conversion allows
         raise OperatorFileError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise OperatorFileError(f"{path}: top level must be a JSON object")
+    return data
 
 
 def parse_operator_file(path) -> BipartiteOperator:

@@ -22,9 +22,10 @@ with its see-saw seed, and `evaluate_case` reports it in one record, a
 scan row and a CLI row alike. The stream codes `GENERATOR_CODE` are
 fixed: they key every drawn instance, so changing one changes every
 output. The operator and game scans share one scan-and-escalate loop,
-`_escalating_scan`: a bound violation at the working restart budget is
-retried at a larger budget before it counts, since a see-saw shortfall
-on a hard instance is an estimator artifact, not a counterexample.
+`_escalating_scan`: a bound violation at a working restart budget below
+ESCALATE_RESTARTS is retried at ESCALATE_RESTARTS before it counts, since
+a see-saw shortfall on a hard instance is an estimator artifact, not a
+counterexample. At ESCALATE_RESTARTS or more the first run is final.
 
 The registry lives here because the benchmark's tracing wrappers and the
 tests patch the generators and evaluators on this module; `draw`,
@@ -78,7 +79,7 @@ _BLOCK_LABEL = 8
 XOR_LABEL = 10
 INPUT_LABEL = 99
 
-# Restart budget a cap violation is retried at before it counts.
+# A cap violation at a smaller restart budget is retried at this one before it counts.
 ESCALATE_RESTARTS = 500
 
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
@@ -186,25 +187,29 @@ def evaluate_case(instance, config: SeeSawConfig) -> dict:
 
 def _escalating_scan(cases, config: SeeSawConfig) -> dict:
     """Evaluate each (label, instance, seesaw_seed, fields) case at config
-    with its see-saw seed, and retry a cap violation at ESCALATE_RESTARTS.
+    with its see-saw seed, and retry a cap violation at ESCALATE_RESTARTS
+    when config.restarts is below it; escalation only raises the budget.
 
     Each row is the case's fields, the evaluate_case record of its final
     run (the escalated one when escalation fired) and escalated. Only
-    violations that persist after escalation count as failures. Returns
-    the scan's summary record with its rows.
+    violations of the final run count as failures. Returns the scan's
+    summary record with its rows.
     """
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
     for label, instance, seesaw_seed, fields in cases:
         run_config = replace(config, seed=seesaw_seed)
         row = evaluate_case(instance, run_config)
-        escalated = row["ratio"] is not None and not row["satisfied"]
+        # a zero game's report (ratio None) is satisfied
+        escalated = not row["satisfied"] and config.restarts < ESCALATE_RESTARTS
         if escalated:
-            row = evaluate_case(instance, replace(run_config, restarts=ESCALATE_RESTARTS))
+            run_config = replace(run_config, restarts=ESCALATE_RESTARTS)
+            row = evaluate_case(instance, run_config)
         rows.append({**fields, **row, "escalated": escalated})
+        stage = "after escalation to" if escalated else "at"
         message = (
             f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} "
-            f"after escalation to {ESCALATE_RESTARTS} restarts"
+            f"{stage} {run_config.restarts} restarts"
         )
         worst = None if row["ratio"] is None else row["ratio"] / row["bound"]
         tally.check((not row["satisfied"], message), worst_ratio_over_bound=worst)
@@ -215,9 +220,9 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     """Trace norm against 2 sqrt(2) min-dim times the product-witness
     estimate, over GUE and induced-difference instances.
 
-    Each instance alternates generator kind by index. Violations at the
-    working budget are retried at ESCALATE_RESTARTS; rows record both
-    stages and only post-escalation violations are returned as failures.
+    Each instance alternates generator kind by index. Violations at a
+    working budget below ESCALATE_RESTARTS are retried there; rows report
+    the final run and only its violations are returned as failures.
     Every pair is checked before the first draw.
     """
     check_samples(samples_per_pair)
@@ -304,8 +309,7 @@ def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
         restarts = max(config.restarts, MONOTONE_STARTS - 1)
         runs = _multistart(z, replace(config, seed=seesaw_seed, restarts=restarts))
         for start_index in range(MONOTONE_STARTS):
-            diffs = np.diff(runs.estimate(start_index).value_history)
-            step = -float(diffs.min()) if diffs.size else 0.0
+            step = -float(np.diff(runs.estimate(start_index).value_history).min())
             monotone.check(
                 (step > MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
                 max_decrease=step,
@@ -325,8 +329,6 @@ def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
 def _history_gap(a, b) -> float:
     if len(a) != len(b):
         return math.inf
-    if not a:
-        return 0.0
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
@@ -372,8 +374,8 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     deterministic summary dict, which echoes the four config values.
 
     samples >= 1 scales each randomized suite; config.restarts is the
-    multistart budget of the scans (escalation goes to ESCALATE_RESTARTS
-    regardless).
+    multistart budget of the scans, whose violations escalate to
+    ESCALATE_RESTARTS only from a smaller budget.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

@@ -601,12 +601,23 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
     "argv, message",
     [
         (["scaling", "--generator", "gue", "--samples", "0", "--restarts", "0"], "restarts must be positive, got 0"),
+        (
+            ["scaling", "--generator", "gue", "--samples", "0", "--restarts", str(2**32)],
+            f"restarts must be below 2**32, got {2**32}",
+        ),
         (["xor", "--samples", "0", "--tol", "-1"], "rel_tol must be positive, got -1.0"),
         (["ratio", "--werner", "1", "--restarts", "0"], "hiding pair needs d >= 2 (no antisymmetric subspace at d=1)"),
         (["xor", "--states", "0", "--restarts", "0"], "num_states must be >= 1, got 0"),
         (["xor", "--states", "0", "--samples", "0", "--restarts", "0"], "num_states must be >= 1, got 0"),
     ],
-    ids=["scaling-no-rows", "xor-no-rows", "ratio-instance-first", "xor-states-first", "xor-states-no-games"],
+    ids=[
+        "scaling-no-rows",
+        "scaling-restarts-past-substreams",
+        "xor-no-rows",
+        "ratio-instance-first",
+        "xor-states-first",
+        "xor-states-no-games",
+    ],
 )
 def test_search_flags_are_checked_after_the_command_checks(capsys, argv, message):
     assert main(argv) == EXIT_VALIDATION

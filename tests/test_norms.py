@@ -23,7 +23,8 @@ from locnorms import (
     witness_value,
 )
 from locnorms.linalg import hermitian_sign, swap_subsystems
-from locnorms.norms import _operand_a, _operand_b, _relays, bound_factor, initial_contractions
+from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _start_stack, bound_factor
+from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
 
 CFG = SeeSawConfig(restarts=16, seed=100)
@@ -45,6 +46,28 @@ def test_config_validation():
         SeeSawConfig(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         SeeSawConfig(rel_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["restarts", "max_iters"])
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "3", None, np.float64(2.0)])
+def test_config_rejects_a_budget_that_is_not_an_integer(name, value):
+    # a fractional restart count would run a rounded-up number of restarts
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got "):
+        SeeSawConfig(**{name: value})
+
+
+def test_config_caps_restarts_at_the_substream_index_range():
+    # restart i draws from substream i, whose spawn key must lie below 2**32
+    assert SeeSawConfig(restarts=2**32 - 1).restarts == 2**32 - 1
+    for restarts in (2**32, 2**64):
+        with pytest.raises(ValueError, match=rf"^restarts must be below 2\*\*32, got {restarts}$"):
+            SeeSawConfig(restarts=restarts)
+
+
+@pytest.mark.parametrize("name", ["restarts", "max_iters"])
+@pytest.mark.parametrize("value", [1, np.int64(5), np.uint32(7)])
+def test_config_accepts_integer_budgets(name, value):
+    assert getattr(SeeSawConfig(**{name: value}), name) == value
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "3", None, np.float64(2.0)])
@@ -230,6 +253,18 @@ def test_initial_contractions_equal_per_restart_signs(restarts):
         assert [index for index, _ in starts] == list(range(restarts + 1))
         for (_, g0), expected in zip(starts, ref):
             assert np.array_equal(g0, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("restarts", [1, 50, 500])
+def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed):
+    # _multistart runs this stack unchecked, so the guarantee lives here.
+    for dim in range(1, 7):
+        starts = _start_stack(dim, SeeSawConfig(restarts=restarts, seed=seed))
+        assert starts.shape == (restarts + 1, dim, dim)
+        assert np.array_equal(starts[0], np.eye(dim))
+        assert np.array_equal(starts, starts.conj().swapaxes(1, 2))
+        assert np.linalg.svd(starts, compute_uv=False)[:, 0].max() <= 1.0 + OPNORM_SLACK
 
 
 @pytest.mark.parametrize("count", [1, 51, 501])

@@ -124,6 +124,23 @@ def test_scans_draw_from_the_config_seed(scan):
     assert other["rows"] != first["rows"]
 
 
+@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("restarts", [500, 600])
+def test_violations_from_the_escalation_budget_up_are_final(monkeypatch, scan, restarts):
+    # escalation only raises the budget, so from ESCALATE_RESTARTS up a
+    # violating row reports its one run and the failure names its budget
+    evaluator, labels, _ = SCANS[scan]
+    budgets, reports = violating(monkeypatch, evaluator, {restarts})
+    result = SEEDED_SCANS[scan](replace(CONFIG, restarts=restarts))
+    assert budgets == [restarts, restarts]
+    assert [row["escalated"] for row in result["rows"]] == [False, False]
+    assert [row["estimate"] for row in result["rows"]] == [payload(r) for r in reports]
+    assert result["failures"] == [
+        f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} at {restarts} restarts"
+        for label, row in zip(labels, result["rows"])
+    ]
+
+
 def test_run_verification_echoes_and_seeds_from_its_config():
     config = SeeSawConfig(restarts=3, max_iters=40, rel_tol=1e-6, seed=165)
     summary = verify.run_verification(config, samples=1)
