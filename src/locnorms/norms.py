@@ -90,8 +90,11 @@ class SeeSawConfig:
         if self.restarts >= 2**32:
             # restart i draws from substream i, and spawn keys index below 2**32
             raise ValueError(f"restarts must be below 2**32, got {self.restarts}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        try:
+            if not self.rel_tol > 0:
+                raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        except TypeError:
+            raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}") from None
         try:
             negative = operator.index(self.seed) < 0
         except TypeError:

@@ -36,6 +36,7 @@ globals at call time, so a patch reaches every caller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -85,8 +86,17 @@ ESCALATE_RESTARTS = 500
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
 
 
+def _sample_count(samples: int) -> int:
+    """samples as an int, or ValueError if it is not an integer (as
+    SeeSawConfig rejects its counts)."""
+    try:
+        return operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
+
+
 def check_samples(samples: int) -> None:
-    if samples < 0:
+    if _sample_count(samples) < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
 
 
@@ -377,7 +387,7 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     multistart budget of the scans, whose violations escalate to
     ESCALATE_RESTARTS only from a smaller budget.
     """
-    if samples < 1:
+    if _sample_count(samples) < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     quarter = max(1, samples // 4)
 

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: payloads, headers, determinism, exit
 codes."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,7 +392,10 @@ def test_darwinism_validation_errors(capsys):
     capsys.readouterr()
     for flag in ("--da", "--dr", "--r", "--q"):  # an integer too large for float arithmetic; the last --da wins
         assert main(["darwinism", "--da", "2", "--dr", "2", flag, str(10**400)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: value too large (")
+        assert capsys.readouterr().err == "error: value too large (int too large to convert to float)\n"
+    # an observed dimension whose square leaves the float range
+    assert main(["darwinism", "--da", str(10**155), "--dr", "2"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: value too large ((34, 'Numerical result out of range'))\n"
     # the --dr start is checked like the --da start, also when --da is empty
     assert main(["darwinism", "--da", "5:3", "--dr", "0:2"]) == EXIT_VALIDATION
     assert capsys.readouterr().err == "error: fragment dimension must be >= 1, got 0\n"
@@ -495,6 +500,30 @@ DARWINISM_GRID_JSON = """\
 def test_darwinism_grid_bytes(capsys, fmt, expected):
     assert main(DARWINISM_GRID + fmt) == EXIT_OK
     assert capsys.readouterr() == (expected, "")
+
+
+def test_darwinism_benchmark_grid_digest(capsys):
+    # the stdout of the benchmark's ~14k-row grid, recorded when each row
+    # called the single-pair functions: any float of any row that changes
+    # shows here
+    assert main(["darwinism", "--da", "2:120", "--dr", "1:122", "--r", "1", "--q", "100"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert (len(out.splitlines()), err) == (119 * 122 + 1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "e446f27a5d5aa05a7299f0a948a6254dcd841dd60ae1e5904a9d7766f12c5464"
+
+
+def test_csv_cells_spell_each_python_scalar(capsys):
+    # csv.writer spells None, ints and floats itself; only bools are spelled
+    # out. The expected line is the spelling of a per-cell formatter: "" for
+    # None, true/false, str for an int and repr for a float. Rows hold
+    # Python scalars only: csv would not spell numpy scalars this way.
+    row = {"none": None, "yes": True, "no": False, "int": -2**70, "inf": math.inf, "nan": math.nan}
+    row.update({"zero": -0.0, "huge": 1e300, "tenth": 0.1})
+    cli_module._emit_rows([row], tuple(row), "csv", None)
+    assert capsys.readouterr().out == (
+        "none,yes,no,int,inf,nan,zero,huge,tenth\n"
+        ",true,false,-1180591620717411303424,inf,nan,-0.0,1e+300,0.1\n"
+    )
 
 
 # ---------------------------------------------------------------- verify

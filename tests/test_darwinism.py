@@ -136,3 +136,79 @@ def test_sweep_empty_range_gives_no_rows():
     # the other range is never read, so its out-of-domain values raise nothing
     assert coefficient_sweep([], [0]) == []
     assert coefficient_sweep(range(5, 3), [0]) == []
+
+
+def test_sweep_rows_equal_the_single_pair_functions():
+    # every row is the pair's omega_new, omega_ranard, their quotient and
+    # diamond_bound_rhs bit for bit, though the sweep evaluates each
+    # one-dimension term once per value
+    rows = coefficient_sweep(range(2, 60), range(1, 80), 3, 7)
+    assert [(row["d_a"], row["d_r"]) for row in rows] == [(d_a, d_r) for d_a in range(2, 60) for d_r in range(1, 80)]
+    for row in rows:
+        d_a, d_r = row["d_a"], row["d_r"]
+        new, old = omega_new(d_a, d_r), omega_ranard(d_a, d_r)
+        assert row == {
+            "d_a": d_a,
+            "d_r": d_r,
+            "omega_new": new,
+            "omega_ranard": old,
+            "improvement_factor": old / new,
+            "diamond_bound": diamond_bound_rhs(d_a, d_r, 3, 7),
+        }
+
+
+def test_sweep_without_fragment_counts_has_no_diamond_bound():
+    rows = coefficient_sweep(range(2, 5), range(1, 4))
+    assert all(list(row) == ["d_a", "d_r", "omega_new", "omega_ranard", "improvement_factor"] for row in rows)
+    assert coefficient_sweep([3], [2], 1, 1)[0]["diamond_bound"] == diamond_bound_rhs(3, 2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "d_as, d_rs, message",
+    [
+        ([2, 1], [3], "observed-system dimension must be >= 2, got 1"),
+        ([3, 1], [5, 0], "fragment dimension must be >= 1, got 0"),
+        ([1, 2], [0], "observed-system dimension must be >= 2, got 1"),
+        ([], [0], None),
+        ([1], [], None),
+    ],
+)
+def test_sweep_raises_the_first_error_of_its_rows(d_as, d_rs, message):
+    # the rows evaluated one by one, d_a outer, raise the same first error
+    if message is None:
+        assert coefficient_sweep(d_as, d_rs) == []
+        return
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        coefficient_sweep(d_as, d_rs)
+
+
+def _rows_one_by_one(d_as, d_rs, r_size, q_size):
+    return [
+        (omega_new(d_a, d_r), omega_ranard(d_a, d_r), diamond_bound_rhs(d_a, d_r, r_size, q_size))
+        for d_a in d_as
+        for d_r in d_rs
+    ]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# values that fail a check, or overflow float arithmetic in one term only:
+# 10**155 squared and (10**206)**1.5 leave the float range, 10**400 is
+# beyond it
+EDGE_VALUES = (0, 1, 2, 3, 10**155, 10**206, 10**400)
+
+
+@pytest.mark.parametrize("counts", [(1, 1), (10**400, 1), (1, 10**400)])
+def test_sweep_fails_where_the_first_failing_row_would(counts):
+    # A check or an overflowing term raises what the single-pair functions
+    # raise on the first row that fails, whichever value is at fault.
+    for d_as in ([a, b] for a in EDGE_VALUES for b in (2, 3, 10**155, 1)):
+        for d_rs in ([a, b] for a in EDGE_VALUES for b in (1, 10**206, 0)):
+            got = _outcome(lambda: [tuple(row.values())[2:] for row in coefficient_sweep(d_as, d_rs, *counts)])
+            want = _outcome(lambda: [(n, o, o / n, d) for n, o, d in _rows_one_by_one(d_as, d_rs, *counts)])
+            assert got == want, (d_as, d_rs, counts)

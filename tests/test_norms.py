@@ -48,6 +48,12 @@ def test_config_validation():
         SeeSawConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("rel_tol", ["1e-3", None])
+def test_config_rejects_a_tolerance_that_is_not_a_number(rel_tol):
+    with pytest.raises(ValueError, match=rf"^rel_tol must be a positive number, got {rel_tol!r}$"):
+        SeeSawConfig(rel_tol=rel_tol)
+
+
 @pytest.mark.parametrize("name", ["restarts", "max_iters"])
 @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, "3", None, np.float64(2.0)])
 def test_config_rejects_a_budget_that_is_not_an_integer(name, value):

@@ -192,6 +192,21 @@ def test_scans_reject_negative_counts_and_dimensions(case):
         run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify.main_bound_scan([(2, 2)], 1.5, CONFIG),
+        lambda: verify.game_bound_scan(1.5, 2, 2, CONFIG),
+        lambda: verify.field_ratio_scan(1.5, CONFIG),
+        lambda: verify.run_verification(CONFIG, 1.5),
+    ],
+    ids=["main", "game", "field", "run_verification"],
+)
+def test_a_fractional_sample_count_is_rejected_before_any_draw(run):
+    with pytest.raises(ValueError, match=r"^samples must be an integer, got 1\.5$"):
+        run()
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_run_verification_needs_a_sample(samples):
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
