@@ -14,7 +14,7 @@ of the game operator, and a vanishing operator gets ratio None.
 
 from __future__ import annotations
 
-from .norms import RatioReport, SeeSawConfig, bound_factor, epsilon_norm, hiding_ratio
+from .norms import RatioReport, SeeSawConfig, _report, epsilon_norm
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .linalg import trace_norm  # noqa: F401
@@ -29,11 +29,7 @@ def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     bound on the true product bias. When the operator vanishes both
     biases are 0, every strategy is optimal and ratio is None."""
     gop = game_operator(game)
-    if gop.is_zero():
-        zero = epsilon_norm(gop, config)
-        bound = bound_factor(game.n_a, game.n_b)
-        return RatioReport(trace_norm=0.0, eps_estimate=zero, ratio=None, bound=bound, satisfied=True)
-    return hiding_ratio(gop, config)
+    return _report(gop, epsilon_norm(gop, config))
 
 
 def check_states(num_states: int) -> None:

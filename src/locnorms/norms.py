@@ -18,6 +18,15 @@ equals seesaw_run from the same start bit for bit; seesaw_run is the
 kernel on a batch of one. The batch holds all R starts at once, so memory
 is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
 
+The kernel also serves several operators of one shape in one call, each
+with its own start stack (verify batches a whole pass this way). Each
+operator's starts stay one contiguous slice of the running stack, and
+its contraction runs on that slice; the eigensolves, the stopping test
+and the dropping of finished starts run once per half-step on the whole
+stack. So every operator's runs equal a call on it alone bit for bit.
+With one operator the contraction runs on the whole stack, with no
+slicing and no concatenation.
+
 The multistart starts are built as one stack as well: one GUE sample per
 restart substream, turned into spectral signs by a single stacked
 eigensolve. The Philox keys of all restart substreams come from one pass
@@ -50,6 +59,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -173,6 +183,14 @@ def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("acij,rca->rij", za, f)
 
 
+def _contract(operand, relays: tuple[np.ndarray, ...], stack: np.ndarray, bounds: list[int] | None) -> np.ndarray:
+    """operand of each operator's slice bounds[j]:bounds[j + 1] of the
+    stack, in order; bounds is None for a single operator."""
+    if bounds is None:
+        return operand(relays[0], stack)
+    return np.concatenate([operand(r, stack[lo:hi]) for r, lo, hi in zip(relays, bounds, bounds[1:]) if lo < hi])
+
+
 def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
     return NormEstimate(
         value=0.0,
@@ -186,7 +204,8 @@ def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> 
 
 
 class _Runs(NamedTuple):
-    """Outcome of one see-saw batch, indexed by start position."""
+    """Outcome of one operator's runs in a see-saw batch, indexed by start
+    position."""
 
     values: np.ndarray
     iterations: np.ndarray
@@ -196,10 +215,13 @@ class _Runs(NamedTuple):
     # per iteration: (positions still running, first and second half-step values)
     steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
+    # position of start 0 in the kernel batch, which steps index
+    offset: int
+
     def estimate(self, k: int, restart_index: int | None = None) -> NormEstimate:
         history = []
         for running, first, second in self.steps[: self.iterations[k]]:
-            p = running.searchsorted(k)
+            p = running.searchsorted(k + self.offset)
             history += (float(first[p]), float(second[p]))
         return NormEstimate(
             value=history[-1],
@@ -219,15 +241,18 @@ class _Runs(NamedTuple):
         return self.estimate(k, restart_index=k)
 
 
-def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, start_side: str, hermitian: bool) -> _Runs:
-    """The see-saw kernel: alternate exact half-steps from every start of
-    the stack (R, n, n) at once, dropping each start from the batch as soon
-    as it meets its own stopping test."""
-    zb, za = _relays(z)
+def _seesaw(zs, stacks, config: SeeSawConfig, start_side: str, hermitian: bool) -> list[_Runs]:
+    """The see-saw kernel on operators zs of one shape, each with its own
+    stack of starts (R_j, n, n): alternate exact half-steps from every
+    start at once, dropping each start from the batch as soon as it meets
+    its own stopping test. Returns one _Runs per operator."""
+    zb, za = zip(*map(_relays, zs))
     if start_side == "B":
-        to_other, to_start, n_other = partial(_operand_a, zb), partial(_operand_b, za), z.n_a
+        to_other, to_start, n_other = partial(_contract, _operand_a, zb), partial(_contract, _operand_b, za), zs[0].n_a
     else:
-        to_other, to_start, n_other = partial(_operand_b, za), partial(_operand_a, zb), z.n_b
+        to_other, to_start, n_other = partial(_contract, _operand_b, za), partial(_contract, _operand_a, zb), zs[0].n_b
+    offsets = [0, *accumulate(map(len, stacks))]
+    starts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     count = len(starts)
     values = np.empty(count)
     iterations = np.empty(count, dtype=int)
@@ -240,8 +265,10 @@ def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, star
     prev = np.nan  # no start passes the stopping test on its first iteration
     tol = min(config.rel_tol, 1.0)  # v - prev <= v, so a tol above 1 stops where 1 does, and 1 cannot overflow
     for iters in range(1, config.max_iters + 1):
-        other, first = optimal_contraction(to_other(current), hermitian)
-        current, v = optimal_contraction(to_start(other), hermitian)
+        # each operator's starts stay one contiguous slice of the running stack
+        bounds = None if len(zs) == 1 else running.searchsorted(offsets).tolist()
+        other, first = optimal_contraction(to_other(current, bounds), hermitian)
+        current, v = optimal_contraction(to_start(other, bounds), hermitian)
         steps.append((running, first, v))
         # v is a sum of singular values or |eigenvalues|, so |v| = v
         done = v - prev <= tol * np.maximum(v, _TINY)
@@ -259,7 +286,10 @@ def _seesaw(z: BipartiteOperator, starts: np.ndarray, config: SeeSawConfig, star
                 break
         prev = v
     f, g = (final_other, final_start) if start_side == "B" else (final_start, final_other)
-    return _Runs(values, iterations, converged, f, g, steps)
+    return [
+        _Runs(values[lo:hi], iterations[lo:hi], converged[lo:hi], f[lo:hi], g[lo:hi], steps, lo)
+        for lo, hi in zip(offsets, offsets[1:])
+    ]
 
 
 def seesaw_run(
@@ -286,6 +316,15 @@ def seesaw_run(
     each restart of epsilon_norm equals seesaw_run from its start bit for
     bit.
     """
+    start = _checked_start(z, g0, start_side, hermitian)
+    if z.is_zero():
+        return _identity_estimate(z.n_a, z.n_b)
+    return _seesaw([z], [start[None]], config, start_side, hermitian)[0].estimate(0)
+
+
+def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -> np.ndarray:
+    """g0 as a complex start on start_side of z, or ValueError unless it is
+    a contraction of the side's dimension (and Hermitian when hermitian)."""
     if start_side not in ("A", "B"):
         raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
     dim = z.n_b if start_side == "B" else z.n_a
@@ -297,9 +336,7 @@ def seesaw_run(
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
     if hermitian and np.abs(start - start.conj().T).max() > 1e-12:
         raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
-    if z.is_zero():
-        return _identity_estimate(z.n_a, z.n_b)
-    return _seesaw(z, start[None], config, start_side, hermitian).estimate(0)
+    return start
 
 
 def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
@@ -324,7 +361,7 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
 def _multistart(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True) -> _Runs:
     """Every initial_contractions start on B run as one kernel batch, for
     n_a, n_b >= 2 and z != 0; epsilon_norm is its best run."""
-    return _seesaw(z, _start_stack(z.n_b, config), config, "B", hermitian)
+    return _seesaw([z], [_start_stack(z.n_b, config)], config, "B", hermitian)[0]
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
@@ -343,6 +380,13 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
     between restarts resolve to the lowest restart index, so the result
     does not depend on evaluation order.
     """
+    est = _closed_form(z, hermitian)
+    return est if est is not None else _multistart(z, config, hermitian).best()
+
+
+def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
+    """epsilon_norm where it is exact by closed form: z = 0, n_a = 1 or
+    n_b = 1; None elsewhere."""
     n_a, n_b = z.n_a, z.n_b
     if z.is_zero():
         return _identity_estimate(n_a, n_b, restart_index=0)
@@ -353,8 +397,7 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
         one = np.ones((1, 1), dtype=np.complex128)
         f, g = (one, w) if n_a == 1 else (w, one)
         return NormEstimate(v, 1, True, f, g, (v,), restart_index=0)
-
-    return _multistart(z, config, hermitian).best()
+    return None
 
 
 def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
@@ -366,10 +409,18 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
     """
     if z.is_zero():
         raise DegenerateOperatorError("hiding ratio is undefined for the zero operator")
-    tn = trace_norm(z.matrix)
-    est = epsilon_norm(z, config)
-    ratio = tn / est.value if est.value > 0 else math.inf
+    return _report(z, epsilon_norm(z, config))
+
+
+def _report(z: BipartiteOperator, est: NormEstimate) -> RatioReport:
+    """The report of z from its estimate est, as hiding_ratio gives it; a
+    vanishing z (a zero game, see evaluate_game) has ratio None and is
+    satisfied."""
     bound = bound_factor(z.n_a, z.n_b)
+    if z.is_zero():
+        return RatioReport(trace_norm=0.0, eps_estimate=est, ratio=None, bound=bound, satisfied=True)
+    tn = trace_norm(z.matrix)
+    ratio = tn / est.value if est.value > 0 else math.inf
     return RatioReport(
         trace_norm=tn,
         eps_estimate=est,
@@ -377,4 +428,3 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
         bound=bound,
         satisfied=ratio <= bound + BOUND_TOL,
     )
-

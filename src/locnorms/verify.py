@@ -18,19 +18,36 @@ scan returns that record with its rows, one per check, and
 
 Every seeded case of the scans and of the CLI takes one path: `draw`,
 the one registry of instance generators, draws it from its substream
-with its see-saw seed, and `evaluate_case` reports it in one record, a
-scan row and a CLI row alike. The stream codes `GENERATOR_CODE` are
-fixed: they key every drawn instance, so changing one changes every
-output. The operator and game scans share one scan-and-escalate loop,
-`_escalating_scan`: a bound violation at a working restart budget below
-ESCALATE_RESTARTS is retried at ESCALATE_RESTARTS before it counts, since
-a see-saw shortfall on a hard instance is an estimator artifact, not a
-counterexample. At ESCALATE_RESTARTS or more the first run is final.
+with its see-saw seed, and `case_report` reports it in the one record
+of `evaluate_case`, a scan row and a CLI row alike. The stream codes
+`GENERATOR_CODE` are fixed: they key every drawn instance, so changing
+one changes every output. The operator and game scans share one
+scan-and-escalate loop, `_escalating_scan`: a bound violation at a
+working restart budget below ESCALATE_RESTARTS is retried at
+ESCALATE_RESTARTS before it counts, since a see-saw shortfall on a hard
+instance is an estimator artifact, not a counterexample. At
+ESCALATE_RESTARTS or more the first run is final.
 
-The registry lives here because the benchmark's tracing wrappers and the
-tests patch the generators and evaluators on this module; `draw`,
-`evaluate_case` and the suites look those names up in this module's
-globals at call time, so a patch reaches every caller.
+A verify pass batches its see-saw work across all suites. A suite (or a
+case within one) is a step: a generator that draws its cases, yields
+their kernel jobs (operator, start stack, start side, field, read) and
+is sent what each job's read takes from its runs. `_drive` advances
+steps in lockstep, and `_run_jobs` makes one kernel call per (n_a, n_b,
+start side, field) over every pending job, so a --samples 1 pass makes 7
+kernel calls. Each run equals a solo call bit for bit. Rows come from the
+batched estimates through `case_report`, the report code of hiding_ratio
+and evaluate_game, and a cap violation escalates row by row through the
+case's own search. The start stacks of a whole round are held at once,
+O(total starts x n^2), but runs are read as soon as their kernel call
+returns, so only one call's value histories are held at a time.
+
+Tests reach the failure branches by patching `case_report`, `_estimate`,
+`_covariance_histories`, `_run_jobs`, `trace_norm`, `witness_value` and
+`block_frame_sums` here; the benchmark's tracer (perfbench/tracing.py)
+patches the instance generators, evaluators and scans, and
+epsilon_norm, seesaw_run and initial_contractions are imported only for
+it. Callers look these names up in this module's globals at call time,
+so a patch reaches every caller.
 """
 
 from __future__ import annotations
@@ -43,10 +60,11 @@ import numpy as np
 
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
-from .norms import SeeSawConfig, _multistart, epsilon_norm, hiding_ratio, seesaw_run, witness_value
+from .norms import SeeSawConfig, hiding_ratio, witness_value
+from .norms import _checked_start, _closed_form, _report, _seesaw, _start_stack
 
-# Unused here; kept because the benchmark's tracer patches it on this module by name.
-from .norms import initial_contractions  # noqa: F401
+# Unused here; kept because the benchmark's tracer patches them on this module by name.
+from .norms import epsilon_norm, initial_contractions, seesaw_run  # noqa: F401
 from .states import (
     QuantumXorGame,
     game_operator,
@@ -165,16 +183,85 @@ class _Tally:
         }
 
 
-def evaluate_case(instance, config: SeeSawConfig) -> dict:
-    """The reported fields of one case at config: a QuantumXorGame through
-    evaluate_game, its trace norm and estimate value keyed beta_all and
-    beta_product, an operator through hiding_ratio, keyed trace_norm and
-    eps_estimate. "estimate" holds the estimate's full payload; ratio and
-    margin are None for a zero game."""
+def _run_jobs(jobs, config: SeeSawConfig) -> list:
+    """What each kernel job (z, starts, start side, hermitian, read) reads
+    from its runs, in order: one _seesaw call per (n_a, n_b, start side,
+    field), at the max_iters and rel_tol of config. Each call's runs are
+    read before the next call, so no call's value histories outlive it."""
+    groups = {}
+    for position, (z, _, side, hermitian, _) in enumerate(jobs):
+        groups.setdefault((z.n_a, z.n_b, side, hermitian), []).append(position)
+    results = [None] * len(jobs)
+    for (_, _, side, hermitian), positions in groups.items():
+        zs, stacks, _, _, reads = zip(*(jobs[p] for p in positions))
+        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, side, hermitian)):
+            results[position] = read(runs)
+    return results
+
+
+def _gather(steps):
+    """The generator steps advanced in lockstep as one step: each round
+    yields the kernel jobs of every unfinished step at once and sends each
+    what its own jobs read. Returns the steps' results in order."""
+    steps = list(steps)
+    results = [None] * len(steps)
+    sends = dict.fromkeys(range(len(steps)))
+    while sends:
+        batches = {}
+        for i, sent in sends.items():
+            try:
+                batches[i] = steps[i].send(sent)
+            except StopIteration as done:
+                results[i] = done.value
+        if not batches:
+            break
+        read = iter((yield [job for batch in batches.values() for job in batch]))
+        sends = {i: [next(read) for _ in batch] for i, batch in batches.items()}
+    return results
+
+
+def _drive(steps, config: SeeSawConfig) -> list:
+    """Run the generator steps together to their results, every round of
+    their pending jobs through _run_jobs at once."""
+    plan = _gather(steps)
+    try:
+        jobs = next(plan)
+        while True:
+            jobs = plan.send(_run_jobs(jobs, config))
+    except StopIteration as done:
+        return done.value
+
+
+def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True):
+    """epsilon_norm(z, config) as a step: the closed form, or the best run
+    of its multistart job."""
+    est = _closed_form(z, hermitian)
+    if est is None:
+        (est,) = yield [(z, _start_stack(z.n_b, config), "B", hermitian, lambda runs: runs.best())]
+    return est
+
+
+def _case_operator(instance) -> BipartiteOperator:
+    """The operator a case's estimate is of: a game's operator, or the
+    operator itself."""
+    return game_operator(instance) if isinstance(instance, QuantumXorGame) else instance
+
+
+def case_report(instance, config: SeeSawConfig, estimate=None):
+    """The RatioReport of one case at config: evaluate_game of a
+    QuantumXorGame, hiding_ratio of an operator. A scan passes estimate,
+    the case's epsilon_norm at config that it ran batched; without it the
+    case runs its own search."""
+    if estimate is not None:
+        return _report(_case_operator(instance), estimate)
     if isinstance(instance, QuantumXorGame):
-        report, names = evaluate_game(instance, config), ("beta_all", "beta_product")
-    else:
-        report, names = hiding_ratio(instance, config), ("trace_norm", "eps_estimate")
+        return evaluate_game(instance, config)
+    return hiding_ratio(instance, config)
+
+
+def _record(instance, report) -> dict:
+    """The evaluate_case record of a case's report."""
+    names = ("beta_all", "beta_product") if isinstance(instance, QuantumXorGame) else ("trace_norm", "eps_estimate")
     est = report.eps_estimate
     ratio = None if report.ratio is None else float(report.ratio)
     return {
@@ -195,26 +282,40 @@ def evaluate_case(instance, config: SeeSawConfig) -> dict:
     }
 
 
-def _escalating_scan(cases, config: SeeSawConfig) -> dict:
+def evaluate_case(instance, config: SeeSawConfig) -> dict:
+    """The reported fields of one case at config: a QuantumXorGame through
+    evaluate_game, its trace norm and estimate value keyed beta_all and
+    beta_product, an operator through hiding_ratio, keyed trace_norm and
+    eps_estimate. "estimate" holds the estimate's full payload; ratio and
+    margin are None for a zero game."""
+    return _record(instance, case_report(instance, config))
+
+
+def _escalating_scan(cases, config: SeeSawConfig):
     """Evaluate each (label, instance, seesaw_seed, fields) case at config
     with its see-saw seed, and retry a cap violation at ESCALATE_RESTARTS
     when config.restarts is below it; escalation only raises the budget.
 
-    Each row is the case's fields, the evaluate_case record of its final
-    run (the escalated one when escalation fired) and escalated. Only
-    violations of the final run count as failures. Returns the scan's
-    summary record with its rows.
+    A step: the estimates of all cases run as jobs, then each row is
+    reported in order, and a violation escalates there through the
+    case's own search. Each row is the case's fields, the evaluate_case
+    record of its final run (the escalated one when escalation fired) and
+    escalated. Only violations of the final run count as failures.
+    Returns the scan's summary record with its rows.
     """
+    cases = [(label, instance, replace(config, seed=seed), fields) for label, instance, seed, fields in cases]
+    steps = [_estimate(_case_operator(instance), run_config) for _, instance, run_config, _ in cases]
+    estimates = yield from _gather(steps)
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
-    for label, instance, seesaw_seed, fields in cases:
-        run_config = replace(config, seed=seesaw_seed)
-        row = evaluate_case(instance, run_config)
+    for (label, instance, run_config, fields), est in zip(cases, estimates):
+        report = case_report(instance, run_config, est)
         # a zero game's report (ratio None) is satisfied
-        escalated = not row["satisfied"] and config.restarts < ESCALATE_RESTARTS
+        escalated = not report.satisfied and config.restarts < ESCALATE_RESTARTS
         if escalated:
             run_config = replace(run_config, restarts=ESCALATE_RESTARTS)
-            row = evaluate_case(instance, run_config)
+            report = case_report(instance, run_config)
+        row = _record(instance, report)
         rows.append({**fields, **row, "escalated": escalated})
         stage = "after escalation to" if escalated else "at"
         message = (
@@ -235,21 +336,29 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     the final run and only its violations are returned as failures.
     Every pair is checked before the first draw.
     """
+    return _drive([_main_scan(dims, samples_per_pair, config)], config)[0]
+
+
+def _main_scan(dims, samples_per_pair: int, config: SeeSawConfig):
     check_samples(samples_per_pair)
     dims = tuple(dims)
     for n_a, n_b in dims:
         check_dims(n_a, n_b)
-    return _escalating_scan(_instances(config.seed, _SCAN_LABEL, dims, samples_per_pair), config)
+    return (yield from _escalating_scan(_instances(config.seed, _SCAN_LABEL, dims, samples_per_pair), config))
 
 
 def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> dict:
     """Unrestricted versus product bias over random four-state games, with
     the same escalation policy as the operator scan."""
+    return _drive([_game_scan(samples, n_a, n_b, config)], config)[0]
+
+
+def _game_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig):
     check_samples(samples)
     check_dims(n_a, n_b)
     drawn = (draw("game", n_a, n_b, config.seed, _GAME_LABEL, n_a, n_b, index) for index in range(samples))
     cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
-    return _escalating_scan(cases, config)
+    return (yield from _escalating_scan(cases, config))
 
 
 def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
@@ -257,16 +366,22 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
     the same budget. The complex value provably exceeds the Hermitian one
     by at most sqrt(2), which it must meet up to estimator slack; the row's
     ratio is 1.0 when both vanish and inf when only the Hermitian does."""
+    return _drive([_field_scan(samples, config)], config)[0]
+
+
+def _field_scan(samples: int, config: SeeSawConfig):
     check_samples(samples)
+    n_a = n_b = 3
+    drawn = [draw("gue", n_a, n_b, config.seed, _FIELD_LABEL, n_a, n_b, index) for index in range(samples)]
+    # the complex and the Hermitian estimate of each instance, in turn
+    estimates = yield from _gather(
+        _estimate(z, replace(config, seed=seed), hermitian) for z, seed in drawn for hermitian in (False, True)
+    )
     rows = []
     tally = _Tally(worst_ratio=0.0)
     cap = math.sqrt(2.0)
-    n_a = n_b = 3
-    for index in range(samples):
-        z, seesaw_seed = draw("gue", n_a, n_b, config.seed, _FIELD_LABEL, n_a, n_b, index)
-        run_config = replace(config, seed=seesaw_seed)
-        c = epsilon_norm(z, run_config, hermitian=False).value
-        h = epsilon_norm(z, run_config).value
+    for index, (c, h) in enumerate(zip(estimates[::2], estimates[1::2])):
+        c, h = c.value, h.value
         ratio = c / h if h > 0 else (1.0 if c == 0 else math.inf)
         rows.append({"index": index, "complex": float(c), "hermitian": float(h), "ratio": float(ratio)})
         message = (
@@ -303,28 +418,33 @@ def _suite_block_identities(samples: int, config: SeeSawConfig) -> dict:
     return tally.suite()
 
 
-def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+def _property_suites(samples: int, config: SeeSawConfig):
     """The monotonicity and ordering suites, in one pass over the property
     instances: every single-start history is nondecreasing, and the
     multistart estimate stays below the trace norm with a witness pair
     that reproduces it.
 
-    Each instance runs one multistart of max(restarts, 2) restarts. Every
-    start runs on its own in the batch, so the histories of starts 0 to 2
-    are those of seesaw_run from the same starts, and the best of the
+    Each instance runs one multistart job of max(restarts, 2) restarts.
+    Every start runs on its own in the batch, so the histories of starts 0
+    to 2 are those of seesaw_run from the same starts, and the best of the
     first restarts + 1 runs is epsilon_norm at config, bit for bit."""
     monotone = _Tally(max_decrease=0.0)
     ordering = _Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
-    for label, z, seesaw_seed, _ in _instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples):
-        restarts = max(config.restarts, MONOTONE_STARTS - 1)
-        runs = _multistart(z, replace(config, seed=seesaw_seed, restarts=restarts))
-        for start_index in range(MONOTONE_STARTS):
-            step = -float(np.diff(runs.estimate(start_index).value_history).min())
+    cases = list(_instances(config.seed, _PROPERTY_LABEL, DEFAULT_PAIRS, samples))
+    budget = replace(config, restarts=max(config.restarts, MONOTONE_STARTS - 1))
+
+    def read(runs):
+        histories = [runs.estimate(start_index).value_history for start_index in range(MONOTONE_STARTS)]
+        return histories, runs.best(config.restarts + 1)
+
+    jobs = [(z, _start_stack(z.n_b, replace(budget, seed=seed)), "B", True, read) for _, z, seed, _ in cases]
+    for (label, z, _, _), (histories, est) in zip(cases, (yield jobs)):
+        for start_index, history in enumerate(histories):
+            step = -float(np.diff(history).min())
             monotone.check(
                 (step > MONOTONE_STEP_TOL, f"{label} start {start_index}: value decreased by {step!r}"),
                 max_decrease=step,
             )
-        est = runs.best(config.restarts + 1)
         tn = trace_norm(z.matrix)
         gap = abs(witness_value(z, est) - est.value)
         ordering.check(
@@ -336,10 +456,32 @@ def _property_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
     return monotone.suite(), ordering.suite()
 
 
-def _history_gap(a, b) -> float:
-    if len(a) != len(b):
-        return math.inf
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
+def _history_gaps(direct, swapped, rotated) -> tuple[float, float]:
+    """How far the swapped and the rotated history lie from the direct
+    one; a history of another length gives inf."""
+    return tuple(
+        math.inf if len(other) != len(direct) else float(np.abs(np.asarray(direct) - np.asarray(other)).max())
+        for other in (swapped, rotated)
+    )
+
+
+def _start_history(runs) -> tuple[float, ...]:
+    """The value history of a single-start job's run."""
+    return runs.estimate(0).value_history
+
+
+def _covariance_histories(z: BipartiteOperator, g0, u, v):
+    """The value histories of the see-saw on z from g0 on B, on the
+    swapped operator from g0 on A, and on (u x v) z (u x v)^dag from
+    v g0 v^dag on B, as a step of three single-start jobs."""
+    w = np.kron(u, v)
+    rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T)
+    histories = yield [
+        (z, g0[None], "B", True, _start_history),
+        (swap_subsystems(z), g0[None], "A", True, _start_history),
+        (rotated, (v @ g0 @ v.conj().T)[None], "B", True, _start_history),
+    ]
+    return tuple(histories)
 
 
 def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tuple[float, float]:
@@ -348,19 +490,16 @@ def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tup
     started on A, and from the run on (u x v) z (u x v)^dag started from
     v g0 v^dag. Both runs are exact images of the first, so both gaps
     vanish up to rounding; histories of different lengths give inf."""
-    direct = seesaw_run(z, g0, config).value_history
-    swapped = seesaw_run(swap_subsystems(z), g0, config, start_side="A").value_history
-    w = np.kron(u, v)
-    rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T)
-    conjugated = seesaw_run(rotated, v @ g0 @ v.conj().T, config).value_history
-    return _history_gap(direct, swapped), _history_gap(direct, conjugated)
+    g0 = _checked_start(z, g0, "B", hermitian=True)
+    return _history_gaps(*_drive([_covariance_histories(z, g0, u, v)], config)[0])
 
 
-def _covariance_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
+def _covariance_suites(samples: int, config: SeeSawConfig):
     """The swap and local-unitary covariance suites, in one pass over the
     covariance instances."""
     swap = _Tally(max_history_gap=0.0)
     rotation = _Tally(max_history_gap=0.0)
+    labels, steps = [], []
     for n_a, n_b in DEFAULT_PAIRS:
         for index in range(samples):
             rng = stream(config.seed, _COVARIANCE_LABEL, n_a, n_b, index)
@@ -369,13 +508,13 @@ def _covariance_suites(samples: int, config: SeeSawConfig) -> tuple[dict, dict]:
             rng = stream(config.seed, _COVARIANCE_LABEL, n_a, n_b, index, 1)
             u = haar_unitary(n_a, rng)
             v = haar_unitary(n_b, rng)
-            swap_gap, rotation_gap = covariance_gaps(z, g0, u, v, config)
-            swap.check(
-                (swap_gap > COVARIANCE_TOL, f"({n_a},{n_b})[{index}]: swap history gap {swap_gap!r}"),
-                max_history_gap=swap_gap,
-            )
-            message = f"({n_a},{n_b})[{index}]: local-unitary history gap {rotation_gap!r}"
-            rotation.check((rotation_gap > COVARIANCE_TOL, message), max_history_gap=rotation_gap)
+            labels.append(f"({n_a},{n_b})[{index}]")
+            steps.append(_covariance_histories(z, g0, u, v))
+    for label, histories in zip(labels, (yield from _gather(steps))):
+        swap_gap, rotation_gap = _history_gaps(*histories)
+        swap.check((swap_gap > COVARIANCE_TOL, f"{label}: swap history gap {swap_gap!r}"), max_history_gap=swap_gap)
+        message = f"{label}: local-unitary history gap {rotation_gap!r}"
+        rotation.check((rotation_gap > COVARIANCE_TOL, message), max_history_gap=rotation_gap)
     return swap.suite(), rotation.suite()
 
 
@@ -391,17 +530,25 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
         raise ValueError(f"samples must be >= 1, got {samples}")
     quarter = max(1, samples // 4)
 
-    monotonicity, ordering = _property_suites(quarter, config)
-    swap, rotation = _covariance_suites(quarter, config)
+    (monotonicity, ordering), (swap, rotation), main, game, field = _drive(
+        [
+            _property_suites(quarter, config),
+            _covariance_suites(quarter, config),
+            _main_scan(DEFAULT_PAIRS, samples, config),
+            _game_scan(samples, 2, 2, config),
+            _field_scan(max(1, samples // 2), config),
+        ],
+        config,
+    )
     suites = {
         "block_identities": _suite_block_identities(quarter, config),
         "seesaw_monotonicity": monotonicity,
         "ordering": ordering,
         "swap_covariance": swap,
         "local_unitary_covariance": rotation,
-        "main_bound_scan": main_bound_scan(DEFAULT_PAIRS, samples, config),
-        "game_bound_scan": game_bound_scan(samples, 2, 2, config),
-        "field_ratio_scan": field_ratio_scan(max(1, samples // 2), config),
+        "main_bound_scan": main,
+        "game_bound_scan": game,
+        "field_ratio_scan": field,
     }
     for suite in suites.values():
         suite.pop("rows", None)

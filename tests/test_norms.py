@@ -23,7 +23,7 @@ from locnorms import (
     witness_value,
 )
 from locnorms.linalg import hermitian_sign, swap_subsystems
-from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _start_stack, bound_factor
+from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _seesaw, _start_stack, bound_factor
 from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
 
@@ -372,6 +372,36 @@ def equivalence_operator(n_a, n_b, k):
     # GUE on even k, an induced difference on odd k
     rng = stream(140, n_a, n_b, k)
     return gue_operator(n_a, n_b, rng) if k % 2 == 0 else induced_difference(n_a, n_b, rng)
+
+
+def assert_same_runs(runs, ref):
+    assert runs.values.tobytes() == ref.values.tobytes()
+    assert runs.iterations.tobytes() == ref.iterations.tobytes()
+    assert runs.converged.tobytes() == ref.converged.tobytes()
+    assert runs.f.tobytes() == ref.f.tobytes() and runs.g.tobytes() == ref.g.tobytes()
+    for k in range(len(ref.values)):
+        assert runs.estimate(k).value_history == ref.estimate(k).value_history
+
+
+@FIELDS
+@pytest.mark.parametrize("start_side", ["A", "B"])
+@pytest.mark.parametrize("n_a", (2, 3, 4, 5))
+@pytest.mark.parametrize("n_b", (2, 3, 4, 5))
+def test_kernel_on_several_operators_equals_one_call_each(hermitian, start_side, n_a, n_b):
+    # Four operators of one shape with 1, 4, 2 and 6 starts share one
+    # kernel call; each one's runs equal a call on it alone, bit for bit,
+    # also where the iteration cap stops part of the batch.
+    dim = n_b if start_side == "B" else n_a
+    zs = [equivalence_operator(n_a, n_b, k) for k in range(4)]
+    stacks = [_start_stack(dim, SeeSawConfig(restarts=5, seed=148 + k)) for k in range(4)]
+    stacks = [stacks[0][1:2], stacks[1][:4], stacks[2][3:5], stacks[3]]
+    for config in (SeeSawConfig(), SeeSawConfig(max_iters=3)):
+        batch = _seesaw(zs, stacks, config, start_side, hermitian)
+        assert len(batch) == len(zs)
+        for z, starts, runs in zip(zs, stacks, batch):
+            assert_same_runs(runs, _seesaw([z], [starts], config, start_side, hermitian)[0])
+        converged = np.concatenate([runs.converged for runs in batch])
+        assert converged.all() if config.max_iters == 500 else not converged.all()
 
 
 @FIELDS

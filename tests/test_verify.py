@@ -23,9 +23,9 @@ def violating(monkeypatch, name, fail_budgets):
     budgets = []
     reports = []
 
-    def forced(obj, config):
+    def forced(obj, config, *estimate):
         budgets.append(config.restarts)
-        report = real(obj, config)
+        report = real(obj, config, *estimate)
         if config.restarts in fail_budgets:
             report = replace(report, ratio=2.0 * report.bound, satisfied=False)
         reports.append(report)
@@ -47,16 +47,18 @@ def payload(report):
     }
 
 
-# scan -> (the evaluator it calls per instance, the labels of its two
-# instances, a run of it on those two instances)
+# scan -> (the evaluator it reports each instance with, at the working
+# budget from the batched estimate and at an escalation from its own
+# search, the labels of its two instances, a run of it on those two
+# instances)
 SCANS = {
     "main_bound_scan": (
-        "hiding_ratio",
+        "case_report",
         ("(2,2) gue[0]", "(2,2) induced[1]"),
         lambda: verify.main_bound_scan([(2, 2)], 2, replace(CONFIG, seed=161)),
     ),
     "game_bound_scan": (
-        "evaluate_game",
+        "case_report",
         ("game[0] at (2,2)", "game[1] at (2,2)"),
         lambda: verify.game_bound_scan(2, 2, 2, replace(CONFIG, seed=162)),
     ),
@@ -148,6 +150,45 @@ def test_run_verification_echoes_and_seeds_from_its_config():
     assert echoed == {"seed": 165, "samples": 1, "restarts": 3, "max_iters": 40, "rel_tol": 1e-6}
     assert verify.run_verification(config, samples=1) == summary
     assert verify.run_verification(replace(config, seed=166), samples=1)["suites"] != summary["suites"]
+
+
+def one_kernel_call_per_job(jobs, config):
+    return [read(verify._seesaw([z], [starts], config, side, field)[0]) for z, starts, side, field, read in jobs]
+
+
+@pytest.mark.parametrize("samples", [1, 4, 8])
+@pytest.mark.parametrize("restarts", [1, 3, 16])
+def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, restarts):
+    # One kernel call per (n_a, n_b, start side, field) over every suite's
+    # jobs gives the summary and the scan rows of separate calls, exactly.
+    config = SeeSawConfig(restarts=restarts, seed=168)
+    calls = []
+    real = verify._seesaw
+
+    def counted(zs, *args):
+        calls.append(len(zs))
+        return real(zs, *args)
+
+    def run():
+        calls.clear()
+        summary = verify.run_verification(config, samples)
+        passes = len(calls)
+        scans = (
+            verify.main_bound_scan(verify.DEFAULT_PAIRS, samples, config),
+            verify.game_bound_scan(samples, 2, 2, config),
+            verify.field_ratio_scan(samples, config),
+        )
+        return summary, scans, passes
+
+    monkeypatch.setattr(verify, "_seesaw", counted)
+    summary, scans, batched_calls = run()
+    monkeypatch.setattr(verify, "_run_jobs", one_kernel_call_per_job)
+    separate = run()
+    assert separate[:2] == (summary, scans)
+    if samples == 1:
+        # one property multistart, three covariance runs and one scan
+        # estimate per dimension pair, a game and two field estimates
+        assert (batched_calls, separate[2]) == (7, 18)
 
 
 def test_scan_summaries_are_their_suites():
@@ -292,7 +333,7 @@ def test_property_suites_equal_separate_runs(restarts):
     # One multistart per instance gives the single-start histories and the
     # estimate of separate seesaw_run and epsilon_norm calls, bit for bit.
     config = SeeSawConfig(restarts=restarts, seed=SEED)
-    assert verify._property_suites(1, config) == property_suites_reference(1, config)
+    assert verify._drive([verify._property_suites(1, config)], config)[0] == property_suites_reference(1, config)
     for _, z, seesaw_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         runs = norms._multistart(z, replace(config, seed=seesaw_seed, restarts=max(restarts, 2)))
         run_config = replace(config, seed=seesaw_seed, restarts=2)
@@ -344,27 +385,14 @@ COVARIANCE_CASES = {
 @pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
 def test_history_gaps_fail_covariance(monkeypatch, case):
     forced, swap_gap, rotation_gap = COVARIANCE_CASES[case]
-    drawn = []
-    real_draw = verify.gue_operator
-    real_run = verify.seesaw_run
+    real = verify._covariance_histories
 
-    def draw(*args):
-        z = real_draw(*args)
-        drawn.append(z)
-        return z
+    def run(*args):
+        # the instance's runs, then the direct, swapped and rotated histories
+        yield from real(*args)
+        return tuple(forced.get(role, (0.0, 0.5)) for role in ("direct", "swapped", "rotated"))
 
-    def run(z, g0, config, start_side="B"):
-        # the direct run sees the drawn operator, the swapped run starts on
-        # A, and the rotated run sees a new operator started on B
-        if start_side == "A":
-            role = "swapped"
-        else:
-            role = "direct" if any(z is d for d in drawn) else "rotated"
-        est = real_run(z, g0, config, start_side=start_side)
-        return replace(est, value_history=forced.get(role, (0.0, 0.5)))
-
-    monkeypatch.setattr(verify, "gue_operator", draw)
-    monkeypatch.setattr(verify, "seesaw_run", run)
+    monkeypatch.setattr(verify, "_covariance_histories", run)
     summary = verification()
     for name, kind, gap in (
         ("swap_covariance", "swap", swap_gap),
@@ -382,6 +410,21 @@ def test_history_gaps_fail_covariance(monkeypatch, case):
             assert suite["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (2.0 * np.eye(3), "initial contraction has operator norm 2.0 > 1"),
+        (np.eye(2), "initial contraction has shape (2, 2), expected (3, 3)"),
+        (np.diag([1.0, 1.0, 0.5j]), "hermitian-field see-saw needs a Hermitian initial contraction"),
+    ],
+    ids=["norm", "shape", "hermitian"],
+)
+def test_covariance_gaps_checks_its_start(start, message):
+    z = verify.gue_operator(2, 3, 169)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify.covariance_gaps(z, start, np.eye(2), np.eye(3), CONFIG)
+
+
 def test_block_residual_fails_block_identities(monkeypatch):
     monkeypatch.setattr(verify, "block_frame_sums", lambda u, n_a, n_b: (np.zeros((n_b, n_b)),) * 2)
     suite = failed_suite(verification(), "block_identities")
@@ -393,16 +436,14 @@ def test_block_residual_fails_block_identities(monkeypatch):
 
 
 def test_field_quotient_above_cap_fails_field_scan(monkeypatch):
-    real = verify.epsilon_norm
+    real = verify._estimate
 
-    def inflated(z, config, *, hermitian=True):
-        est = real(z, config, hermitian=hermitian)
+    def inflated(z, config, hermitian=True):
+        # the scan's batched estimate of z, doubled in the complex field
+        est = yield from real(z, config, hermitian)
         return est if hermitian else replace(est, value=2.0 * est.value)
 
-    # patched on both modules, so the test holds whichever one the scan
-    # calls the estimator through
-    monkeypatch.setattr(verify, "epsilon_norm", inflated)
-    monkeypatch.setattr(norms, "epsilon_norm", inflated)
+    monkeypatch.setattr(verify, "_estimate", inflated)
     summary = verification()
     suite = failed_suite(summary, "field_ratio_scan")
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
