@@ -26,6 +26,7 @@ import operator
 import sys
 import warnings
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .darwinism import coefficient_sweep
@@ -254,7 +255,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary["passed"] else EXIT_SUITE_FAILURE
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parse_args leaves it unchanged, and a
+    subcommand's func looks its library calls up at call time."""
     parser = argparse.ArgumentParser(
         prog="locnorms",
         description="Distinguishability norms under local measurements: ratios, scans, games, coefficients.",

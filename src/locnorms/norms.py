@@ -18,20 +18,24 @@ equals seesaw_run from the same start bit for bit; seesaw_run is the
 kernel on a batch of one. The batch holds all R starts at once, so memory
 is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
 
-The kernel also serves several operators of one shape in one call, each
-with its own start stack (verify batches a whole pass this way). Each
+The kernel also serves several operators in one call, each with its own
+start stack and its own start side, as long as their half-steps have the
+same shapes: an operator on n_a x n_b started on B rides with one on
+n_b x n_a started on A (verify batches a whole pass this way). Each
 operator's starts stay one contiguous slice of the running stack, and
-its contraction runs on that slice; the eigensolves, the stopping test
-and the dropping of finished starts run once per half-step on the whole
-stack. So every operator's runs equal a call on it alone bit for bit.
-With one operator the contraction runs on the whole stack, with no
-slicing and no concatenation.
+its contraction (by its own side's operand) runs on that slice; the
+eigensolves, the stopping test and the dropping of finished starts run
+once per half-step on the whole stack. So every operator's runs equal a
+call on it alone bit for bit. With one operator the contraction runs on
+the whole stack, with no slicing and no concatenation.
 
 The multistart starts are built as one stack as well: one GUE sample per
 restart substream, turned into spectral signs by a single stacked
-eigensolve. The Philox keys of all restart substreams come from one pass
-(states.spawn_keys), and one reused Philox generator draws every sample
-(states.gue_stack), bit for bit as gue_hermitian on stream(seed, i) would.
+eigensolve; _start_stacks builds the stacks of several configs of one
+dimension in one such pass. The Philox keys of all restart substreams
+come from one pass (states.spawn_keys), and one reused Philox generator
+draws every sample (states.gue_stack), bit for bit as gue_hermitian on
+stream(seed, i) would.
 _multistart runs the whole stack and returns every run, so a caller that
 needs single-start histories as well as the estimate (the verify property
 suites) runs each start once; epsilon_norm is its best run.
@@ -58,7 +62,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -183,12 +186,16 @@ def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("acij,rca->rij", za, f)
 
 
-def _contract(operand, relays: tuple[np.ndarray, ...], stack: np.ndarray, bounds: list[int] | None) -> np.ndarray:
-    """operand of each operator's slice bounds[j]:bounds[j + 1] of the
-    stack, in order; bounds is None for a single operator."""
+def _contract(operands, stack: np.ndarray, bounds: list[int] | None) -> np.ndarray:
+    """Each operator's (operand, relay) pair applied to its slice
+    bounds[j]:bounds[j + 1] of the stack, in order; bounds is None for a
+    single operator."""
     if bounds is None:
-        return operand(relays[0], stack)
-    return np.concatenate([operand(r, stack[lo:hi]) for r, lo, hi in zip(relays, bounds, bounds[1:]) if lo < hi])
+        ((operand, relay),) = operands
+        return operand(relay, stack)
+    return np.concatenate(
+        [operand(relay, stack[lo:hi]) for (operand, relay), lo, hi in zip(operands, bounds, bounds[1:]) if lo < hi]
+    )
 
 
 def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
@@ -241,16 +248,19 @@ class _Runs(NamedTuple):
         return self.estimate(k, restart_index=k)
 
 
-def _seesaw(zs, stacks, config: SeeSawConfig, start_side: str, hermitian: bool) -> list[_Runs]:
-    """The see-saw kernel on operators zs of one shape, each with its own
-    stack of starts (R_j, n, n): alternate exact half-steps from every
-    start at once, dropping each start from the batch as soon as it meets
-    its own stopping test. Returns one _Runs per operator."""
+def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_Runs]:
+    """The see-saw kernel on operators zs, each with its own stack of
+    starts (R_j, n, n) on its own start side ("A" or "B", one per
+    operator): alternate exact half-steps from every start at once,
+    dropping each start from the batch as soon as it meets its own
+    stopping test. Every operator has the same half-step shapes: the same
+    start-side dimension and the same other-side dimension. Returns one
+    _Runs per operator."""
     zb, za = zip(*map(_relays, zs))
-    if start_side == "B":
-        to_other, to_start, n_other = partial(_contract, _operand_a, zb), partial(_contract, _operand_b, za), zs[0].n_a
-    else:
-        to_other, to_start, n_other = partial(_contract, _operand_b, za), partial(_contract, _operand_a, zb), zs[0].n_b
+    # per operator, the operand of the other side from a start-side stack, and back
+    to_other = [(_operand_a, b) if side == "B" else (_operand_b, a) for side, b, a in zip(sides, zb, za)]
+    to_start = [(_operand_b, a) if side == "B" else (_operand_a, b) for side, b, a in zip(sides, zb, za)]
+    n_other = zs[0].n_a if sides[0] == "B" else zs[0].n_b
     offsets = [0, *accumulate(map(len, stacks))]
     starts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     count = len(starts)
@@ -267,8 +277,8 @@ def _seesaw(zs, stacks, config: SeeSawConfig, start_side: str, hermitian: bool) 
     for iters in range(1, config.max_iters + 1):
         # each operator's starts stay one contiguous slice of the running stack
         bounds = None if len(zs) == 1 else running.searchsorted(offsets).tolist()
-        other, first = optimal_contraction(to_other(current, bounds), hermitian)
-        current, v = optimal_contraction(to_start(other, bounds), hermitian)
+        other, first = optimal_contraction(_contract(to_other, current, bounds), hermitian)
+        current, v = optimal_contraction(_contract(to_start, other, bounds), hermitian)
         steps.append((running, first, v))
         # v is a sum of singular values or |eigenvalues|, so |v| = v
         done = v - prev <= tol * np.maximum(v, _TINY)
@@ -285,11 +295,13 @@ def _seesaw(zs, stacks, config: SeeSawConfig, start_side: str, hermitian: bool) 
             if not len(running):
                 break
         prev = v
-    f, g = (final_other, final_start) if start_side == "B" else (final_start, final_other)
-    return [
-        _Runs(values[lo:hi], iterations[lo:hi], converged[lo:hi], f[lo:hi], g[lo:hi], steps, lo)
-        for lo, hi in zip(offsets, offsets[1:])
-    ]
+    runs = []
+    for side, lo, hi in zip(sides, offsets, offsets[1:]):
+        f, g = final_other[lo:hi], final_start[lo:hi]
+        if side == "A":
+            f, g = g, f
+        runs.append(_Runs(values[lo:hi], iterations[lo:hi], converged[lo:hi], f, g, steps, lo))
+    return runs
 
 
 def seesaw_run(
@@ -319,7 +331,7 @@ def seesaw_run(
     start = _checked_start(z, g0, start_side, hermitian)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _seesaw([z], [start[None]], config, start_side, hermitian)[0].estimate(0)
+    return _seesaw([z], [start[None]], config, [start_side], hermitian)[0].estimate(0)
 
 
 def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -> np.ndarray:
@@ -341,12 +353,20 @@ def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -
 
 def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
     """The (restarts + 1, dim, dim) multistart stack; see initial_contractions."""
+    return _start_stacks(dim, [config])[0]
+
+
+def _start_stacks(dim: int, configs) -> list[np.ndarray]:
+    """The multistart stack of each config, bit for bit as _start_stack,
+    from one gue_stack draw and one stacked eigensolve."""
     # gue_stack draws gue_hermitian(dim, stream(config.seed, i)) for each
     # restart i bit for bit. A GUE sample is exactly Hermitian, so the
     # stacked sign equals hermitian_sign of each sample bit for bit.
-    samples = gue_stack(dim, spawn_keys(config.seed, np.arange(1, config.restarts + 1)))
-    signs, _ = optimal_contraction(samples, hermitian=True)
-    return np.concatenate([np.eye(dim, dtype=np.complex128)[None], signs])
+    keys = np.concatenate([spawn_keys(c.seed, np.arange(1, c.restarts + 1)) for c in configs])
+    signs, _ = optimal_contraction(gue_stack(dim, keys), hermitian=True)
+    identity = np.eye(dim, dtype=np.complex128)[None]
+    offsets = [0, *accumulate(c.restarts for c in configs)]
+    return [np.concatenate([identity, signs[lo:hi]]) for lo, hi in zip(offsets, offsets[1:])]
 
 
 def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, np.ndarray]]:
@@ -361,7 +381,7 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
 def _multistart(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True) -> _Runs:
     """Every initial_contractions start on B run as one kernel batch, for
     n_a, n_b >= 2 and z != 0; epsilon_norm is its best run."""
-    return _seesaw([z], [_start_stack(z.n_b, config)], config, "B", hermitian)[0]
+    return _seesaw([z], [_start_stack(z.n_b, config)], config, ["B"], hermitian)[0]
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:

@@ -30,16 +30,20 @@ ESCALATE_RESTARTS or more the first run is final.
 
 A verify pass batches its see-saw work across all suites. A suite (or a
 case within one) is a step: a generator that draws its cases, yields
-their kernel jobs (operator, start stack, start side, field, read) and
-is sent what each job's read takes from its runs. `_drive` advances
-steps in lockstep, and `_run_jobs` makes one kernel call per (n_a, n_b,
-start side, field) over every pending job, so a --samples 1 pass makes 7
-kernel calls. Each run equals a solo call bit for bit. Rows come from the
+their kernel jobs (operator, starts, start side, field, read) and is
+sent what each job's read takes from its runs. A job's starts are an
+explicit start stack or the SeeSawConfig whose multistart stack it
+runs. `_drive` advances steps in lockstep, and `_run_jobs` makes one
+kernel call per half-step shape (dim of the other side, dim of the start
+side, field) over every pending job, so a swapped run started on A rides
+with its direct twin started on B and a --samples 1 pass makes 4 kernel
+calls. Each run equals a solo call bit for bit. Rows come from the
 batched estimates through `case_report`, the report code of hiding_ratio
 and evaluate_game, and a cap violation escalates row by row through the
-case's own search. The start stacks of a whole round are held at once,
-O(total starts x n^2), but runs are read as soon as their kernel call
-returns, so only one call's value histories are held at a time.
+case's own search. The multistart stacks of a kernel call are built just
+before it, in one `_start_stacks` call, and its runs are read as soon as
+it returns, so only one call's stacks and value histories are held at a
+time.
 
 Tests reach the failure branches by patching `case_report`, `_estimate`,
 `_covariance_histories`, `_run_jobs`, `trace_norm`, `witness_value` and
@@ -61,7 +65,7 @@ import numpy as np
 from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
 from .norms import SeeSawConfig, hiding_ratio, witness_value
-from .norms import _checked_start, _closed_form, _report, _seesaw, _start_stack
+from .norms import _checked_start, _closed_form, _report, _seesaw, _start_stacks
 
 # Unused here; kept because the benchmark's tracer patches them on this module by name.
 from .norms import epsilon_norm, initial_contractions, seesaw_run  # noqa: F401
@@ -185,16 +189,23 @@ class _Tally:
 
 def _run_jobs(jobs, config: SeeSawConfig) -> list:
     """What each kernel job (z, starts, start side, hermitian, read) reads
-    from its runs, in order: one _seesaw call per (n_a, n_b, start side,
-    field), at the max_iters and rel_tol of config. Each call's runs are
-    read before the next call, so no call's value histories outlive it."""
+    from its runs, in order: one _seesaw call per half-step shape (dim of
+    the other side, dim of the start side, field), at the max_iters and
+    rel_tol of config. A job's starts are its start stack, or the
+    SeeSawConfig whose stack _start_stacks builds with the call's others
+    just before the call. Each call's runs are read before the next call
+    is built, so no call's stacks or value histories outlive it."""
     groups = {}
     for position, (z, _, side, hermitian, _) in enumerate(jobs):
-        groups.setdefault((z.n_a, z.n_b, side, hermitian), []).append(position)
+        dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
+        groups.setdefault((*dims, hermitian), []).append(position)
     results = [None] * len(jobs)
-    for (_, _, side, hermitian), positions in groups.items():
-        zs, stacks, _, _, reads = zip(*(jobs[p] for p in positions))
-        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, side, hermitian)):
+    for (_, dim, hermitian), positions in groups.items():
+        zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
+        configs = [s for s in starts if isinstance(s, SeeSawConfig)]
+        built = iter(_start_stacks(dim, configs) if configs else ())
+        stacks = [next(built) if isinstance(s, SeeSawConfig) else s for s in starts]
+        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
             results[position] = read(runs)
     return results
 
@@ -237,7 +248,7 @@ def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True
     of its multistart job."""
     est = _closed_form(z, hermitian)
     if est is None:
-        (est,) = yield [(z, _start_stack(z.n_b, config), "B", hermitian, lambda runs: runs.best())]
+        (est,) = yield [(z, config, "B", hermitian, lambda runs: runs.best())]
     return est
 
 
@@ -437,7 +448,7 @@ def _property_suites(samples: int, config: SeeSawConfig):
         histories = [runs.estimate(start_index).value_history for start_index in range(MONOTONE_STARTS)]
         return histories, runs.best(config.restarts + 1)
 
-    jobs = [(z, _start_stack(z.n_b, replace(budget, seed=seed)), "B", True, read) for _, z, seed, _ in cases]
+    jobs = [(z, replace(budget, seed=seed), "B", True, read) for _, z, seed, _ in cases]
     for (label, z, _, _), (histories, est) in zip(cases, (yield jobs)):
         for start_index, history in enumerate(histories):
             step = -float(np.diff(history).min())

@@ -671,6 +671,35 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# One argv of each kind that a process's one parser meets: a usage error,
+# the help, a darwinism table and a verify pass.
+PARSER_ARGV = (
+    ["darwinism", "--da", "2:3:4"],
+    ["--help"],
+    ["darwinism", "--da", "2:6", "--dr", "1:6", "--r", "3", "--q", "7"],
+    ["verify", "--samples", "1"],
+)
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main parses every call with the same parser; each call, after any
+    # other, gives the stdout, stderr and exit code of a new interpreter.
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(locnorms.__file__).parents[1])}
+    expected = []
+    for argv in PARSER_ARGV:
+        proc = subprocess.run([sys.executable, "-m", "locnorms", *argv], capture_output=True, text=True, env=env)
+        expected.append((proc.stdout, proc.stderr, proc.returncode))
+    for k in (0, 1, 2, 3, 1, 0, 3, 2, 0):
+        try:
+            code = main(list(PARSER_ARGV[k]))
+        except SystemExit as exc:
+            code = exc.code
+        assert (*capsys.readouterr(), code) == expected[k]
+    assert expected[0][2] == EXIT_VALIDATION and expected[1][2] == expected[3][2] == EXIT_OK
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
 @pytest.mark.parametrize("seed", ["1e3", "abc", str(2**64)])
 def test_bad_seed_names_the_seed_range(capsys, seed):
     with pytest.raises(SystemExit) as exc:

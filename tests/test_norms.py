@@ -23,7 +23,8 @@ from locnorms import (
     witness_value,
 )
 from locnorms.linalg import hermitian_sign, swap_subsystems
-from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _seesaw, _start_stack, bound_factor
+from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _seesaw, _start_stack, _start_stacks
+from locnorms.norms import bound_factor
 from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
 
@@ -273,6 +274,21 @@ def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed)
         assert np.linalg.svd(starts, compute_uv=False)[:, 0].max() <= 1.0 + OPNORM_SLACK
 
 
+@pytest.mark.parametrize("restarts", [1, 2, 17])
+def test_start_stacks_equal_one_start_stack_each(restarts):
+    # One _start_stacks call over configs of several seeds and budgets
+    # (and a repeated one) gives each config's _start_stack, bit for bit.
+    seeds = (0, 2**32, 2**64 - 1, 2**130)
+    configs = [SeeSawConfig(restarts=restarts + k % 2, seed=seed) for k, seed in enumerate(seeds)]
+    configs.insert(2, configs[0])
+    for dim in range(1, 7):
+        stacks = _start_stacks(dim, configs)
+        assert len(stacks) == len(configs)
+        for config, stack in zip(configs, stacks):
+            expected = _start_stack(dim, config)
+            assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("count", [1, 51, 501])
 def test_relaid_operands_equal_strided_einsum(count):
     # The operands on the relaid copies of z against the same einsum on
@@ -396,12 +412,34 @@ def test_kernel_on_several_operators_equals_one_call_each(hermitian, start_side,
     stacks = [_start_stack(dim, SeeSawConfig(restarts=5, seed=148 + k)) for k in range(4)]
     stacks = [stacks[0][1:2], stacks[1][:4], stacks[2][3:5], stacks[3]]
     for config in (SeeSawConfig(), SeeSawConfig(max_iters=3)):
-        batch = _seesaw(zs, stacks, config, start_side, hermitian)
+        batch = _seesaw(zs, stacks, config, [start_side] * len(zs), hermitian)
         assert len(batch) == len(zs)
         for z, starts, runs in zip(zs, stacks, batch):
-            assert_same_runs(runs, _seesaw([z], [starts], config, start_side, hermitian)[0])
+            assert_same_runs(runs, _seesaw([z], [starts], config, [start_side], hermitian)[0])
         converged = np.concatenate([runs.converged for runs in batch])
         assert converged.all() if config.max_iters == 500 else not converged.all()
+
+
+@FIELDS
+@pytest.mark.parametrize("n_a", (2, 3, 4, 5))
+@pytest.mark.parametrize("n_b", (2, 3, 4, 5))
+def test_kernel_on_both_start_sides_equals_one_call_each(hermitian, n_a, n_b):
+    # Operators on n_a x n_b started on B and on n_b x n_a started on A
+    # have the same half-step shapes and share one kernel call, in either
+    # order; each one's runs equal a call on it alone, bit for bit, also
+    # where the iteration cap stops part of the batch.
+    direct = [equivalence_operator(n_a, n_b, k) for k in range(3)]
+    swapped = [equivalence_operator(n_b, n_a, k) for k in range(3, 6)]
+    stacks = [_start_stack(n_b, SeeSawConfig(restarts=4, seed=149 + k)) for k in range(6)]
+    stacks = [stacks[0][:3], stacks[1][2:3], stacks[2], stacks[3][1:], stacks[4][:2], stacks[5][4:]]
+    orders = [[3, 0, 4, 1, 5, 2], [0, 1, 3, 2, 4, 5], [5, 4, 3]]
+    zs, sides = direct + swapped, ["B"] * 3 + ["A"] * 3
+    for config in (SeeSawConfig(), SeeSawConfig(max_iters=3)):
+        for order in orders:
+            z_order, stack_order, side_order = ([x[j] for j in order] for x in (zs, stacks, sides))
+            batch = _seesaw(z_order, stack_order, config, side_order, hermitian)
+            for j, runs in zip(order, batch):
+                assert_same_runs(runs, _seesaw([zs[j]], [stacks[j]], config, [sides[j]], hermitian)[0])
 
 
 @FIELDS

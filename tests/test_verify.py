@@ -153,42 +153,66 @@ def test_run_verification_echoes_and_seeds_from_its_config():
 
 
 def one_kernel_call_per_job(jobs, config):
-    return [read(verify._seesaw([z], [starts], config, side, field)[0]) for z, starts, side, field, read in jobs]
+    # each multistart stack built on its own, so the batched stacks are pinned too
+    def stack(z, starts, side):
+        if isinstance(starts, SeeSawConfig):
+            return norms._start_stack(z.n_b if side == "B" else z.n_a, starts)
+        return starts
+
+    return [
+        read(verify._seesaw([z], [stack(z, starts, side)], config, [side], field)[0])
+        for z, starts, side, field, read in jobs
+    ]
 
 
 @pytest.mark.parametrize("samples", [1, 4, 8])
 @pytest.mark.parametrize("restarts", [1, 3, 16])
 def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, restarts):
-    # One kernel call per (n_a, n_b, start side, field) over every suite's
-    # jobs gives the summary and the scan rows of separate calls, exactly.
+    # One kernel call per half-step shape (other side, start side, field)
+    # over every suite's jobs, with the multistart stacks of a call built
+    # together, gives the summary and the scan rows of separate calls and
+    # separately built stacks, exactly.
     config = SeeSawConfig(restarts=restarts, seed=168)
-    calls = []
-    real = verify._seesaw
+    calls, builds = [], []
+    real, real_stacks = verify._seesaw, verify._start_stacks
 
     def counted(zs, *args):
         calls.append(len(zs))
         return real(zs, *args)
 
+    def counted_stacks(dim, configs):
+        builds.append(len(configs))
+        return real_stacks(dim, configs)
+
     def run():
         calls.clear()
+        builds.clear()
         summary = verify.run_verification(config, samples)
-        passes = len(calls)
+        passes, stack_builds = len(calls), builds[:]
         scans = (
             verify.main_bound_scan(verify.DEFAULT_PAIRS, samples, config),
             verify.game_bound_scan(samples, 2, 2, config),
             verify.field_ratio_scan(samples, config),
         )
-        return summary, scans, passes
+        return summary, scans, passes, stack_builds
 
     monkeypatch.setattr(verify, "_seesaw", counted)
-    summary, scans, batched_calls = run()
+    monkeypatch.setattr(verify, "_start_stacks", counted_stacks)
+    summary, scans, batched_calls, batched_builds = run()
     monkeypatch.setattr(verify, "_run_jobs", one_kernel_call_per_job)
     separate = run()
     assert separate[:2] == (summary, scans)
     if samples == 1:
         # one property multistart, three covariance runs and one scan
-        # estimate per dimension pair, a game and two field estimates
-        assert (batched_calls, separate[2]) == (7, 18)
+        # estimate per dimension pair, a game and two field estimates; the
+        # swapped covariance runs started on A ride with the B-side calls
+        # of their dimension pair, and the complex field estimate has a
+        # call of its own
+        assert (batched_calls, separate[2]) == (4, 18)
+        # each call builds the stacks of its multistart jobs in one go:
+        # (2,2) property, scan and game, (2,3) property and scan, (3,3)
+        # property, scan and Hermitian field, and the complex field
+        assert batched_builds == [3, 2, 3, 1]
 
 
 def test_scan_summaries_are_their_suites():
