@@ -3,15 +3,16 @@
 Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
 ratio, scaling and xor draw each seeded operator or game with
-`verify.draw` under the command's stream key, and evaluate it into one
-row dict (`_case`): the command's own keys and the `verify.evaluate_case`
-record that the verify scans' rows carry too. A CSV or JSON row is its
-projection onto the subcommand's columns, and a single-case JSON report is
-the row with its estimate payload. These commands report the cap check at
-the working budget; only the verify scans escalate. Outputs use shortest
-round-trip float formatting and fixed row/key order, so identical
-invocations produce byte-identical files. A warning is printed as one
-line, "warning: <message>".
+`verify.draw` under the command's stream key, and `_rows` searches all of
+them in one batch (one kernel call per shape; ratio and a game file are a
+batch of one) into row dicts: the command's own keys and the
+`verify.case_records` record that the verify scans' rows carry too. A CSV
+or JSON row is its projection onto the subcommand's columns, and a
+single-case JSON report is the row with its estimate payload. These
+commands report the cap check at the working budget; only the verify scans
+escalate. Outputs use shortest round-trip float formatting and fixed
+row/key order, so identical invocations produce byte-identical files. A
+warning is printed as one line, "warning: <message>".
 Exit codes: 0 success, 2 validation error, 3 degenerate input,
 4 verification-suite failure.
 """
@@ -25,8 +26,8 @@ import json
 import operator
 import sys
 import warnings
-from dataclasses import replace
 from functools import cache
+from itertools import tee
 from pathlib import Path
 
 from .darwinism import coefficient_sweep
@@ -39,7 +40,7 @@ from .norms import SeeSawConfig
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
 from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, check_samples
-from .verify import draw, evaluate_case, run_seed, run_verification
+from .verify import case_records, draw, run_seed, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -168,17 +169,17 @@ def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
     _emit_json({**report, **extras}, args.out)
 
 
-def _case(config: SeeSawConfig, instance, seesaw_seed: int, **keys) -> dict:
-    """One operator or game evaluated into its row: the command's keys and
-    the verify.evaluate_case record."""
-    return {
-        **keys,
-        "seed": config.seed,
-        "n_a": instance.n_a,
-        "n_b": instance.n_b,
-        "restarts": config.restarts,
-        **evaluate_case(instance, replace(config, seed=seesaw_seed)),
-    }
+def _rows(config: SeeSawConfig, cases, **keys) -> list[dict]:
+    """The rows of (instance, see-saw seed) cases, all searched in one
+    batch: keys, the command's seed and budget, the instance's dimensions
+    and its verify.case_records record. case_records checks each case
+    before the next one is drawn."""
+    cases, drawn = tee(cases)
+    records = case_records(drawn, config)
+    return [
+        {**keys, "seed": config.seed, "n_a": instance.n_a, "n_b": instance.n_b, "restarts": config.restarts, **record}
+        for (instance, _), record in zip(cases, records)
+    ]
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
@@ -189,7 +190,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         n_a, n_b = [args.werner] * 2 if generator == "werner" else getattr(args, generator)
         drawn = draw(generator, n_a, n_b, args.seed, GENERATOR_CODE[generator], n_a, n_b, 0)
     config = _config(args)
-    row = _case(config, *drawn, generator=generator)
+    (row,) = _rows(config, [drawn], generator=generator)
     extras = {"command": "ratio", "max_iters": config.max_iters, "rel_tol": config.rel_tol}
     _emit_case(args, row, SCALING_COLUMNS, ("eps_estimate", "converged"), "epsilon", **extras)
     return EXIT_OK
@@ -203,19 +204,19 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     # The werner pair is deterministic: one row per dimension.
     per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
     code = GENERATOR_CODE[args.generator]
-    rows = [
-        _case(config, *draw(args.generator, d, d, args.seed, code, d, d, k), generator=args.generator)
+    draws = (
+        draw(args.generator, d, d, args.seed, code, d, d, k)
         for d in range(args.dmin, args.dmax + 1)
         for k in range(per_dim)
-    ]
-    _emit_rows(rows, SCALING_COLUMNS, args.format or "csv", args.out)
+    )
+    _emit_rows(_rows(config, draws, generator=args.generator), SCALING_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
 
 def cmd_xor(args: argparse.Namespace) -> int:
     if args.input is not None:
         game = parse_game_file(args.input)
-        row = _case(_config(args), game, args.seed, sample=0, num_states=game.num_states)
+        (row,) = _rows(_config(args), [(game, args.seed)], sample=0, num_states=game.num_states)
         extras = {"command": "xor", "input": str(args.input)}
         _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
@@ -224,10 +225,11 @@ def cmd_xor(args: argparse.Namespace) -> int:
     check_dims(args.na, args.nb)
     check_states(args.states)
     config = _config(args)
-    rows = []
-    for k in range(args.samples):
-        case = draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
-        rows.append(_case(config, *case, sample=k, num_states=args.states))
+    draws = (
+        draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
+        for k in range(args.samples)
+    )
+    rows = [{**row, "sample": k} for k, row in enumerate(_rows(config, draws, num_states=args.states))]
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 

@@ -36,9 +36,9 @@ dimension in one such pass. The Philox keys of all restart substreams
 come from one pass (states.spawn_keys), and one reused Philox generator
 draws every sample (states.gue_stack), bit for bit as gue_hermitian on
 stream(seed, i) would.
-_multistart runs the whole stack and returns every run, so a caller that
-needs single-start histories as well as the estimate (the verify property
-suites) runs each start once; epsilon_norm is its best run.
+epsilon_norm is the best run of the whole stack; a caller that needs
+single-start histories as well as the estimate (the verify property
+suites) reads both from the same runs, so each start runs once.
 
 A start is checked where a caller passes it, in seesaw_run. The multistart
 stack is not checked at run time; tests pin it as exactly Hermitian
@@ -378,12 +378,6 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
     yield from enumerate(_start_stack(dim, config))
 
 
-def _multistart(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True) -> _Runs:
-    """Every initial_contractions start on B run as one kernel batch, for
-    n_a, n_b >= 2 and z != 0; epsilon_norm is its best run."""
-    return _seesaw([z], [_start_stack(z.n_b, config)], config, ["B"], hermitian)[0]
-
-
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
     """Best see-saw value over the multistart: a lower bound on the
     product-witness (injective tensor) norm of z, over Hermitian
@@ -401,7 +395,7 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
     does not depend on evaluation order.
     """
     est = _closed_form(z, hermitian)
-    return est if est is not None else _multistart(z, config, hermitian).best()
+    return est if est is not None else _seesaw([z], [_start_stack(z.n_b, config)], config, ["B"], hermitian)[0].best()
 
 
 def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
@@ -427,9 +421,14 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
     The estimate is a lower bound, so ratio can only overestimate the true
     hiding ratio; satisfied allows 1e-6 slack on the cap.
     """
+    return _report(z, epsilon_norm(_ratio_operator(z), config))
+
+
+def _ratio_operator(z: BipartiteOperator) -> BipartiteOperator:
+    """z, or DegenerateOperatorError if z = 0, whose hiding ratio is undefined."""
     if z.is_zero():
         raise DegenerateOperatorError("hiding ratio is undefined for the zero operator")
-    return _report(z, epsilon_norm(z, config))
+    return z
 
 
 def _report(z: BipartiteOperator, est: NormEstimate) -> RatioReport:

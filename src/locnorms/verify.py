@@ -18,40 +18,42 @@ scan returns that record with its rows, one per check, and
 
 Every seeded case of the scans and of the CLI takes one path: `draw`,
 the one registry of instance generators, draws it from its substream
-with its see-saw seed, and `case_report` reports it in the one record
-of `evaluate_case`, a scan row and a CLI row alike. The stream codes
-`GENERATOR_CODE` are fixed: they key every drawn instance, so changing
-one changes every output. The operator and game scans share one
-scan-and-escalate loop, `_escalating_scan`: a bound violation at a
-working restart budget below ESCALATE_RESTARTS is retried at
-ESCALATE_RESTARTS before it counts, since a see-saw shortfall on a hard
-instance is an estimator artifact, not a counterexample. At
+with its see-saw seed, its `_estimate` step runs through `_drive`, and
+`_record` reports it, a scan row and a CLI row (`case_records`) alike.
+The stream codes `GENERATOR_CODE` are fixed: they key every drawn
+instance, so changing one changes every output. The operator and game
+scans share one scan-and-escalate loop, `_escalating_scan`: a bound
+violation at a working restart budget below ESCALATE_RESTARTS is retried
+at ESCALATE_RESTARTS before it counts, since a see-saw shortfall on a
+hard instance is an estimator artifact, not a counterexample. At
 ESCALATE_RESTARTS or more the first run is final.
 
 A verify pass batches its see-saw work across all suites. A suite (or a
 case within one) is a step: a generator that draws its cases, yields
 their kernel jobs (operator, starts, start side, field, read) and is
 sent what each job's read takes from its runs. A job's starts are an
-explicit start stack or the SeeSawConfig whose multistart stack it
-runs. `_drive` advances steps in lockstep, and `_run_jobs` makes one
-kernel call per half-step shape (dim of the other side, dim of the start
-side, field) over every pending job, so a swapped run started on A rides
-with its direct twin started on B and a --samples 1 pass makes 4 kernel
+explicit start stack or the SeeSawConfig whose multistart stack it runs.
+`_drive` advances steps in lockstep, and `_run_jobs` makes one kernel
+call per half-step shape (dim of the other side, dim of the start side,
+field) over every pending job, so a swapped run started on A rides with
+its direct twin started on B and a --samples 1 pass makes 4 kernel
 calls. Each run equals a solo call bit for bit. Rows come from the
-batched estimates through `case_report`, the report code of hiding_ratio
-and evaluate_game, and a cap violation escalates row by row through the
-case's own search. The multistart stacks of a kernel call are built just
-before it, in one `_start_stacks` call, and its runs are read as soon as
-it returns, so only one call's stacks and value histories are held at a
-time.
+batched estimates through `_report`, the report code of hiding_ratio and
+evaluate_game, so a row equals their report bit for bit, and a cap
+violation escalates row by row, as the case's `_estimate` step run again
+at ESCALATE_RESTARTS. The multistart stacks of a kernel call are built
+just before it, in one `_start_stacks` call, and its runs are read as
+soon as it returns, so only one call's stacks and value histories are
+held at a time.
 
-Tests reach the failure branches by patching `case_report`, `_estimate`,
+Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_histories`, `_run_jobs`, `trace_norm`, `witness_value` and
 `block_frame_sums` here; the benchmark's tracer (perfbench/tracing.py)
 patches the instance generators, evaluators and scans, and
-epsilon_norm, seesaw_run and initial_contractions are imported only for
-it. Callers look these names up in this module's globals at call time,
-so a patch reaches every caller.
+hiding_ratio, evaluate_game, epsilon_norm, seesaw_run and
+initial_contractions are imported only for it. Callers look these names
+up in this module's globals at call time, so a patch reaches every
+caller.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .games import evaluate_game, random_game
+from .games import random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
-from .norms import SeeSawConfig, hiding_ratio, witness_value
-from .norms import _checked_start, _closed_form, _report, _seesaw, _start_stacks
+from .norms import SeeSawConfig, witness_value
+from .norms import _checked_start, _closed_form, _ratio_operator, _report, _seesaw, _start_stacks
 
 # Unused here; kept because the benchmark's tracer patches them on this module by name.
-from .norms import epsilon_norm, initial_contractions, seesaw_run  # noqa: F401
+from .games import evaluate_game  # noqa: F401
+from .norms import epsilon_norm, hiding_ratio, initial_contractions, seesaw_run  # noqa: F401
 from .states import (
     QuantumXorGame,
     game_operator,
@@ -254,24 +257,15 @@ def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True
 
 def _case_operator(instance) -> BipartiteOperator:
     """The operator a case's estimate is of: a game's operator, or the
-    operator itself."""
-    return game_operator(instance) if isinstance(instance, QuantumXorGame) else instance
-
-
-def case_report(instance, config: SeeSawConfig, estimate=None):
-    """The RatioReport of one case at config: evaluate_game of a
-    QuantumXorGame, hiding_ratio of an operator. A scan passes estimate,
-    the case's epsilon_norm at config that it ran batched; without it the
-    case runs its own search."""
-    if estimate is not None:
-        return _report(_case_operator(instance), estimate)
-    if isinstance(instance, QuantumXorGame):
-        return evaluate_game(instance, config)
-    return hiding_ratio(instance, config)
+    operator itself, with hiding_ratio's DegenerateOperatorError if zero."""
+    return game_operator(instance) if isinstance(instance, QuantumXorGame) else _ratio_operator(instance)
 
 
 def _record(instance, report) -> dict:
-    """The evaluate_case record of a case's report."""
+    """The reported fields of a case's report: trace norm and estimate
+    value keyed beta_all and beta_product for a QuantumXorGame, trace_norm
+    and eps_estimate for an operator, and the estimate's full payload;
+    ratio and margin are None for a zero game."""
     names = ("beta_all", "beta_product") if isinstance(instance, QuantumXorGame) else ("trace_norm", "eps_estimate")
     est = report.eps_estimate
     ratio = None if report.ratio is None else float(report.ratio)
@@ -293,13 +287,14 @@ def _record(instance, report) -> dict:
     }
 
 
-def evaluate_case(instance, config: SeeSawConfig) -> dict:
-    """The reported fields of one case at config: a QuantumXorGame through
-    evaluate_game, its trace norm and estimate value keyed beta_all and
-    beta_product, an operator through hiding_ratio, keyed trace_norm and
-    eps_estimate. "estimate" holds the estimate's full payload; ratio and
-    margin are None for a zero game."""
-    return _record(instance, case_report(instance, config))
+def case_records(cases, config: SeeSawConfig) -> list[dict]:
+    """The _record of each (instance, see-saw seed) case at config, every
+    search in one _drive: the report hiding_ratio gives an operator and
+    evaluate_game a QuantumXorGame, bit for bit. cases may be drawn
+    lazily: each is checked by _case_operator before the next is drawn."""
+    drawn = [(instance, _case_operator(instance), seed) for instance, seed in cases]
+    estimates = _drive([_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn], config)
+    return [_record(instance, _report(z, est)) for (instance, z, _), est in zip(drawn, estimates)]
 
 
 def _escalating_scan(cases, config: SeeSawConfig):
@@ -308,24 +303,26 @@ def _escalating_scan(cases, config: SeeSawConfig):
     when config.restarts is below it; escalation only raises the budget.
 
     A step: the estimates of all cases run as jobs, then each row is
-    reported in order, and a violation escalates there through the
-    case's own search. Each row is the case's fields, the evaluate_case
-    record of its final run (the escalated one when escalation fired) and
+    reported in order, and a violation escalates there as the case's
+    estimate step at ESCALATE_RESTARTS. Each row is the case's fields, the
+    _record of its final run (the escalated one when escalation fired) and
     escalated. Only violations of the final run count as failures.
     Returns the scan's summary record with its rows.
     """
-    cases = [(label, instance, replace(config, seed=seed), fields) for label, instance, seed, fields in cases]
-    steps = [_estimate(_case_operator(instance), run_config) for _, instance, run_config, _ in cases]
-    estimates = yield from _gather(steps)
+    cases = [
+        (label, instance, _case_operator(instance), replace(config, seed=seed), fields)
+        for label, instance, seed, fields in cases
+    ]
+    estimates = yield from _gather(_estimate(z, run_config) for _, _, z, run_config, _ in cases)
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
-    for (label, instance, run_config, fields), est in zip(cases, estimates):
-        report = case_report(instance, run_config, est)
+    for (label, instance, z, run_config, fields), est in zip(cases, estimates):
+        report = _report(z, est)
         # a zero game's report (ratio None) is satisfied
         escalated = not report.satisfied and config.restarts < ESCALATE_RESTARTS
         if escalated:
             run_config = replace(run_config, restarts=ESCALATE_RESTARTS)
-            report = case_report(instance, run_config)
+            report = _report(z, (yield from _estimate(z, run_config)))
         row = _record(instance, report)
         rows.append({**fields, **row, "escalated": escalated})
         stage = "after escalation to" if escalated else "at"

@@ -17,6 +17,10 @@ import locnorms
 from locnorms import (
     BipartiteOperator,
     QuantumXorGame,
+    SeeSawConfig,
+    evaluate_game,
+    gue_operator,
+    hiding_ratio,
     random_density_matrix,
     werner_hiding_pair,
     write_game_file,
@@ -34,6 +38,7 @@ from locnorms.cli import (
 )
 import locnorms.cli as cli_module
 from locnorms import verify
+from locnorms.states import stream
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -725,3 +730,162 @@ def test_unwritable_output_path(tmp_path, capsys):
     target = tmp_path / "missing" / "out.csv"
     assert main(["darwinism", "--da", "2", "--dr", "2", "--out", str(target)]) == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------- one evaluation path
+#
+# ratio, scaling and xor search all their cases in one batch through the
+# verify driver. The public per-case reports, hiding_ratio of an operator
+# and evaluate_game of a game, are the oracle for every row.
+
+
+def recorded_rows(monkeypatch):
+    """The rows cli._rows builds, in a list that fills as the command runs."""
+    rows = []
+    real = cli_module._rows
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        rows.extend(result)
+        return result
+
+    monkeypatch.setattr(cli_module, "_rows", recording)
+    return rows
+
+
+def report_fields(report):
+    """What a row reports of a case, read off its public report."""
+    est = report.eps_estimate
+    return {
+        "trace_norm": report.trace_norm,
+        "value": est.value,
+        "ratio": report.ratio,
+        "bound": report.bound,
+        "satisfied": report.satisfied,
+        "margin": None if report.ratio is None else report.bound - report.ratio,
+        "estimate": {
+            "value": est.value,
+            "is_lower_bound": True,
+            "iterations_used": est.iterations_used,
+            "converged": est.converged,
+            "restart_index": est.restart_index,
+        },
+    }
+
+
+def row_fields(row):
+    """The same fields read off a CLI row (a game's row keys them beta_*)."""
+    game = "beta_all" in row
+    fields = {key: row[key] for key in ("ratio", "bound", "satisfied", "margin", "estimate")}
+    fields["trace_norm"] = row["beta_all" if game else "trace_norm"]
+    fields["value"] = row["beta_product" if game else "eps_estimate"]
+    return fields
+
+
+def operator_file(tmp_path):
+    path = tmp_path / "op.json"
+    write_operator_file(path, gue_operator(2, 3, 7))
+    return path
+
+
+def game_file(tmp_path, game):
+    path = tmp_path / "game.json"
+    write_game_file(path, game)
+    return path
+
+
+def cancelling_game():
+    rho = random_density_matrix(4, seed=402)
+    return QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, -1), probs=(0.5, 0.5))
+
+
+# command -> (its argv at seed 7 and 4 restarts given a scratch directory,
+# the (instance, see-saw seed) cases it draws given the same directory)
+ONE_PATH_COMMANDS = {
+    "ratio": (
+        lambda tmp: ["ratio", "--induced", "3", "2"],
+        lambda tmp: [verify.draw("induced", 3, 2, 7, verify.GENERATOR_CODE["induced"], 3, 2, 0)],
+    ),
+    "ratio-input": (
+        lambda tmp: ["ratio", "--input", str(operator_file(tmp))],
+        lambda tmp: [(gue_operator(2, 3, 7), verify.run_seed(stream(7, verify.INPUT_LABEL)))],
+    ),
+    "scaling": (
+        lambda tmp: ["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "4", "--samples", "2"],
+        lambda tmp: [
+            verify.draw("gue", d, d, 7, verify.GENERATOR_CODE["gue"], d, d, k) for d in (2, 3, 4) for k in (0, 1)
+        ],
+    ),
+    "xor": (
+        lambda tmp: ["xor", "--na", "2", "--nb", "3", "--states", "3", "--samples", "3"],
+        lambda tmp: [verify.draw("game", 2, 3, 7, verify.XOR_LABEL, 2, 3, k, num_states=3) for k in range(3)],
+    ),
+    "xor-input": (
+        lambda tmp: ["xor", "--input", str(game_file(tmp, werner_hiding_pair(3)))],
+        lambda tmp: [(werner_hiding_pair(3), 7)],
+    ),
+    "xor-input-zero-game": (
+        lambda tmp: ["xor", "--input", str(game_file(tmp, cancelling_game()))],
+        lambda tmp: [(cancelling_game(), 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_PATH_COMMANDS))
+def test_cli_rows_are_the_per_case_public_reports(monkeypatch, tmp_path, command):
+    argv, drawn = ONE_PATH_COMMANDS[command]
+    rows = recorded_rows(monkeypatch)
+    code, _ = run_text(tmp_path, argv(tmp_path) + ["--seed", "7", "--restarts", "4"])
+    assert code == EXIT_OK
+    cases = drawn(tmp_path)
+    assert len(rows) == len(cases)
+    for row, (instance, seesaw_seed) in zip(rows, cases):
+        config = SeeSawConfig(restarts=4, seed=seesaw_seed)
+        evaluate = evaluate_game if isinstance(instance, QuantumXorGame) else hiding_ratio
+        report = evaluate(instance, config)
+        assert row_fields(row) == report_fields(report)
+        assert (row["n_a"], row["n_b"], row["seed"], row["restarts"]) == (instance.n_a, instance.n_b, 7, 4)
+
+
+@pytest.mark.parametrize(
+    "argv, batches",
+    [
+        # three shapes of three cases each, then one shape of four games
+        (["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "4", "--samples", "3"], [3, 3, 3]),
+        (["xor", "--samples", "4"], [4]),
+    ],
+    ids=["scaling", "xor"],
+)
+def test_a_command_makes_one_kernel_call_per_shape(monkeypatch, tmp_path, argv, batches):
+    calls = []
+    real = verify._seesaw
+
+    def counted(zs, *args):
+        calls.append(len(zs))
+        return real(zs, *args)
+
+    monkeypatch.setattr(verify, "_seesaw", counted)
+    code, _ = run_text(tmp_path, argv + ["--restarts", "4"])
+    assert code == EXIT_OK
+    assert calls == batches
+
+
+def test_a_zero_operator_wins_over_a_later_draw_error(monkeypatch, capsys):
+    # each case is checked as it is drawn: the zero operator at case 1
+    # decides the exit before case 2 runs out of memory
+    real = verify.gue_operator
+    draws = []
+
+    def drawn(n_a, n_b, rng):
+        draws.append((n_a, n_b))
+        if len(draws) == 2:
+            return BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
+        if len(draws) == 3:
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+        return real(n_a, n_b, rng)
+
+    monkeypatch.setattr(verify, "gue_operator", drawn)
+    argv = ["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "2", "--samples", "3", "--restarts", "2"]
+    assert main(argv) == EXIT_DEGENERATE
+    assert capsys.readouterr() == ("", "error: hiding ratio is undefined for the zero operator\n")
+    assert len(draws) == 2

@@ -265,7 +265,7 @@ def test_initial_contractions_equal_per_restart_signs(restarts):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("restarts", [1, 50, 500])
 def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed):
-    # _multistart runs this stack unchecked, so the guarantee lives here.
+    # epsilon_norm and the verify driver run this stack unchecked, so the guarantee lives here.
     for dim in range(1, 7):
         starts = _start_stack(dim, SeeSawConfig(restarts=restarts, seed=seed))
         assert starts.shape == (restarts + 1, dim, dim)

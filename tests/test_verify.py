@@ -15,23 +15,31 @@ from locnorms.cli import EXIT_SUITE_FAILURE, SCALING_COLUMNS, XOR_COLUMNS, main
 CONFIG = SeeSawConfig(restarts=4)
 
 
-def violating(monkeypatch, name, fail_budgets):
-    """Wrap verify.<name> so that its report violates the cap whenever the
-    call runs at a budget in fail_budgets; return the list of budgets the
-    scan called it with and the list of reports it returned."""
-    real = getattr(verify, name)
+def violating(monkeypatch, fail_budgets):
+    """Wrap verify._estimate and verify._report, which a scan runs for each
+    of its cases, so that a report violates the cap whenever its estimate
+    ran at a budget in fail_budgets; return the list of those budgets in
+    the order the scan reported the cases and the list of reports."""
+    real_estimate, real_report = verify._estimate, verify._report
+    budget_of = {}  # estimate -> the restart budget it ran at
     budgets = []
     reports = []
 
-    def forced(obj, config, *estimate):
-        budgets.append(config.restarts)
-        report = real(obj, config, *estimate)
-        if config.restarts in fail_budgets:
+    def tagged(z, config, hermitian=True):
+        est = yield from real_estimate(z, config, hermitian)
+        budget_of[est] = config.restarts
+        return est
+
+    def forced(z, est):
+        budgets.append(budget_of[est])
+        report = real_report(z, est)
+        if budget_of[est] in fail_budgets:
             report = replace(report, ratio=2.0 * report.bound, satisfied=False)
         reports.append(report)
         return report
 
-    monkeypatch.setattr(verify, name, forced)
+    monkeypatch.setattr(verify, "_estimate", tagged)
+    monkeypatch.setattr(verify, "_report", forced)
     return budgets, reports
 
 
@@ -47,18 +55,15 @@ def payload(report):
     }
 
 
-# scan -> (the evaluator it reports each instance with, at the working
-# budget from the batched estimate and at an escalation from its own
-# search, the labels of its two instances, a run of it on those two
-# instances)
+# scan -> (the labels of its two instances, a run of it on those two
+# instances). A scan runs every estimate, an escalation's too, as an
+# _estimate step and makes every report with _report.
 SCANS = {
     "main_bound_scan": (
-        "case_report",
         ("(2,2) gue[0]", "(2,2) induced[1]"),
         lambda: verify.main_bound_scan([(2, 2)], 2, replace(CONFIG, seed=161)),
     ),
     "game_bound_scan": (
-        "case_report",
         ("game[0] at (2,2)", "game[1] at (2,2)"),
         lambda: verify.game_bound_scan(2, 2, 2, replace(CONFIG, seed=162)),
     ),
@@ -68,8 +73,8 @@ SCANS = {
 @pytest.mark.parametrize("scan", sorted(SCANS))
 @pytest.mark.parametrize("persists", [False, True])
 def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
-    evaluator, labels, run = SCANS[scan]
-    budgets, reports = violating(monkeypatch, evaluator, {4, 500} if persists else {4})
+    labels, run = SCANS[scan]
+    budgets, reports = violating(monkeypatch, {4, 500} if persists else {4})
     result = run()
     assert budgets == [4, 500, 4, 500]
     assert [row["escalated"] for row in result["rows"]] == [True, True]
@@ -98,8 +103,8 @@ CLI_COLUMNS = {
 
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_satisfied_rows_do_not_escalate(monkeypatch, scan):
-    evaluator, _, run = SCANS[scan]
-    budgets, _ = violating(monkeypatch, evaluator, set())
+    _, run = SCANS[scan]
+    budgets, _ = violating(monkeypatch, set())
     result = run()
     assert budgets == [4, 4]
     assert [row["escalated"] for row in result["rows"]] == [False, False]
@@ -131,8 +136,8 @@ def test_scans_draw_from_the_config_seed(scan):
 def test_violations_from_the_escalation_budget_up_are_final(monkeypatch, scan, restarts):
     # escalation only raises the budget, so from ESCALATE_RESTARTS up a
     # violating row reports its one run and the failure names its budget
-    evaluator, labels, _ = SCANS[scan]
-    budgets, reports = violating(monkeypatch, evaluator, {restarts})
+    labels, _ = SCANS[scan]
+    budgets, reports = violating(monkeypatch, {restarts})
     result = SEEDED_SCANS[scan](replace(CONFIG, restarts=restarts))
     assert budgets == [restarts, restarts]
     assert [row["escalated"] for row in result["rows"]] == [False, False]
@@ -359,7 +364,8 @@ def test_property_suites_equal_separate_runs(restarts):
     config = SeeSawConfig(restarts=restarts, seed=SEED)
     assert verify._drive([verify._property_suites(1, config)], config)[0] == property_suites_reference(1, config)
     for _, z, seesaw_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
-        runs = norms._multistart(z, replace(config, seed=seesaw_seed, restarts=max(restarts, 2)))
+        budget = replace(config, seed=seesaw_seed, restarts=max(restarts, 2))
+        (runs,) = norms._seesaw([z], [norms._start_stack(z.n_b, budget)], budget, ["B"], True)
         run_config = replace(config, seed=seesaw_seed, restarts=2)
         for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
             ref = norms.seesaw_run(z, g0, run_config)
