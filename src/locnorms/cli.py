@@ -10,7 +10,9 @@ batch of one) into row dicts: the command's own keys and the
 or JSON row is its projection onto the subcommand's columns, and a
 single-case JSON report is the row with its estimate payload. These
 commands report the cap check at the working budget; only the verify scans
-escalate. Outputs use shortest round-trip float formatting and fixed
+escalate. Every CSV table is spelled by `_csv`, whole before it is
+written (darwinism's straight from the sweep's row tuples); no cell needs
+quoting. Outputs use shortest round-trip float formatting and fixed
 row/key order, so identical invocations produce byte-identical files. A
 warning is printed as one line, "warning: <message>".
 Exit codes: 0 success, 2 validation error, 3 degenerate input,
@@ -20,8 +22,6 @@ Exit codes: 0 success, 2 validation error, 3 degenerate input,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import operator
 import sys
@@ -30,7 +30,8 @@ from functools import cache
 from itertools import tee
 from pathlib import Path
 
-from .darwinism import coefficient_sweep
+from .darwinism import COLUMNS as DARWINISM_COLUMNS
+from .darwinism import _sweep_rows, coefficient_sweep
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .darwinism import diamond_bound_rhs  # noqa: F401
@@ -71,14 +72,6 @@ XOR_COLUMNS = (
     "ratio",
     "bound",
     "satisfied",
-)
-DARWINISM_COLUMNS = (
-    "d_a",
-    "d_r",
-    "omega_new",
-    "omega_ranard",
-    "improvement_factor",
-    "diamond_bound",
 )
 
 
@@ -137,25 +130,42 @@ def _emit_json(payload, out: Path | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _cell(value):
-    return ("true" if value else "false") if type(value) is bool else value
-
-
 def _emit_rows(rows: list[dict], columns, fmt: str, out: Path | None) -> None:
-    """Each row projected onto columns, as a JSON list or as CSV.
-
-    csv.writer spells None as "", an int with str and a float with repr,
-    so only a bool needs spelling out. Rows hold Python scalars only: a
-    numpy scalar would print differently (a numpy bool as True)."""
+    """Row dicts projected onto columns, as a JSON list or as the one CSV
+    path, _csv. No CSV cell needs quoting: rows hold Python scalars and
+    fixed generator words only."""
     if fmt == "json":
         _emit_json([{c: row[c] for c in columns} for row in rows], out)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    project = operator.itemgetter(*columns)  # a tuple per row: every table has several columns
-    writer.writerows(list(map(_cell, cells)) if bool in map(type, cells) else cells for cells in map(project, rows))
-    _emit(buf.getvalue(), out)
+    else:
+        # a tuple per row: every table has several columns
+        _emit(_csv(columns, map(operator.itemgetter(*columns), rows)), out)
+
+
+def _csv(columns, rows) -> str:
+    """The CSV text of a header and of cell tuples, built whole. A cell is
+    spelled as csv.writer spells a Python scalar, bar a bool: None as "", a
+    bool as true or false, an int or a str with str, a float with repr,
+    memoized in a dict of floats only, so never as an equal bool or int."""
+    spelled = {}  # float -> repr, never a zero: 0.0 == -0.0 as a key
+
+    def cell(value):
+        if type(value) is float:
+            text = spelled.get(value)
+            if text is None:
+                text = repr(value)
+                if value:
+                    spelled[value] = text
+            return text
+        if value is None:
+            return ""
+        if type(value) is bool:
+            return "true" if value else "false"
+        return str(value)
+
+    lines = [",".join(columns)]
+    lines.extend([",".join(map(cell, row)) for row in rows])
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
@@ -241,8 +251,10 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
         raise ValueError(f"observed-system dimension must be >= 2, got {args.da[0]}")
     if len(args.dr) > 0 and args.dr[0] < 1:
         raise ValueError(f"fragment dimension must be >= 1, got {args.dr[0]}")
-    rows = coefficient_sweep(args.da, args.dr, args.r, args.q)
-    _emit_rows(rows, DARWINISM_COLUMNS, args.format or "csv", args.out)
+    if args.format == "json":
+        _emit_json(coefficient_sweep(args.da, args.dr, args.r, args.q), args.out)
+    else:
+        _emit(_csv(DARWINISM_COLUMNS, _sweep_rows(args.da, args.dr, args.r, args.q)), args.out)
     return EXIT_OK
 
 

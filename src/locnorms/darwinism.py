@@ -8,10 +8,12 @@ the 2 sqrt(2) min-dimension norm bound; omega_ranard is the previous best
 five-way minimum it improves on for d_a >= 3.
 
 Each term of one dimension is written once, in a helper, and the single-
-pair functions and coefficient_sweep evaluate through the same helpers; the
-sweep evaluates each such term once per value of its dimension. Every
+pair functions and the sweep evaluate through the same helpers; the sweep
+evaluates each such term once per value of its dimension. Every
 expression keeps its operand order, so a sweep row equals the single-pair
-values bit for bit.
+values bit for bit. One row generator, _sweep_rows, yields the sweep's rows
+as tuples in COLUMNS order: coefficient_sweep makes its dicts from it, and
+the CLI writes its CSV table from it directly.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
+# The keys of a sweep row, in table order.
+COLUMNS = ("d_a", "d_r", "omega_new", "omega_ranard", "improvement_factor", "diamond_bound")
 
 
 def _check_observed(d_a: int) -> None:
@@ -109,11 +113,16 @@ def coefficient_sweep(d_a_values, d_r_values, r_size: int | None = None, q_size:
     Each value is checked once, the d_r values with the first d_a's rows,
     and a bad value raises what evaluating the rows one by one with the
     single-pair functions raises first, an overflowing term included."""
+    return [dict(zip(COLUMNS, row)) for row in _sweep_rows(d_a_values, d_r_values, r_size, q_size)]
+
+
+def _sweep_rows(d_a_values, d_r_values, r_size: int | None = None, q_size: int | None = None):
+    """coefficient_sweep's rows as tuples in COLUMNS order, the last column
+    only with r_size and q_size; they are checked and raise as it says."""
     if r_size is not None:
         _check_counts(r_size, q_size)
     d_rs = list(map(int, d_r_values))
     fragments = []  # (d_r, 2 d_r - 1, 4 d_r^{3/2}), filled on the first d_a
-    rows = []
     for d_a in map(int, d_a_values):
         if not d_rs:
             continue
@@ -134,8 +143,7 @@ def coefficient_sweep(d_a_values, d_r_values, r_size: int | None = None, q_size:
         for d_r, linear, halves_r in fragments:
             new = _omega_new(cap, linear)
             old = _omega_ranard(square, halves_a, d153, d_r, halves_r, linear)
-            row = {"d_a": d_a, "d_r": d_r, "omega_new": new, "omega_ranard": old, "improvement_factor": old / new}
-            if spread is not None:
-                row["diamond_bound"] = d_a * new * spread
-            rows.append(row)
-    return rows
+            if spread is None:
+                yield d_a, d_r, new, old, old / new
+            else:
+                yield d_a, d_r, new, old, old / new, d_a * new * spread

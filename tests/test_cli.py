@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: payloads, headers, determinism, exit
 codes."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -517,18 +519,52 @@ def test_darwinism_benchmark_grid_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "e446f27a5d5aa05a7299f0a948a6254dcd841dd60ae1e5904a9d7766f12c5464"
 
 
+# A grid whose floats are spelled in exponent form, as csv.writer wrote them.
+DARWINISM_EXPONENT_GRID = ["darwinism", "--da", "99999999999999999:100000000000000001"]
+DARWINISM_EXPONENT_GRID += ["--dr", "99999999999999999:100000000000000001"]
+DARWINISM_EXPONENT_CSV = "d_a,d_r,omega_new,omega_ranard,improvement_factor,diamond_bound\n" + "".join(
+    f"{d_a},{d_r},2e+17,2e+17,1.0,1.7696089190755967e+35\n"
+    for d_a in range(10**17 - 1, 10**17 + 2)
+    for d_r in range(10**17 - 1, 10**17 + 2)
+)
+
+
+def test_darwinism_csv_spells_exponents_and_prints_nothing_on_error(capsys):
+    assert main(DARWINISM_EXPONENT_GRID) == EXIT_OK
+    assert capsys.readouterr() == (DARWINISM_EXPONENT_CSV, "")
+    # 2**512 - 2**458 is the least integer whose float squares out of the
+    # float range, so the second grid raises after its first d_a's rows
+    for d_a in (str(10**155), f"{2**512 - 2**458 - 1}:{2**512 - 2**458}"):
+        assert main(["darwinism", "--da", d_a, "--dr", "1:3"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: value too large ((34, 'Numerical result out of range'))\n")
+
+
 def test_csv_cells_spell_each_python_scalar(capsys):
-    # csv.writer spells None, ints and floats itself; only bools are spelled
-    # out. The expected line is the spelling of a per-cell formatter: "" for
-    # None, true/false, str for an int and repr for a float. Rows hold
-    # Python scalars only: csv would not spell numpy scalars this way.
-    row = {"none": None, "yes": True, "no": False, "int": -2**70, "inf": math.inf, "nan": math.nan}
-    row.update({"zero": -0.0, "huge": 1e300, "tenth": 0.1})
-    cli_module._emit_rows([row], tuple(row), "csv", None)
-    assert capsys.readouterr().out == (
-        "none,yes,no,int,inf,nan,zero,huge,tenth\n"
-        ",true,false,-1180591620717411303424,inf,nan,-0.0,1e+300,0.1\n"
-    )
+    # The oracle is csv.writer with bools spelled true/false: "" for None,
+    # str for an int or a str and repr for a float. Values that compare
+    # equal but spell differently (0.0 and -0.0; True, 1 and 1.0) share a
+    # column in every order, and two distinct NaN objects share one too, so
+    # a float memo that conflates any of them misspells some later cell.
+    # Rows hold Python scalars only: csv would not spell numpy scalars so.
+    nan = float("nan")
+    table = [
+        (0.0, True, math.nan, None, "gue", 1.0, math.inf),
+        (-0.0, 1, nan, -2**70, "werner", True, -math.inf),
+        (0.0, 1.0, math.nan, 1e300, "gue", 1, 0.1),
+        (-0.0, False, nan, 0.1, "induced", 0.0, 2.0**-1074),
+        (1.0, 0, -0.0, 0, "game", -0.0, math.inf),
+        (True, 0.0, 0, False, "file", 0, 0.1),
+    ]
+    columns = tuple(f"c{k}" for k in range(len(table[0])))
+    oracle = io.StringIO()
+    spell_bools = [[("true" if v else "false") if type(v) is bool else v for v in row] for row in table]
+    csv.writer(oracle, lineterminator="\n").writerows([columns, *spell_bools])
+    cli_module._emit_rows([dict(zip(columns, row)) for row in table], columns, "csv", None)
+    assert capsys.readouterr().out == oracle.getvalue()
+    assert oracle.getvalue().splitlines()[1:3] == [
+        "0.0,true,nan,,gue,1.0,inf",
+        "-0.0,1,nan,-1180591620717411303424,werner,true,-inf",
+    ]
 
 
 # ---------------------------------------------------------------- verify

@@ -10,6 +10,7 @@ from locnorms import (
     omega_new,
     omega_ranard,
 )
+from locnorms.darwinism import COLUMNS, _sweep_rows
 
 
 # ---------------------------------------------------------------- omega_new
@@ -138,23 +139,29 @@ def test_sweep_empty_range_gives_no_rows():
     assert coefficient_sweep(range(5, 3), [0]) == []
 
 
+def _dict_rows(*args):
+    rows = coefficient_sweep(*args)
+    assert all(tuple(row) == COLUMNS[: len(row)] for row in rows)
+    return [tuple(row.values()) for row in rows]
+
+
+# the two sweep paths, each giving its rows as tuples in column order: the
+# public dict rows and the row generator the CSV table is written from
+SWEEPS = (_dict_rows, lambda *args: list(_sweep_rows(*args)))
+
+
 def test_sweep_rows_equal_the_single_pair_functions():
     # every row is the pair's omega_new, omega_ranard, their quotient and
     # diamond_bound_rhs bit for bit, though the sweep evaluates each
     # one-dimension term once per value
-    rows = coefficient_sweep(range(2, 60), range(1, 80), 3, 7)
-    assert [(row["d_a"], row["d_r"]) for row in rows] == [(d_a, d_r) for d_a in range(2, 60) for d_r in range(1, 80)]
-    for row in rows:
-        d_a, d_r = row["d_a"], row["d_r"]
-        new, old = omega_new(d_a, d_r), omega_ranard(d_a, d_r)
-        assert row == {
-            "d_a": d_a,
-            "d_r": d_r,
-            "omega_new": new,
-            "omega_ranard": old,
-            "improvement_factor": old / new,
-            "diamond_bound": diamond_bound_rhs(d_a, d_r, 3, 7),
-        }
+    want = [
+        (d_a, d_r, omega_new(d_a, d_r), omega_ranard(d_a, d_r), omega_ranard(d_a, d_r) / omega_new(d_a, d_r))
+        for d_a in range(2, 60)
+        for d_r in range(1, 80)
+    ]
+    for sweep in SWEEPS:
+        assert sweep(range(2, 60), range(1, 80)) == want
+        assert sweep(range(2, 60), range(1, 80), 3, 7) == [(*row, diamond_bound_rhs(*row[:2], 3, 7)) for row in want]
 
 
 def test_sweep_without_fragment_counts_has_no_diamond_bound():
@@ -175,11 +182,12 @@ def test_sweep_without_fragment_counts_has_no_diamond_bound():
 )
 def test_sweep_raises_the_first_error_of_its_rows(d_as, d_rs, message):
     # the rows evaluated one by one, d_a outer, raise the same first error
-    if message is None:
-        assert coefficient_sweep(d_as, d_rs) == []
-        return
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        coefficient_sweep(d_as, d_rs)
+    for sweep in SWEEPS:
+        if message is None:
+            assert sweep(d_as, d_rs) == []
+            continue
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(d_as, d_rs)
 
 
 def _rows_one_by_one(d_as, d_rs, r_size, q_size):
@@ -209,6 +217,7 @@ def test_sweep_fails_where_the_first_failing_row_would(counts):
     # raise on the first row that fails, whichever value is at fault.
     for d_as in ([a, b] for a in EDGE_VALUES for b in (2, 3, 10**155, 1)):
         for d_rs in ([a, b] for a in EDGE_VALUES for b in (1, 10**206, 0)):
-            got = _outcome(lambda: [tuple(row.values())[2:] for row in coefficient_sweep(d_as, d_rs, *counts)])
             want = _outcome(lambda: [(n, o, o / n, d) for n, o, d in _rows_one_by_one(d_as, d_rs, *counts)])
-            assert got == want, (d_as, d_rs, counts)
+            for sweep in SWEEPS:
+                got = _outcome(lambda: [row[2:] for row in sweep(d_as, d_rs, *counts)])
+                assert got == want, (sweep, d_as, d_rs, counts)
