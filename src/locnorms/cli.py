@@ -10,28 +10,29 @@ batch of one) into row dicts: the command's own keys and the
 or JSON row is its projection onto the subcommand's columns, and a
 single-case JSON report is the row with its estimate payload. These
 commands report the cap check at the working budget; only the verify scans
-escalate. Every CSV table is spelled by `_csv`, whole before it is
-written (darwinism's straight from the sweep's row tuples); no cell needs
-quoting. Outputs use shortest round-trip float formatting and fixed
-row/key order, so identical invocations produce byte-identical files. A
-warning is printed as one line, "warning: <message>".
-Exit codes: 0 success, 2 validation error, 3 degenerate input,
-4 verification-suite failure.
+escalate. `_csv` spells every CSV table, whole before it is written, from
+one array per column: a row table's cells one by one, darwinism's float
+grid once per distinct float. No cell needs quoting. Floats are spelled
+with repr and rows and keys come in a fixed order, so identical
+invocations produce byte-identical files. A warning is printed as one
+line, "warning: <message>". Exit codes: 0 success, 2 validation error,
+3 degenerate input, 4 verification-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 import warnings
 from functools import cache
 from itertools import tee
 from pathlib import Path
 
+import numpy as np
+
 from .darwinism import COLUMNS as DARWINISM_COLUMNS
-from .darwinism import _sweep_rows, coefficient_sweep
+from .darwinism import _sweep_grid, coefficient_sweep
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .darwinism import diamond_bound_rhs  # noqa: F401
@@ -137,35 +138,31 @@ def _emit_rows(rows: list[dict], columns, fmt: str, out: Path | None) -> None:
     if fmt == "json":
         _emit_json([{c: row[c] for c in columns} for row in rows], out)
     else:
-        # a tuple per row: every table has several columns
-        _emit(_csv(columns, map(operator.itemgetter(*columns), rows)), out)
+        _emit(_csv(columns, [np.array([row[c] for row in rows], dtype=object)[:, None] for c in columns]), out)
 
 
-def _csv(columns, rows) -> str:
-    """The CSV text of a header and of cell tuples, built whole. A cell is
-    spelled as csv.writer spells a Python scalar, bar a bool: None as "", a
-    bool as true or false, an int or a str with str, a float with repr,
-    memoized in a dict of floats only, so never as an equal bool or int."""
-    spelled = {}  # float -> repr, never a zero: 0.0 == -0.0 as a key
+def _cell(value) -> str:
+    """A Python scalar as csv.writer spells it, bar a bool: None as "", a
+    bool as true or false, anything else with str (a float's is its repr)."""
+    return "" if value is None else str(value).lower() if type(value) is bool else str(value)
 
-    def cell(value):
-        if type(value) is float:
-            text = spelled.get(value)
-            if text is None:
-                text = repr(value)
-                if value:
-                    spelled[value] = text
-            return text
-        if value is None:
-            return ""
-        if type(value) is bool:
-            return "true" if value else "false"
-        return str(value)
 
-    lines = [",".join(columns)]
-    lines.extend([",".join(map(cell, row)) for row in rows])
-    lines.append("")
-    return "\n".join(lines)
+def _csv(columns, cells) -> str:
+    """The CSV text of a header and of a table given as one array per
+    column, built whole. The arrays broadcast to one 2-D shape, (blocks,
+    rows of a block), with no block empty. A float64 column is spelled once
+    per distinct bit pattern with repr, so 0.0 and -0.0 stay apart; an
+    object column holds Python scalars, spelled by _cell."""
+    spelled = []
+    for column in cells:
+        if column.dtype == np.float64:
+            bits, index = np.unique(column.view(np.int64), return_inverse=True)
+            words = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            spelled.append(words[index.reshape(column.shape)])
+        else:
+            spelled.append(np.frompyfunc(_cell, 1, 1)(column))
+    blocks = zip(*(column.tolist() for column in np.broadcast_arrays(*spelled)))
+    return "\n".join([",".join(columns), *("\n".join(map(",".join, zip(*block))) for block in blocks), ""])
 
 
 def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
@@ -254,7 +251,9 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json(coefficient_sweep(args.da, args.dr, args.r, args.q), args.out)
     else:
-        _emit(_csv(DARWINISM_COLUMNS, _sweep_rows(args.da, args.dr, args.r, args.q)), args.out)
+        d_as, d_rs, grid = _sweep_grid(args.da, args.dr, args.r, args.q)
+        keys = [np.array(d_as, dtype=object)[:, None], np.array(d_rs, dtype=object)]
+        _emit(_csv(DARWINISM_COLUMNS, keys + list(np.moveaxis(grid, -1, 0))), args.out)
     return EXIT_OK
 
 

@@ -7,18 +7,22 @@ prepare) one. Smaller is stronger. omega_new is the coefficient implied by
 the 2 sqrt(2) min-dimension norm bound; omega_ranard is the previous best
 five-way minimum it improves on for d_a >= 3.
 
-Each term of one dimension is written once, in a helper, and the single-
-pair functions and the sweep evaluate through the same helpers; the sweep
-evaluates each such term once per value of its dimension. Every
-expression keeps its operand order, so a sweep row equals the single-pair
-values bit for bit. One row generator, _sweep_rows, yields the sweep's rows
-as tuples in COLUMNS order: coefficient_sweep makes its dicts from it, and
-the CLI writes its CSV table from it directly.
+Each term of one dimension is written once, in a helper that the single-
+pair functions and the sweep share. The sweep, _sweep_grid, evaluates each
+such term once per value in Python, in the single-pair functions' order,
+so that it checks and fails as they do. It then takes every row's minima,
+square root, quotient and product at once on a float64 grid; these are
+IEEE-exact, so a grid row equals the single-pair values bit for bit.
+coefficient_sweep makes its dicts from the grid, and the CLI writes its
+CSV table from it.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
+
+import numpy as np
 
 TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 # The keys of a sweep row, in table order.
@@ -67,14 +71,6 @@ def _spread(d_a: int, r_size: int, q_size: int) -> float:
     return math.sqrt(2.0 * math.log(d_a) * r_size / q_size)
 
 
-def _omega_new(cap: float, linear: float) -> float:
-    return float(min(cap, linear))
-
-
-def _omega_ranard(square: float, halves_a: float, d153: float, d_r: int, halves_r: float, linear: float) -> float:
-    return float(min(square, halves_a, halves_r, math.sqrt(d153 * d_r), linear))
-
-
 def omega_new(d_a: int, d_r: int) -> float:
     """min(4, 2 d_r - 1) for d_a = 2, else min(2 sqrt(2) d_a, 2 d_r - 1).
 
@@ -82,7 +78,7 @@ def omega_new(d_a: int, d_r: int) -> float:
     qubit case pinned at 4 by the sharper two-dimensional analysis."""
     _check_observed(d_a)
     _check_fragment(d_r)
-    return _omega_new(_cap(d_a), _linear(d_r))
+    return float(min(_cap(d_a), _linear(d_r)))
 
 
 def omega_ranard(d_a: int, d_r: int) -> float:
@@ -90,7 +86,8 @@ def omega_ranard(d_a: int, d_r: int) -> float:
     sqrt(153 d_a d_r), 2 d_r - 1)."""
     _check_observed(d_a)
     _check_fragment(d_r)
-    return _omega_ranard(*_observed_terms(d_a), d_r, _three_halves(d_r), _linear(d_r))
+    square, halves_a, d153 = _observed_terms(d_a)
+    return float(min(square, halves_a, _three_halves(d_r), math.sqrt(d153 * d_r), _linear(d_r)))
 
 
 def diamond_bound_rhs(d_a: int, d_r: int, r_size: int, q_size: int) -> float:
@@ -108,42 +105,46 @@ def coefficient_sweep(d_a_values, d_r_values, r_size: int | None = None, q_size:
     omega_ranard and improvement_factor, the quotient omega_ranard /
     omega_new (>= 1 exactly when the new coefficient is at least as
     strong), and with r_size and q_size also diamond_bound, the
-    diamond_bound_rhs of the pair. An empty range gives no rows.
+    diamond_bound_rhs of the pair. Give both counts or neither. An empty
+    range gives no rows.
 
     Each value is checked once, the d_r values with the first d_a's rows,
     and a bad value raises what evaluating the rows one by one with the
     single-pair functions raises first, an overflowing term included."""
-    return [dict(zip(COLUMNS, row)) for row in _sweep_rows(d_a_values, d_r_values, r_size, q_size)]
+    d_as, d_rs, grid = _sweep_grid(d_a_values, d_r_values, r_size, q_size)
+    rows = grid.reshape(-1, grid.shape[-1]).tolist()
+    return [dict(zip(COLUMNS, (*pair, *cells))) for pair, cells in zip(product(d_as, d_rs), rows)]
 
 
-def _sweep_rows(d_a_values, d_r_values, r_size: int | None = None, q_size: int | None = None):
-    """coefficient_sweep's rows as tuples in COLUMNS order, the last column
-    only with r_size and q_size; they are checked and raise as it says."""
+def _sweep_grid(d_a_values, d_r_values, r_size: int | None = None, q_size: int | None = None):
+    """coefficient_sweep's table, checked and raising as it says, as (d_as,
+    d_rs, grid): grid is float64 of shape (len(d_as), len(d_rs), 3 or 4),
+    and grid[i, j] is row (d_as[i], d_rs[j]) after d_r, in COLUMNS order."""
+    if (r_size is None) != (q_size is None):
+        raise ValueError(f"give both fragment counts or neither, got r_size={r_size}, q_size={q_size}")
     if r_size is not None:
         _check_counts(r_size, q_size)
     d_rs = list(map(int, d_r_values))
+    observed = []  # (d_a, cap, d_a^2, 4 d_a^{3/2}, 153 d_a, spread)
     fragments = []  # (d_r, 2 d_r - 1, 4 d_r^{3/2}), filled on the first d_a
     for d_a in map(int, d_a_values):
         if not d_rs:
             continue
         _check_observed(d_a)
-        if fragments:
-            cap = _cap(d_a)
-        else:
-            # as in omega_new, the first row checks d_r before d_a's cap can
-            # overflow, and computes that cap before d_r's terms
+        if not fragments:  # as in omega_new, the first row checks d_r before d_a's cap can overflow
             _check_fragment(d_rs[0])
-            cap = _cap(d_a)
+        cap = _cap(d_a)
+        if not fragments:  # and computes d_r's terms after that cap
             fragments.append((d_rs[0], _linear(d_rs[0]), _three_halves(d_rs[0])))
-        square, halves_a, d153 = _observed_terms(d_a)
-        spread = None if r_size is None else _spread(d_a, r_size, q_size)
+        observed.append((d_a, cap, *_observed_terms(d_a), 1.0 if r_size is None else _spread(d_a, r_size, q_size)))
         for d_r in d_rs[len(fragments) :]:
             _check_fragment(d_r)
             fragments.append((d_r, _linear(d_r), _three_halves(d_r)))
-        for d_r, linear, halves_r in fragments:
-            new = _omega_new(cap, linear)
-            old = _omega_ranard(square, halves_a, d153, d_r, halves_r, linear)
-            if spread is None:
-                yield d_a, d_r, new, old, old / new
-            else:
-                yield d_a, d_r, new, old, old / new, d_a * new * spread
+    # each integer d converts as float(d), which every term above has done
+    d_a, cap, square, halves_a, d153, spread = np.array(observed, dtype=float).reshape(-1, 6).T[..., None]
+    d_r, linear, halves_r = np.array(fragments, dtype=float).reshape(-1, 3).T
+    with np.errstate(all="ignore"):  # values are positive or inf: no NaN or zero meets min or /
+        new = np.minimum(cap, linear)
+        old = np.minimum.reduce(np.broadcast_arrays(square, halves_a, halves_r, np.sqrt(d153 * d_r), linear))
+        cells = [new, old, old / new] + ([] if r_size is None else [d_a * new * spread])
+    return [row[0] for row in observed], [row[0] for row in fragments], np.stack(cells, axis=-1)

@@ -539,6 +539,36 @@ def test_darwinism_csv_spells_exponents_and_prints_nothing_on_error(capsys):
         assert capsys.readouterr() == ("", "error: value too large ((34, 'Numerical result out of range'))\n")
 
 
+def test_darwinism_rows_that_overflow_print_inf_and_no_warning(capsys):
+    # every term of the pair is finite, but sqrt(153 d_a d_r) and the
+    # diamond bound leave the float range; a numpy overflow warning would
+    # surface here as an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["darwinism", "--da", str(10**154), "--dr", str(10**153), "--r", "1", "--q", "1"]) == EXIT_OK
+    row = f"{10**154},{10**153},2e+153,2e+153,1.0,inf\n"
+    assert capsys.readouterr() == (",".join(DARWINISM_COLUMNS) + "\n" + row, "")
+
+
+def test_csv_spells_float_arrays_with_repr(capsys):
+    # A float64 column is spelled once per distinct bit pattern. 0.0 and
+    # -0.0 compare equal but spell apart, and the three NaN bit patterns
+    # compare unequal to everything but spell alike, so spelling keyed by
+    # value would go wrong somewhere. Either side of 1e16 and 1e-4 repr
+    # switches between positional and exponent form.
+    nan_payload = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(np.float64)
+    values = np.array(
+        [0.0, -0.0, math.nan, *nan_payload, math.inf, -math.inf, 2.0**-1074, 0.1, 1.0]
+        + [9999999999999998.0, 1e16, 1.0000000000000002e16, 9.999999999999999e-05, 1e-4, 0.00010000000000000002]
+    )
+    assert np.unique(values.view(np.int64)).size == values.size
+    table = [values.reshape(2, -1), values[::-1].reshape(2, -1), np.roll(values, 5).reshape(2, -1)]
+    keys = np.array(["a", "b"], dtype=object)[:, None]
+    cli_module._emit(cli_module._csv(("k", "x", "y", "z"), [keys, *table]), None)
+    rows = zip(["a"] * 8 + ["b"] * 8, *(column.ravel().tolist() for column in table))
+    assert capsys.readouterr().out == "k,x,y,z\n" + "".join(f"{k},{x!r},{y!r},{z!r}\n" for k, x, y, z in rows)
+
+
 def test_csv_cells_spell_each_python_scalar(capsys):
     # The oracle is csv.writer with bools spelled true/false: "" for None,
     # str for an int or a str and repr for a float. Values that compare

@@ -1,6 +1,7 @@
 """Dimensional coefficient arithmetic: values, domains, and the sweep."""
 
 import math
+import warnings
 
 import pytest
 
@@ -10,7 +11,7 @@ from locnorms import (
     omega_new,
     omega_ranard,
 )
-from locnorms.darwinism import COLUMNS, _sweep_rows
+from locnorms.darwinism import COLUMNS, _sweep_grid
 
 
 # ---------------------------------------------------------------- omega_new
@@ -145,9 +146,15 @@ def _dict_rows(*args):
     return [tuple(row.values()) for row in rows]
 
 
+def _grid_rows(*args):
+    d_as, d_rs, grid = _sweep_grid(*args)
+    assert grid.shape == (len(d_as), len(d_rs), 4 if len(args) > 2 else 3)
+    return [(d_a, d_r, *cells) for d_a, block in zip(d_as, grid.tolist()) for d_r, cells in zip(d_rs, block)]
+
+
 # the two sweep paths, each giving its rows as tuples in column order: the
-# public dict rows and the row generator the CSV table is written from
-SWEEPS = (_dict_rows, lambda *args: list(_sweep_rows(*args)))
+# public dict rows and the float grid the CSV table is written from
+SWEEPS = (_dict_rows, _grid_rows)
 
 
 def test_sweep_rows_equal_the_single_pair_functions():
@@ -162,6 +169,33 @@ def test_sweep_rows_equal_the_single_pair_functions():
     for sweep in SWEEPS:
         assert sweep(range(2, 60), range(1, 80)) == want
         assert sweep(range(2, 60), range(1, 80), 3, 7) == [(*row, diamond_bound_rhs(*row[:2], 3, 7)) for row in want]
+
+
+@pytest.mark.parametrize("counts", [(1, None), (None, 5)])
+def test_sweep_takes_both_fragment_counts_or_neither(counts):
+    for sweep in SWEEPS:
+        with pytest.raises(ValueError, match="^give both fragment counts or neither"):
+            sweep([2], [2], *counts)
+
+
+def test_sweep_rows_that_overflow_equal_the_single_pair_functions():
+    # Every term of these values is finite, but sqrt(153 d_a d_r) and the
+    # diamond bound leave the float range in some rows: the single-pair
+    # functions give inf there, and so must the sweep, without a warning.
+    d_as = [10**153, 10**154, 13 * 10**153]
+    d_rs = [1, 10**152, 10**153, 10**154, 10**205]
+    for counts in ((), (1, 1), (3, 7)):
+        want = [
+            (d_a, d_r, omega_new(d_a, d_r), omega_ranard(d_a, d_r), omega_ranard(d_a, d_r) / omega_new(d_a, d_r))
+            + ((diamond_bound_rhs(d_a, d_r, *counts),) if counts else ())
+            for d_a in d_as
+            for d_r in d_rs
+        ]
+        assert not counts or any(math.isinf(row[-1]) for row in want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sweep in SWEEPS:
+                assert sweep(d_as, d_rs, *counts) == want
 
 
 def test_sweep_without_fragment_counts_has_no_diamond_bound():
