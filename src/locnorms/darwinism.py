@@ -20,6 +20,7 @@ CSV table from it.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -29,14 +30,15 @@ TWO_ROOT_TWO = 2.0 * math.sqrt(2.0)
 COLUMNS = ("d_a", "d_r", "omega_new", "omega_ranard", "improvement_factor", "diamond_bound")
 
 
-def _check_observed(d_a: int) -> None:
-    if d_a < 2:
-        raise ValueError(f"observed-system dimension must be >= 2, got {d_a}")
-
-
-def _check_fragment(d_r: int) -> None:
-    if d_r < 1:
-        raise ValueError(f"fragment dimension must be >= 1, got {d_r}")
+def _check_dimension(d: int, name: str, least: int) -> int:
+    """d as an int, or ValueError unless it is an integer (not a float) >= least."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"{name} dimension must be an integer, got {d!r}") from None
+    if d < least:
+        raise ValueError(f"{name} dimension must be >= {least}, got {d}")
+    return d
 
 
 def _check_counts(r_size: int, q_size: int) -> None:
@@ -76,16 +78,14 @@ def omega_new(d_a: int, d_r: int) -> float:
 
     Grows at most linearly in the observed-system dimension, with the
     qubit case pinned at 4 by the sharper two-dimensional analysis."""
-    _check_observed(d_a)
-    _check_fragment(d_r)
+    d_a, d_r = _check_dimension(d_a, "observed-system", 2), _check_dimension(d_r, "fragment", 1)
     return float(min(_cap(d_a), _linear(d_r)))
 
 
 def omega_ranard(d_a: int, d_r: int) -> float:
     """Previous best coefficient: min(d_a^2, 4 d_a^{3/2}, 4 d_r^{3/2},
     sqrt(153 d_a d_r), 2 d_r - 1)."""
-    _check_observed(d_a)
-    _check_fragment(d_r)
+    d_a, d_r = _check_dimension(d_a, "observed-system", 2), _check_dimension(d_r, "fragment", 1)
     square, halves_a, d153 = _observed_terms(d_a)
     return float(min(square, halves_a, _three_halves(d_r), math.sqrt(d153 * d_r), _linear(d_r)))
 
@@ -97,6 +97,7 @@ def diamond_bound_rhs(d_a: int, d_r: int, r_size: int, q_size: int) -> float:
     r_size counts the observer fragments addressed jointly, q_size the
     fragments the channel broadcasts over."""
     _check_counts(r_size, q_size)
+    d_a = _check_dimension(d_a, "observed-system", 2)
     return d_a * omega_new(d_a, d_r) * _spread(d_a, r_size, q_size)
 
 
@@ -108,9 +109,10 @@ def coefficient_sweep(d_a_values, d_r_values, r_size: int | None = None, q_size:
     diamond_bound_rhs of the pair. Give both counts or neither. An empty
     range gives no rows.
 
-    Each value is checked once, the d_r values with the first d_a's rows,
-    and a bad value raises what evaluating the rows one by one with the
-    single-pair functions raises first, an overflowing term included."""
+    Each value is checked once, as an integer, the d_r values with the
+    first d_a's rows, and a bad value raises what evaluating the rows one
+    by one with the single-pair functions raises first, an overflowing
+    term included."""
     d_as, d_rs, grid = _sweep_grid(d_a_values, d_r_values, r_size, q_size)
     rows = grid.reshape(-1, grid.shape[-1]).tolist()
     return [dict(zip(COLUMNS, (*pair, *cells))) for pair, cells in zip(product(d_as, d_rs), rows)]
@@ -124,21 +126,19 @@ def _sweep_grid(d_a_values, d_r_values, r_size: int | None = None, q_size: int |
         raise ValueError(f"give both fragment counts or neither, got r_size={r_size}, q_size={q_size}")
     if r_size is not None:
         _check_counts(r_size, q_size)
-    d_rs = list(map(int, d_r_values))
+    d_r_values = list(d_r_values)
     observed = []  # (d_a, cap, d_a^2, 4 d_a^{3/2}, 153 d_a, spread)
     fragments = []  # (d_r, 2 d_r - 1, 4 d_r^{3/2}), filled on the first d_a
-    for d_a in map(int, d_a_values):
-        if not d_rs:
-            continue
-        _check_observed(d_a)
+    for d_a in d_a_values if d_r_values else ():
+        d_a = _check_dimension(d_a, "observed-system", 2)
         if not fragments:  # as in omega_new, the first row checks d_r before d_a's cap can overflow
-            _check_fragment(d_rs[0])
+            d_r = _check_dimension(d_r_values[0], "fragment", 1)
         cap = _cap(d_a)
         if not fragments:  # and computes d_r's terms after that cap
-            fragments.append((d_rs[0], _linear(d_rs[0]), _three_halves(d_rs[0])))
+            fragments.append((d_r, _linear(d_r), _three_halves(d_r)))
         observed.append((d_a, cap, *_observed_terms(d_a), 1.0 if r_size is None else _spread(d_a, r_size, q_size)))
-        for d_r in d_rs[len(fragments) :]:
-            _check_fragment(d_r)
+        for d_r in d_r_values[len(fragments) :]:
+            d_r = _check_dimension(d_r, "fragment", 1)
             fragments.append((d_r, _linear(d_r), _three_halves(d_r)))
     # each integer d converts as float(d), which every term above has done
     d_a, cap, square, halves_a, d153, spread = np.array(observed, dtype=float).reshape(-1, 6).T[..., None]

@@ -9,36 +9,47 @@ objective; multistart over randomized initial contractions guards against
 local maxima. Global optimality is never certified, so every reported
 value is a lower bound carrying the witness pair that achieves it.
 
-One see-saw kernel serves both entry points. It runs a stack of R starts
-as one batch, one stacked contraction and one stacked eigensolve (or SVD)
-per half-step, and drops each start from the batch once it meets its own
-stopping test, so slow starts finish on a shrinking batch. Every matrix
-in the stack is solved on its own, hence each restart of epsilon_norm
-equals seesaw_run from the same start bit for bit; seesaw_run is the
-kernel on a batch of one. The batch holds all R starts at once, so memory
-is O(R n^2) for n = max(n_a, n_b), plus the value histories of the runs.
+One see-saw kernel, _seesaw, runs every search. It runs a stack of R
+starts as one batch, one stacked contraction and one stacked eigensolve
+(or SVD) per half-step, and drops each start from the batch once it
+meets its own stopping test, so slow starts finish on a shrinking batch.
+Every matrix in the stack is solved on its own, so each start's run
+equals a run of it alone bit for bit. The batch holds all R starts at
+once, so memory is O(R n^2) for n = max(n_a, n_b), plus the value
+histories of the runs.
 
 The kernel also serves several operators in one call, each with its own
 start stack and its own start side, as long as their half-steps have the
 same shapes: an operator on n_a x n_b started on B rides with one on
-n_b x n_a started on A (verify batches a whole pass this way). Each
-operator's starts stay one contiguous slice of the running stack, and
-its contraction (by its own side's operand) runs on that slice; the
-eigensolves, the stopping test and the dropping of finished starts run
-once per half-step on the whole stack. So every operator's runs equal a
-call on it alone bit for bit. With one operator the contraction runs on
-the whole stack, with no slicing and no concatenation.
+n_b x n_a started on A. Each operator's starts stay one contiguous slice
+of the running stack, and its contraction (by its own side's operand)
+runs on that slice; the eigensolves, the stopping test and the dropping
+of finished starts run once per half-step on the whole stack. So every
+operator's runs equal a call on it alone bit for bit. With one operator
+the contraction runs on the whole stack, with no slicing and no
+concatenation.
 
-The multistart starts are built as one stack as well: one GUE sample per
-restart substream, turned into spectral signs by a single stacked
-eigensolve; _start_stacks builds the stacks of several configs of one
-dimension in one such pass. The Philox keys of all restart substreams
-come from one pass (states.spawn_keys), and one reused Philox generator
-draws every sample (states.gue_stack), bit for bit as gue_hermitian on
-stream(seed, i) would.
-epsilon_norm is the best run of the whole stack; a caller that needs
-single-start histories as well as the estimate (the verify property
-suites) reads both from the same runs, so each start runs once.
+One function, _run_jobs, makes every kernel call: for epsilon_norm,
+seesaw_run and every verify scan, suite, CLI row and escalation. A
+search is a step: a generator that yields kernel jobs (operator, starts,
+start side, field, read) and is sent what each job's read takes from its
+runs; a job's starts are a start stack or the SeeSawConfig whose
+multistart stack it runs. _estimate is epsilon_norm as a step. _drive
+advances steps in lockstep (_gather) and hands each round to _run_jobs,
+which makes one kernel call per half-step shape (dim of the other side,
+dim of the start side, field), so `locnorms verify --samples 1` makes 4
+kernel calls. A call's multistart stacks are built just before it, in
+one _start_stacks call, and its runs are read as soon as it returns, so
+only one call's stacks and value histories are held at a time.
+epsilon_norm is _estimate driven alone and seesaw_run one single-start
+job, so each restart of epsilon_norm equals seesaw_run from its start
+bit for bit. A caller that needs single-start histories and the
+estimate (the verify property suites) reads both from the same runs.
+
+The multistart stacks of all the configs of one dimension come from one
+pass: Philox keys from states.spawn_keys, GUE samples from one reused
+generator (states.gue_stack, bit for bit as gue_hermitian on
+stream(seed, i)) and spectral signs from one stacked eigensolve.
 
 A start is checked where a caller passes it, in seesaw_run. The multistart
 stack is not checked at run time; tests pin it as exactly Hermitian
@@ -304,6 +315,69 @@ def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_R
     return runs
 
 
+def _run_jobs(jobs, config: SeeSawConfig) -> list:
+    """What each kernel job (z, starts, start side, hermitian, read) reads
+    from its runs, in order: one _seesaw call per half-step shape, at the
+    max_iters and rel_tol of config. The SeeSawConfig starts of a call are
+    built together just before it, and its runs are read before the next
+    call is built."""
+    groups = {}
+    for position, (z, _, side, hermitian, _) in enumerate(jobs):
+        dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
+        groups.setdefault((*dims, hermitian), []).append(position)
+    results = [None] * len(jobs)
+    for (_, dim, hermitian), positions in groups.items():
+        zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
+        configs = [s for s in starts if isinstance(s, SeeSawConfig)]
+        built = iter(_start_stacks(dim, configs) if configs else ())
+        stacks = [next(built) if isinstance(s, SeeSawConfig) else s for s in starts]
+        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
+            results[position] = read(runs)
+    return results
+
+
+def _gather(steps):
+    """The generator steps advanced in lockstep as one step: each round
+    yields the kernel jobs of every unfinished step at once and sends each
+    what its own jobs read. Returns the steps' results in order."""
+    steps = list(steps)
+    results = [None] * len(steps)
+    sends = dict.fromkeys(range(len(steps)))
+    while sends:
+        batches = {}
+        for i, sent in sends.items():
+            try:
+                batches[i] = steps[i].send(sent)
+            except StopIteration as done:
+                results[i] = done.value
+        if not batches:
+            break
+        read = iter((yield [job for batch in batches.values() for job in batch]))
+        sends = {i: [next(read) for _ in batch] for i, batch in batches.items()}
+    return results
+
+
+def _drive(steps, config: SeeSawConfig) -> list:
+    """Run the generator steps together to their results, every round of
+    their pending jobs through _run_jobs at once."""
+    plan = _gather(steps)
+    try:
+        jobs = next(plan)
+        while True:
+            jobs = plan.send(_run_jobs(jobs, config))
+    except StopIteration as done:
+        return done.value
+
+
+def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True):
+    """epsilon_norm(z, config) as a step: the closed form, or the best run
+    of its multistart job."""
+    est = _closed_form(z, hermitian)
+    if est is None:
+        (est,) = yield [(z, config, "B", hermitian, lambda runs: runs.best())]
+    return est
+
+
 def seesaw_run(
     z: BipartiteOperator,
     g0,
@@ -324,14 +398,14 @@ def seesaw_run(
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
-    This is the batched kernel of epsilon_norm run on a batch of one, so
-    each restart of epsilon_norm equals seesaw_run from its start bit for
-    bit.
+    The run is one single-start job of _run_jobs, through which
+    epsilon_norm runs too, so each restart of epsilon_norm equals
+    seesaw_run from its start bit for bit.
     """
     start = _checked_start(z, g0, start_side, hermitian)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _seesaw([z], [start[None]], config, [start_side], hermitian)[0].estimate(0)
+    return _run_jobs([(z, start[None], start_side, hermitian, lambda runs: runs.estimate(0))], config)[0]
 
 
 def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -> np.ndarray:
@@ -351,14 +425,10 @@ def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -
     return start
 
 
-def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
-    """The (restarts + 1, dim, dim) multistart stack; see initial_contractions."""
-    return _start_stacks(dim, [config])[0]
-
-
 def _start_stacks(dim: int, configs) -> list[np.ndarray]:
-    """The multistart stack of each config, bit for bit as _start_stack,
-    from one gue_stack draw and one stacked eigensolve."""
+    """The (restarts + 1, dim, dim) multistart stack of each config (see
+    initial_contractions), from one gue_stack draw and one stacked
+    eigensolve."""
     # gue_stack draws gue_hermitian(dim, stream(config.seed, i)) for each
     # restart i bit for bit. A GUE sample is exactly Hermitian, so the
     # stacked sign equals hermitian_sign of each sample bit for bit.
@@ -375,7 +445,7 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
 
     The whole stack is built on the first step, so the iterator holds
     O(restarts * dim^2) memory however far it is consumed."""
-    yield from enumerate(_start_stack(dim, config))
+    yield from enumerate(_start_stacks(dim, [config])[0])
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
@@ -383,19 +453,17 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
     product-witness (injective tensor) norm of z, over Hermitian
     contractions or, with hermitian=False, over all complex ones.
 
-    All initial_contractions run as one stacked batch through the see-saw
-    kernel, each start stopping on its own test, and every restart equals
-    seesaw_run from its start bit for bit. The batch holds all R starts at
-    once, so memory is O(R n^2) for n = max(n_a, n_b), plus the value
-    histories of the runs.
+    The search is the _estimate step driven alone: all
+    initial_contractions run as one multistart job of _run_jobs, and
+    every restart equals seesaw_run from its start bit for bit. Memory is
+    O(R n^2) for R restarts and n = max(n_a, n_b), plus the histories.
 
     Never exceeds ||z||_1, since f x g is itself a global contraction. The
     cases z = 0 and n_a = 1 or n_b = 1 are exact by closed form. Ties
     between restarts resolve to the lowest restart index, so the result
     does not depend on evaluation order.
     """
-    est = _closed_form(z, hermitian)
-    return est if est is not None else _seesaw([z], [_start_stack(z.n_b, config)], config, ["B"], hermitian)[0].best()
+    return _drive([_estimate(z, config, hermitian)], config)[0]
 
 
 def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:

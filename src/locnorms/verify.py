@@ -28,29 +28,21 @@ at ESCALATE_RESTARTS before it counts, since a see-saw shortfall on a
 hard instance is an estimator artifact, not a counterexample. At
 ESCALATE_RESTARTS or more the first run is final.
 
-A verify pass batches its see-saw work across all suites. A suite (or a
-case within one) is a step: a generator that draws its cases, yields
-their kernel jobs (operator, starts, start side, field, read) and is
-sent what each job's read takes from its runs. A job's starts are an
-explicit start stack or the SeeSawConfig whose multistart stack it runs.
-`_drive` advances steps in lockstep, and `_run_jobs` makes one kernel
-call per half-step shape (dim of the other side, dim of the start side,
-field) over every pending job, so a swapped run started on A rides with
-its direct twin started on B and a --samples 1 pass makes 4 kernel
-calls. Each run equals a solo call bit for bit. Rows come from the
-batched estimates through `_report`, the report code of hiding_ratio and
-evaluate_game, so a row equals their report bit for bit, and a cap
-violation escalates row by row, as the case's `_estimate` step run again
-at ESCALATE_RESTARTS. The multistart stacks of a kernel call are built
-just before it, in one `_start_stacks` call, and its runs are read as
-soon as it returns, so only one call's stacks and value histories are
-held at a time.
+A verify pass batches its see-saw work across all suites. A suite (or
+a case within one) is a step in the sense of the norms module docstring,
+and a whole pass runs through one `_drive`, one kernel call per
+half-step shape. Rows come from the batched estimates
+through `_report`, the report code of hiding_ratio and evaluate_game,
+so a row equals their report bit for bit, and a cap violation escalates
+row by row, as the case's `_estimate` step run again at
+ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
-`_covariance_histories`, `_run_jobs`, `trace_norm`, `witness_value` and
-`block_frame_sums` here; the benchmark's tracer (perfbench/tracing.py)
-patches the instance generators, evaluators and scans, and
-hiding_ratio, evaluate_game, epsilon_norm, seesaw_run and
+`_covariance_histories`, `trace_norm`, `witness_value` and
+`block_frame_sums` here, and count kernel calls by patching `_run_jobs`,
+`_seesaw` and `_start_stacks` on norms. The benchmark's tracer
+(perfbench/tracing.py) patches the instance generators, evaluators and
+scans, and hiding_ratio, evaluate_game, epsilon_norm, seesaw_run and
 initial_contractions are imported only for it. Callers look these names
 up in this module's globals at call time, so a patch reaches every
 caller.
@@ -67,7 +59,7 @@ import numpy as np
 from .games import random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
 from .norms import SeeSawConfig, witness_value
-from .norms import _checked_start, _closed_form, _ratio_operator, _report, _seesaw, _start_stacks
+from .norms import _checked_start, _drive, _estimate, _gather, _ratio_operator, _report
 
 # Unused here; kept because the benchmark's tracer patches them on this module by name.
 from .games import evaluate_game  # noqa: F401
@@ -188,71 +180,6 @@ class _Tally:
             "stats": {name: float(value) for name, value in self.worst.items()},
             **extra,
         }
-
-
-def _run_jobs(jobs, config: SeeSawConfig) -> list:
-    """What each kernel job (z, starts, start side, hermitian, read) reads
-    from its runs, in order: one _seesaw call per half-step shape (dim of
-    the other side, dim of the start side, field), at the max_iters and
-    rel_tol of config. A job's starts are its start stack, or the
-    SeeSawConfig whose stack _start_stacks builds with the call's others
-    just before the call. Each call's runs are read before the next call
-    is built, so no call's stacks or value histories outlive it."""
-    groups = {}
-    for position, (z, _, side, hermitian, _) in enumerate(jobs):
-        dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
-        groups.setdefault((*dims, hermitian), []).append(position)
-    results = [None] * len(jobs)
-    for (_, dim, hermitian), positions in groups.items():
-        zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
-        configs = [s for s in starts if isinstance(s, SeeSawConfig)]
-        built = iter(_start_stacks(dim, configs) if configs else ())
-        stacks = [next(built) if isinstance(s, SeeSawConfig) else s for s in starts]
-        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
-            results[position] = read(runs)
-    return results
-
-
-def _gather(steps):
-    """The generator steps advanced in lockstep as one step: each round
-    yields the kernel jobs of every unfinished step at once and sends each
-    what its own jobs read. Returns the steps' results in order."""
-    steps = list(steps)
-    results = [None] * len(steps)
-    sends = dict.fromkeys(range(len(steps)))
-    while sends:
-        batches = {}
-        for i, sent in sends.items():
-            try:
-                batches[i] = steps[i].send(sent)
-            except StopIteration as done:
-                results[i] = done.value
-        if not batches:
-            break
-        read = iter((yield [job for batch in batches.values() for job in batch]))
-        sends = {i: [next(read) for _ in batch] for i, batch in batches.items()}
-    return results
-
-
-def _drive(steps, config: SeeSawConfig) -> list:
-    """Run the generator steps together to their results, every round of
-    their pending jobs through _run_jobs at once."""
-    plan = _gather(steps)
-    try:
-        jobs = next(plan)
-        while True:
-            jobs = plan.send(_run_jobs(jobs, config))
-    except StopIteration as done:
-        return done.value
-
-
-def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True):
-    """epsilon_norm(z, config) as a step: the closed form, or the best run
-    of its multistart job."""
-    est = _closed_form(z, hermitian)
-    if est is None:
-        (est,) = yield [(z, config, "B", hermitian, lambda runs: runs.best())]
-    return est
 
 
 def _case_operator(instance) -> BipartiteOperator:

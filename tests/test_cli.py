@@ -39,7 +39,7 @@ from locnorms.cli import (
     main,
 )
 import locnorms.cli as cli_module
-from locnorms import verify
+from locnorms import norms, verify
 from locnorms.states import stream
 
 
@@ -800,8 +800,8 @@ def test_unwritable_output_path(tmp_path, capsys):
 
 # ----------------------------------------------------- one evaluation path
 #
-# ratio, scaling and xor search all their cases in one batch through the
-# verify driver. The public per-case reports, hiding_ratio of an operator
+# ratio, scaling and xor search all their cases in one batch through
+# norms._drive. The public per-case reports, hiding_ratio of an operator
 # and evaluate_game of a game, are the oracle for every row.
 
 
@@ -924,13 +924,13 @@ def test_cli_rows_are_the_per_case_public_reports(monkeypatch, tmp_path, command
 )
 def test_a_command_makes_one_kernel_call_per_shape(monkeypatch, tmp_path, argv, batches):
     calls = []
-    real = verify._seesaw
+    real = norms._seesaw
 
     def counted(zs, *args):
         calls.append(len(zs))
         return real(zs, *args)
 
-    monkeypatch.setattr(verify, "_seesaw", counted)
+    monkeypatch.setattr(norms, "_seesaw", counted)
     code, _ = run_text(tmp_path, argv + ["--restarts", "4"])
     assert code == EXIT_OK
     assert calls == batches

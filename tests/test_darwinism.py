@@ -1,8 +1,10 @@
 """Dimensional coefficient arithmetic: values, domains, and the sweep."""
 
 import math
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from locnorms import (
@@ -254,4 +256,63 @@ def test_sweep_fails_where_the_first_failing_row_would(counts):
             want = _outcome(lambda: [(n, o, o / n, d) for n, o, d in _rows_one_by_one(d_as, d_rs, *counts)])
             for sweep in SWEEPS:
                 got = _outcome(lambda: [row[2:] for row in sweep(d_as, d_rs, *counts)])
+                assert got == want, (sweep, d_as, d_rs, counts)
+
+
+@pytest.mark.parametrize(
+    "d_a, d_r, name",
+    [(2.5, 3, "observed-system"), (2, 1.5, "fragment"), (np.float64(3.0), 2, "observed-system")],
+)
+def test_a_non_integral_dimension_raises_in_every_function(d_a, d_r, name):
+    # 2.5 is no dimension: the sweep does not read it as 2 (a qubit row)
+    bad = re.escape(repr(d_a if name == "observed-system" else d_r))
+    calls = [
+        lambda: omega_new(d_a, d_r),
+        lambda: omega_ranard(d_a, d_r),
+        lambda: diamond_bound_rhs(d_a, d_r, 1, 5),
+        *(lambda sweep=sweep: sweep([d_a], [d_r]) for sweep in SWEEPS),
+        *(lambda sweep=sweep: sweep([d_a], [d_r], 1, 5) for sweep in SWEEPS),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} dimension must be an integer, got {bad}$"):
+            call()
+
+
+def test_numpy_integer_dimensions_equal_python_ints():
+    d_as, d_rs = [np.int64(2), np.int32(3), np.uint8(7)], [np.int16(1), np.uint64(4), np.int8(9), True]
+    ints = [2, 3, 7], [1, 4, 9, 1]
+    for sweep in SWEEPS:
+        for counts in ((), (3, 7)):
+            rows = sweep(d_as, d_rs, *counts)
+            assert rows == sweep(*ints, *counts)
+            assert all(type(row[0]) is int and type(row[1]) is int for row in rows)
+    for d_a, a in zip(d_as, ints[0]):
+        for d_r, r in zip(d_rs, ints[1]):
+            for fn, args in ((omega_new, ()), (omega_ranard, ()), (diamond_bound_rhs, (3, 7))):
+                value = fn(d_a, d_r, *args)
+                assert type(value) is float and value == fn(a, r, *args)
+
+
+# values that are no dimension (a float, even an integral one, NaN or a
+# string) and integers of other types (numpy integers and a bool)
+ODD_VALUES = (2.5, 1.5, 2.0, math.nan, "3", np.int64(3), np.uint8(2), True, 1, 0)
+
+
+@pytest.mark.parametrize("counts", [(), (1, 1)])
+def test_sweep_fails_on_a_non_integer_where_the_first_failing_row_would(counts):
+    # The sweep checks and converts each value where the single-pair
+    # functions do, so it raises what the first failing row raises.
+    def one_by_one(d_as, d_rs):
+        return [
+            (omega_new(d_a, d_r), omega_ranard(d_a, d_r))
+            + ((diamond_bound_rhs(d_a, d_r, *counts),) if counts else ())
+            for d_a in d_as
+            for d_r in d_rs
+        ]
+
+    for d_as in ([a, b] for a in ODD_VALUES for b in (3, 2.5)):
+        for d_rs in ([a, b] for a in ODD_VALUES for b in (2, 1.5)):
+            want = _outcome(lambda: one_by_one(d_as, d_rs))
+            for sweep in SWEEPS:
+                got = _outcome(lambda: [(row[2], row[3], *row[5:]) for row in sweep(d_as, d_rs, *counts)])
                 assert got == want, (sweep, d_as, d_rs, counts)

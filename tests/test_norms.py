@@ -13,17 +13,21 @@ from locnorms import (
     SeeSawConfig,
     epsilon_norm,
     error_probability,
+    evaluate_game,
     game_operator,
     gue_operator,
     hiding_ratio,
     random_density_matrix,
+    random_game,
     seesaw_run,
     trace_norm,
     werner_hiding_pair,
     witness_value,
 )
 from locnorms.linalg import hermitian_sign, swap_subsystems
-from locnorms.norms import OPNORM_SLACK, _operand_a, _operand_b, _relays, _seesaw, _start_stack, _start_stacks
+from locnorms import norms
+from locnorms.norms import OPNORM_SLACK, _closed_form, _identity_estimate, _operand_a, _operand_b, _relays, _seesaw
+from locnorms.norms import _start_stacks
 from locnorms.norms import bound_factor
 from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
@@ -265,9 +269,9 @@ def test_initial_contractions_equal_per_restart_signs(restarts):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("restarts", [1, 50, 500])
 def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed):
-    # epsilon_norm and the verify driver run this stack unchecked, so the guarantee lives here.
+    # _run_jobs runs this stack unchecked, for epsilon_norm and verify alike, so the guarantee lives here.
     for dim in range(1, 7):
-        starts = _start_stack(dim, SeeSawConfig(restarts=restarts, seed=seed))
+        (starts,) = _start_stacks(dim, [SeeSawConfig(restarts=restarts, seed=seed)])
         assert starts.shape == (restarts + 1, dim, dim)
         assert np.array_equal(starts[0], np.eye(dim))
         assert np.array_equal(starts, starts.conj().swapaxes(1, 2))
@@ -277,7 +281,7 @@ def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed)
 @pytest.mark.parametrize("restarts", [1, 2, 17])
 def test_start_stacks_equal_one_start_stack_each(restarts):
     # One _start_stacks call over configs of several seeds and budgets
-    # (and a repeated one) gives each config's _start_stack, bit for bit.
+    # (and a repeated one) gives each config's stack built alone, bit for bit.
     seeds = (0, 2**32, 2**64 - 1, 2**130)
     configs = [SeeSawConfig(restarts=restarts + k % 2, seed=seed) for k, seed in enumerate(seeds)]
     configs.insert(2, configs[0])
@@ -285,7 +289,7 @@ def test_start_stacks_equal_one_start_stack_each(restarts):
         stacks = _start_stacks(dim, configs)
         assert len(stacks) == len(configs)
         for config, stack in zip(configs, stacks):
-            expected = _start_stack(dim, config)
+            (expected,) = _start_stacks(dim, [config])
             assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
 
 
@@ -409,7 +413,7 @@ def test_kernel_on_several_operators_equals_one_call_each(hermitian, start_side,
     # also where the iteration cap stops part of the batch.
     dim = n_b if start_side == "B" else n_a
     zs = [equivalence_operator(n_a, n_b, k) for k in range(4)]
-    stacks = [_start_stack(dim, SeeSawConfig(restarts=5, seed=148 + k)) for k in range(4)]
+    stacks = _start_stacks(dim, [SeeSawConfig(restarts=5, seed=148 + k) for k in range(4)])
     stacks = [stacks[0][1:2], stacks[1][:4], stacks[2][3:5], stacks[3]]
     for config in (SeeSawConfig(), SeeSawConfig(max_iters=3)):
         batch = _seesaw(zs, stacks, config, [start_side] * len(zs), hermitian)
@@ -430,7 +434,7 @@ def test_kernel_on_both_start_sides_equals_one_call_each(hermitian, n_a, n_b):
     # where the iteration cap stops part of the batch.
     direct = [equivalence_operator(n_a, n_b, k) for k in range(3)]
     swapped = [equivalence_operator(n_b, n_a, k) for k in range(3, 6)]
-    stacks = [_start_stack(n_b, SeeSawConfig(restarts=4, seed=149 + k)) for k in range(6)]
+    stacks = _start_stacks(n_b, [SeeSawConfig(restarts=4, seed=149 + k) for k in range(6)])
     stacks = [stacks[0][:3], stacks[1][2:3], stacks[2], stacks[3][1:], stacks[4][:2], stacks[5][4:]]
     orders = [[3, 0, 4, 1, 5, 2], [0, 1, 3, 2, 4, 5], [5, 4, 3]]
     zs, sides = direct + swapped, ["B"] * 3 + ["A"] * 3
@@ -466,6 +470,70 @@ def test_epsilon_norm_equals_per_restart_loop_at_escalation_budget(hermitian, n_
     ref, winner, values = per_restart_reference(z, config, hermitian)
     assert_bit_identical(epsilon_norm(z, config, hermitian=hermitian), ref, winner)
     assert len(values) == 501
+
+
+def assert_same_estimate(est, ref):
+    # every field, compared by its bytes
+    assert np.float64(est.value).tobytes() == np.float64(ref.value).tobytes()
+    assert np.array(est.value_history).tobytes() == np.array(ref.value_history).tobytes()
+    assert est.best_f.tobytes() == ref.best_f.tobytes() and est.best_g.tobytes() == ref.best_g.tobytes()
+    assert (est.iterations_used, est.converged, est.restart_index) == (
+        ref.iterations_used,
+        ref.converged,
+        ref.restart_index,
+    )
+
+
+def direct_epsilon_norm(z, config, hermitian):
+    """epsilon_norm as the closed form where it is exact and otherwise one
+    direct kernel call on the multistart stack: the reference for the
+    driven path."""
+    est = _closed_form(z, hermitian)
+    if est is None:
+        est = _seesaw([z], _start_stacks(z.n_b, [config]), config, ["B"], hermitian)[0].best()
+    return est
+
+
+@FIELDS
+@pytest.mark.parametrize("n_a", range(1, 7))
+@pytest.mark.parametrize("n_b", range(1, 7))
+def test_epsilon_norm_equals_a_direct_kernel_call(hermitian, n_a, n_b):
+    zero = BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
+    for k, config in enumerate((SeeSawConfig(restarts=6, seed=170), SeeSawConfig(restarts=6, seed=171, max_iters=3))):
+        for z in (equivalence_operator(n_a, n_b, k), zero):
+            assert_same_estimate(epsilon_norm(z, config, hermitian=hermitian), direct_epsilon_norm(z, config, hermitian))
+
+
+@FIELDS
+@pytest.mark.parametrize("start_side", ["A", "B"])
+@pytest.mark.parametrize("n_a", range(1, 7))
+@pytest.mark.parametrize("n_b", range(1, 7))
+def test_seesaw_run_equals_a_direct_kernel_call(hermitian, start_side, n_a, n_b):
+    dim = n_b if start_side == "B" else n_a
+    z = equivalence_operator(n_a, n_b, n_a + n_b)
+    for config in (SeeSawConfig(restarts=2, seed=172), SeeSawConfig(restarts=2, seed=173, max_iters=2)):
+        for _, g0 in initial_contractions(dim, config):
+            est = seesaw_run(z, g0, config, start_side=start_side, hermitian=hermitian)
+            ref = _seesaw([z], [g0[None]], config, [start_side], hermitian)[0].estimate(0)
+            assert_same_estimate(est, ref)
+    zero = BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
+    est = seesaw_run(zero, np.eye(dim), CFG, start_side=start_side, hermitian=hermitian)
+    assert_same_estimate(est, _identity_estimate(n_a, n_b))
+
+
+def test_hiding_ratio_and_evaluate_game_make_one_kernel_call_each(monkeypatch):
+    calls = []
+    real = norms._seesaw
+
+    def counted(zs, *args):
+        calls.append(len(zs))
+        return real(zs, *args)
+
+    monkeypatch.setattr(norms, "_seesaw", counted)
+    hiding_ratio(gue_operator(3, 2, 174), CFG)
+    assert calls == [1]
+    evaluate_game(random_game(2, 2, seed=175), CFG)
+    assert calls == [1, 1]
 
 
 @FIELDS

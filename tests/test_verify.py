@@ -161,11 +161,11 @@ def one_kernel_call_per_job(jobs, config):
     # each multistart stack built on its own, so the batched stacks are pinned too
     def stack(z, starts, side):
         if isinstance(starts, SeeSawConfig):
-            return norms._start_stack(z.n_b if side == "B" else z.n_a, starts)
+            return norms._start_stacks(z.n_b if side == "B" else z.n_a, [starts])[0]
         return starts
 
     return [
-        read(verify._seesaw([z], [stack(z, starts, side)], config, [side], field)[0])
+        read(norms._seesaw([z], [stack(z, starts, side)], config, [side], field)[0])
         for z, starts, side, field, read in jobs
     ]
 
@@ -179,7 +179,7 @@ def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, resta
     # separately built stacks, exactly.
     config = SeeSawConfig(restarts=restarts, seed=168)
     calls, builds = [], []
-    real, real_stacks = verify._seesaw, verify._start_stacks
+    real, real_stacks = norms._seesaw, norms._start_stacks
 
     def counted(zs, *args):
         calls.append(len(zs))
@@ -201,10 +201,10 @@ def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, resta
         )
         return summary, scans, passes, stack_builds
 
-    monkeypatch.setattr(verify, "_seesaw", counted)
-    monkeypatch.setattr(verify, "_start_stacks", counted_stacks)
+    monkeypatch.setattr(norms, "_seesaw", counted)
+    monkeypatch.setattr(norms, "_start_stacks", counted_stacks)
     summary, scans, batched_calls, batched_builds = run()
-    monkeypatch.setattr(verify, "_run_jobs", one_kernel_call_per_job)
+    monkeypatch.setattr(norms, "_run_jobs", one_kernel_call_per_job)
     separate = run()
     assert separate[:2] == (summary, scans)
     if samples == 1:
@@ -365,7 +365,7 @@ def test_property_suites_equal_separate_runs(restarts):
     assert verify._drive([verify._property_suites(1, config)], config)[0] == property_suites_reference(1, config)
     for _, z, seesaw_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         budget = replace(config, seed=seesaw_seed, restarts=max(restarts, 2))
-        (runs,) = norms._seesaw([z], [norms._start_stack(z.n_b, budget)], budget, ["B"], True)
+        (runs,) = norms._seesaw([z], norms._start_stacks(z.n_b, [budget]), budget, ["B"], True)
         run_config = replace(config, seed=seesaw_seed, restarts=2)
         for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
             ref = norms.seesaw_run(z, g0, run_config)
