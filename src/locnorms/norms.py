@@ -46,10 +46,10 @@ job, so each restart of epsilon_norm equals seesaw_run from its start
 bit for bit. A caller that needs single-start histories and the
 estimate (the verify property suites) reads both from the same runs.
 
-The multistart stacks of all the configs of one dimension come from one
-pass: Philox keys from states.spawn_keys, GUE samples from one reused
-generator (states.gue_stack, bit for bit as gue_hermitian on
-stream(seed, i)) and spectral signs from one stacked eigensolve.
+The multistart stacks of all the configs of one dimension come from GUE
+samples drawn by states.gue_stack(dim, seed, count) per config, bit for
+bit as gue_hermitian on stream(seed, i), and spectral signs from one
+stacked eigensolve.
 
 A start is checked where a caller passes it, in seesaw_run. The multistart
 stack is not checked at run time; tests pin it as exactly Hermitian
@@ -85,7 +85,7 @@ from .linalg import (
     optimal_contraction,
     trace_norm,
 )
-from .states import gue_stack, spawn_keys
+from .states import gue_stack
 
 # Slack accepted on contraction operator norms and on the ratio-vs-bound
 # comparison; both absorb eigensolver rounding, nothing more.
@@ -427,13 +427,13 @@ def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -
 
 def _start_stacks(dim: int, configs) -> list[np.ndarray]:
     """The (restarts + 1, dim, dim) multistart stack of each config (see
-    initial_contractions), from one gue_stack draw and one stacked
-    eigensolve."""
+    initial_contractions), from gue_stack(dim, seed, count) per config and
+    one stacked eigensolve."""
     # gue_stack draws gue_hermitian(dim, stream(config.seed, i)) for each
     # restart i bit for bit. A GUE sample is exactly Hermitian, so the
     # stacked sign equals hermitian_sign of each sample bit for bit.
-    keys = np.concatenate([spawn_keys(c.seed, np.arange(1, c.restarts + 1)) for c in configs])
-    signs, _ = optimal_contraction(gue_stack(dim, keys), hermitian=True)
+    samples = np.concatenate([gue_stack(dim, c.seed, c.restarts) for c in configs])
+    signs, _ = optimal_contraction(samples, hermitian=True)
     identity = np.eye(dim, dtype=np.complex128)[None]
     offsets = [0, *accumulate(c.restarts for c in configs)]
     return [np.concatenate([identity, signs[lo:hi]]) for lo, hi in zip(offsets, offsets[1:])]

@@ -338,13 +338,9 @@ def _suite_block_identities(samples: int, config: SeeSawConfig) -> dict:
             message = f"unitary blocks ({n_a},{n_b})[{index}]: residual {residual!r} > {BLOCK_RESIDUAL_TOL}"
             tally.check((residual > BLOCK_RESIDUAL_TOL, message), max_unitary_residual=residual)
     for n in (2, 3, 4):
-        # Matrix units e_ij: sum_ij e_ij^dag e_ij = n * identity, exactly.
-        total = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n))
-                e[i, j] = 1.0
-                total += e.T @ e
+        # Matrix units e_k: sum_k e_k^dag e_k = n * identity, exactly.
+        units = np.eye(n * n).reshape(n * n, n, n)
+        total = np.einsum("kji,kjl->il", units, units)
         residual = float(np.abs(total - n * np.eye(n)).max())
         tally.check(
             (residual > 1e-15, f"matrix units n={n}: residual {residual!r} > 1e-15"),

@@ -21,7 +21,6 @@ from locnorms.states import (
     haar_unitary,
     induced_difference,
     rng_from,
-    spawn_keys,
     stream,
 )
 
@@ -36,46 +35,27 @@ def test_stream_is_reproducible_and_keyed():
     assert np.abs(a - c).max() > 1e-3
 
 
-# seeds at 32-bit word boundaries, and one of five words (more than the
-# four-word SeedSequence pool)
-KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130]
-KEY_INDICES = [1, 2, 500, 2**32 - 1]
-
-
-@pytest.mark.parametrize("seed", KEY_SEEDS)
-def test_spawn_keys_equal_seed_sequence(seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        keys = spawn_keys(seed, KEY_INDICES)
-    assert keys.dtype == np.uint64 and keys.shape == (len(KEY_INDICES), 2)
-    for key, index in zip(keys, KEY_INDICES):
-        seed_sequence = np.random.SeedSequence(seed, spawn_key=(index,))
-        assert np.array_equal(key, seed_sequence.generate_state(2, np.uint64))
-        # the key that Philox takes from the same SeedSequence
-        assert np.array_equal(key, np.random.Philox(seed_sequence).state["state"]["key"])
-
-
-def test_spawn_keys_validation():
-    assert spawn_keys(3, []).shape == (0, 2)
-    for indices in ([2**32], [-1], [1, 2**40]):
-        with pytest.raises(ValueError, match="spawn indices"):
-            spawn_keys(3, indices)
-    with pytest.raises(ValueError, match="seed"):
-        spawn_keys(-1, [1])
+# seeds at 32-bit word boundaries, and seeds of five and seven words (more
+# than the four-word SeedSequence pool)
+STACK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**130, 2**200 + 3]
+STACK_COUNTS = [0, 1, 17, 501]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gue_stack_equals_gue_hermitian_per_stream(n):
     # tobytes, so that signed zeros count
-    for seed in (0, 2**32, 2**64 - 1):
-        indices = [1, 2, 3, 500, 2**32 - 1]
-        stack = gue_stack(n, spawn_keys(seed, indices))
-        assert stack.shape == (len(indices), n, n)
-        for sample, index in zip(stack, indices):
-            assert sample.tobytes() == gue_hermitian(n, stream(seed, index)).tobytes()
-    assert gue_stack(n, spawn_keys(0, [])).shape == (0, n, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in STACK_SEEDS:
+            expected = [gue_hermitian(n, stream(seed, i)).tobytes() for i in range(1, max(STACK_COUNTS) + 1)]
+            for count in STACK_COUNTS:
+                stack = gue_stack(n, seed, count)
+                assert stack.shape == (count, n, n)
+                assert [sample.tobytes() for sample in stack] == expected[:count]
+    with pytest.raises(ValueError, match="non-negative"):
+        gue_stack(n, -1, 1)
     with pytest.raises(ValueError, match="dimension"):
-        gue_stack(0, spawn_keys(0, [1]))
+        gue_stack(0, 0, 1)
 
 
 def test_rng_from_passes_generators_through():
