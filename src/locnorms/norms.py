@@ -51,8 +51,9 @@ samples drawn by states.gue_stack(dim, seed, count) per config, bit for
 bit as gue_hermitian on stream(seed, i), and spectral signs from one
 stacked eigensolve.
 
-A start is checked where a caller passes it, in seesaw_run. The multistart
-stack is not checked at run time; tests pin it as exactly Hermitian
+A caller's start is a start on B, checked by _checked_start where it is
+passed: in seesaw_run and verify.covariance_gaps. The multistart stack is
+not checked at run time; tests pin it as exactly Hermitian
 contractions, the identity first.
 
 The operands contract against two contiguous copies of z, relaid once per
@@ -378,23 +379,16 @@ def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True
     return est
 
 
-def seesaw_run(
-    z: BipartiteOperator,
-    g0,
-    config: SeeSawConfig,
-    *,
-    start_side: str = "B",
-    hermitian: bool = True,
-) -> NormEstimate:
+def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
     """Alternate exact half-steps of tr((f x g) z) from one initial
-    contraction.
+    contraction g0 on B.
 
-    g0 lives on start_side (default "B"); the first half-step optimizes the
-    opposite side, so a start with zero overlap against z can leave the run
-    at the fixed point 0. Each half-step is the exact optimum of its side,
-    hence value_history is nondecreasing up to eigensolver noise and the
-    run is deterministic given (z, g0, config). hermitian=False optimizes
-    over all complex contractions instead of the Hermitian ones.
+    The first half-step optimizes f on A, so a start with zero overlap
+    against z can leave the run at the fixed point 0. Each half-step is
+    the exact optimum of its side, hence value_history is nondecreasing up
+    to eigensolver noise and the run is deterministic given (z, g0,
+    config). hermitian=False optimizes over all complex contractions
+    instead of the Hermitian ones.
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
@@ -402,21 +396,18 @@ def seesaw_run(
     epsilon_norm runs too, so each restart of epsilon_norm equals
     seesaw_run from its start bit for bit.
     """
-    start = _checked_start(z, g0, start_side, hermitian)
+    start = _checked_start(z, g0, hermitian)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _run_jobs([(z, start[None], start_side, hermitian, lambda runs: runs.estimate(0))], config)[0]
+    return _run_jobs([(z, start[None], "B", hermitian, lambda runs: runs.estimate(0))], config)[0]
 
 
-def _checked_start(z: BipartiteOperator, g0, start_side: str, hermitian: bool) -> np.ndarray:
-    """g0 as a complex start on start_side of z, or ValueError unless it is
-    a contraction of the side's dimension (and Hermitian when hermitian)."""
-    if start_side not in ("A", "B"):
-        raise ValueError(f'start_side must be "A" or "B", got {start_side!r}')
-    dim = z.n_b if start_side == "B" else z.n_a
+def _checked_start(z: BipartiteOperator, g0, hermitian: bool) -> np.ndarray:
+    """g0 as a complex start on B of z, or ValueError unless it is a finite
+    (n_b, n_b) contraction (and Hermitian when hermitian)."""
     start = as_square_matrix(g0)
-    if start.shape != (dim, dim):
-        raise ValueError(f"initial contraction has shape {start.shape}, expected ({dim}, {dim})")
+    if start.shape != (z.n_b, z.n_b):
+        raise ValueError(f"initial contraction has shape {start.shape}, expected ({z.n_b}, {z.n_b})")
     opnorm = float(np.linalg.svd(start, compute_uv=False)[0])
     if opnorm > 1.0 + OPNORM_SLACK:
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")

@@ -181,8 +181,6 @@ def test_seesaw_input_validation():
         seesaw_run(z, np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
     with pytest.raises(ValueError, match="must be finite"):
         seesaw_run(z, np.array([[np.nan, 0.0], [0.0, 1.0]]), CFG)
-    with pytest.raises(ValueError, match="start_side"):
-        seesaw_run(z, np.eye(2), CFG, start_side="C")
 
 
 # ---------------------------------------------------------------- epsilon_norm
@@ -369,6 +367,14 @@ def loop_seesaw(z, g0, config, hermitian, start_side="B"):
     return history, iters, converged, f, g
 
 
+def run_from(z, g0, config, start_side, hermitian=True):
+    """seesaw_run from g0 on B; from g0 on A, the one-start _run_jobs job
+    that seesaw_run makes on B, started on A instead."""
+    if start_side == "B":
+        return seesaw_run(z, g0, config, hermitian=hermitian)
+    return norms._run_jobs([(z, g0[None], "A", hermitian, lambda runs: runs.estimate(0))], config)[0]
+
+
 FIELDS = pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "complex"])
 
 
@@ -381,7 +387,7 @@ def test_seesaw_run_equals_unbatched_loop(hermitian, start_side, max_iters):
         z = equivalence_operator(n_a, n_b, n_a + n_b)
         dim = n_b if start_side == "B" else n_a
         for _, g0 in initial_contractions(dim, config):
-            est = seesaw_run(z, g0, config, start_side=start_side, hermitian=hermitian)
+            est = run_from(z, g0, config, start_side, hermitian)
             history, iters, converged, f, g = loop_seesaw(z, g0, config, hermitian, start_side)
             assert est.value_history == tuple(history) and est.value == history[-1]
             assert (est.iterations_used, est.converged) == (iters, converged)
@@ -513,11 +519,11 @@ def test_seesaw_run_equals_a_direct_kernel_call(hermitian, start_side, n_a, n_b)
     z = equivalence_operator(n_a, n_b, n_a + n_b)
     for config in (SeeSawConfig(restarts=2, seed=172), SeeSawConfig(restarts=2, seed=173, max_iters=2)):
         for _, g0 in initial_contractions(dim, config):
-            est = seesaw_run(z, g0, config, start_side=start_side, hermitian=hermitian)
+            est = run_from(z, g0, config, start_side, hermitian)
             ref = _seesaw([z], [g0[None]], config, [start_side], hermitian)[0].estimate(0)
             assert_same_estimate(est, ref)
     zero = BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
-    est = seesaw_run(zero, np.eye(dim), CFG, start_side=start_side, hermitian=hermitian)
+    est = seesaw_run(zero, np.eye(n_b), CFG, hermitian=hermitian)
     assert_same_estimate(est, _identity_estimate(n_a, n_b))
 
 
@@ -569,7 +575,7 @@ def test_seesaw_swap_covariance():
         z = gue_operator(2, 3, rng)
         g0 = hermitian_sign(gue_hermitian(3, rng))
         direct = seesaw_run(z, g0, CFG)
-        swapped = seesaw_run(swap_subsystems(z), g0, CFG, start_side="A")
+        swapped = run_from(swap_subsystems(z), g0, CFG, "A")
         assert len(direct.value_history) == len(swapped.value_history)
         gap = np.abs(np.array(direct.value_history) - np.array(swapped.value_history)).max()
         assert gap <= 1e-9
@@ -674,6 +680,19 @@ def test_hiding_ratio_werner_d2():
     assert report.eps_estimate.value == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert report.ratio == pytest.approx(1.5, abs=1e-6)
     assert report.satisfied
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_hiding_ratio_werner_closed_form(d):
+    # z = (F - 1/d)/(d^2 - 1) for the swap F, so tr((f x g) z) is the
+    # inner product of the traceless parts of f and g over d^2 - 1; by
+    # Cauchy-Schwarz and f = g = diag(+-1) the Hermitian norm is d/(d^2 - 1)
+    # at even d and 1/d at odd d, while ||z||_1 = 1.
+    report = hiding_ratio(game_operator(werner_hiding_pair(d)), SeeSawConfig(restarts=32, seed=0))
+    norm, ratio = (d / (d * d - 1), (d * d - 1) / d) if d % 2 == 0 else (1 / d, d)
+    assert report.trace_norm == pytest.approx(1.0, rel=1e-12)
+    assert report.eps_estimate.value == pytest.approx(norm, rel=1e-12)
+    assert report.ratio == pytest.approx(ratio, rel=1e-12)
 
 
 # ---------------------------------------------------------------- field comparison
