@@ -36,12 +36,11 @@ from .darwinism import _sweep_grid, coefficient_sweep
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .darwinism import diamond_bound_rhs  # noqa: F401
-from .games import check_states
-from .linalg import DegenerateOperatorError, check_dims
+from .linalg import DegenerateOperatorError, check_count, check_dims
 from .norms import SeeSawConfig
 from .opfile import parse_game_file, parse_operator_file
 from .states import stream
-from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL, check_samples
+from .verify import GENERATOR_CODE, INPUT_LABEL, XOR_LABEL
 from .verify import case_records, draw, run_seed, run_verification
 
 EXIT_OK = 0
@@ -206,7 +205,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
 def cmd_scaling(args: argparse.Namespace) -> int:
     if args.dmin < 2 or args.dmax < args.dmin:
         raise ValueError(f"dimension sweep needs 2 <= dmin <= dmax, got {args.dmin}..{args.dmax}")
-    check_samples(args.samples)
+    check_count(args.samples, "samples", 0)
     config = _config(args)
     # The werner pair is deterministic: one row per dimension.
     per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
@@ -228,9 +227,9 @@ def cmd_xor(args: argparse.Namespace) -> int:
         _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
 
-    check_samples(args.samples)
+    check_count(args.samples, "samples", 0)
     check_dims(args.na, args.nb)
-    check_states(args.states)
+    check_count(args.states, "num_states", 1)
     config = _config(args)
     draws = (
         draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
@@ -244,10 +243,10 @@ def cmd_xor(args: argparse.Namespace) -> int:
 def cmd_darwinism(args: argparse.Namespace) -> int:
     if args.r < 1 or args.q < 1:
         raise ValueError(f"fragment counts must be >= 1, got r={args.r}, q={args.q}")
-    if len(args.da) > 0 and args.da[0] < 2:
-        raise ValueError(f"observed-system dimension must be >= 2, got {args.da[0]}")
-    if len(args.dr) > 0 and args.dr[0] < 1:
-        raise ValueError(f"fragment dimension must be >= 1, got {args.dr[0]}")
+    if len(args.da) > 0:
+        check_count(args.da[0], "observed-system dimension", 2)
+    if len(args.dr) > 0:
+        check_count(args.dr[0], "fragment dimension", 1)
     if args.format == "json":
         _emit_json(coefficient_sweep(args.da, args.dr, args.r, args.q), args.out)
     else:
@@ -258,8 +257,7 @@ def cmd_darwinism(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {args.samples}")
+    check_count(args.samples, "samples", 1)
     summary = run_verification(_config(args), samples=args.samples)
     _emit_json(summary, args.out)
     for name, suite in summary["suites"].items():

@@ -14,6 +14,7 @@ of the game operator, and a vanishing operator gets ratio None.
 
 from __future__ import annotations
 
+from .linalg import check_count, check_dims
 from .norms import RatioReport, SeeSawConfig, _report, epsilon_norm
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
@@ -32,15 +33,11 @@ def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     return _report(gop, epsilon_norm(gop, config))
 
 
-def check_states(num_states: int) -> None:
-    if num_states < 1:
-        raise ValueError(f"num_states must be >= 1, got {num_states}")
-
-
 def random_game(n_a: int, n_b: int, num_states: int = 4, seed=0) -> QuantumXorGame:
     """Random game: induced-measure question states, uniform weights,
     independent uniform signs."""
-    check_states(num_states)
+    num_states = check_count(num_states, "num_states", 1)
+    n_a, n_b = check_dims(n_a, n_b)
     rng = rng_from(seed)
     states = tuple(random_density_matrix(n_a * n_b, seed=rng) for _ in range(num_states))
     signs = tuple(int(c) for c in rng.choice((-1, 1), size=num_states))

@@ -9,6 +9,7 @@ input.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -23,10 +24,26 @@ class DegenerateOperatorError(ValueError):
     """Raised when a quantity is undefined on the zero operator."""
 
 
-def check_dims(n_a: int, n_b: int) -> None:
-    """ValueError unless both local dimensions are at least 1."""
-    if n_a < 1 or n_b < 1:
-        raise ValueError(f"local dimensions must be >= 1, got ({n_a}, {n_b})")
+def check_count(value: int, name: str, least: int) -> int:
+    """value as an int, or ValueError unless it is an integer (not a float) >= least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
+    return count
+
+
+def check_dims(n_a: int, n_b: int) -> tuple[int, int]:
+    """(n_a, n_b) as ints, or ValueError unless both are integers (not floats) >= 1."""
+    try:
+        dims = operator.index(n_a), operator.index(n_b)
+    except TypeError:
+        raise ValueError(f"local dimensions must be integers, got ({n_a!r}, {n_b!r})") from None
+    if min(dims) < 1:
+        raise ValueError(f"local dimensions must be >= 1, got {dims}")
+    return dims
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -119,7 +136,9 @@ class BipartiteOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        check_dims(self.n_a, self.n_b)
+        dims = check_dims(self.n_a, self.n_b)
+        object.__setattr__(self, "n_a", dims[0])
+        object.__setattr__(self, "n_b", dims[1])
         m = as_square_matrix(self.matrix)
         dim = self.n_a * self.n_b
         if m.shape != (dim, dim):

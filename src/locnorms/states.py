@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteOperator, check_dims, hermitian_part
+from .linalg import BipartiteOperator, check_count, check_dims, hermitian_part
 
 # Admission tolerances: density-matrix eigenvalues may dip this far below
 # zero, and traces and game weight sums may deviate this much from one.
@@ -66,8 +66,7 @@ def gue_stack(n: int, seed: int, count: int) -> np.ndarray:
     key, a zero counter and an empty buffer); each sample takes its real
     and imaginary parts from one standard_normal((2, n, n)) call, and the
     stack is symmetrised once."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_count(n, "dimension", 1)
     seed = int(seed)
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
     # the hash constants go on after the pool's 16 hashmixes and 4 per seed word beyond its four
@@ -110,8 +109,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     which removes the sign ambiguity that would otherwise bias QR output
     away from Haar measure.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_count(n, "dimension", 1)
     rng = rng_from(seed)
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -124,8 +122,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
 def gue_hermitian(n: int, seed) -> np.ndarray:
     """GUE sample: N(0,1) real diagonal, off-diagonal real and imaginary
     parts independent N(0, 1/2). E tr(m^2) = n^2."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_count(n, "dimension", 1)
     rng = rng_from(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2
@@ -135,8 +132,7 @@ def random_density_matrix(n: int, seed=0) -> np.ndarray:
     """Hilbert-Schmidt density matrix G G^dag / tr(G G^dag) for an n x n
     complex Ginibre G; expected purity is 2n/(n^2 + 1).
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_count(n, "dimension", 1)
     rng = rng_from(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
@@ -166,7 +162,9 @@ class QuantumXorGame:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        check_dims(self.n_a, self.n_b)
+        dims = check_dims(self.n_a, self.n_b)
+        object.__setattr__(self, "n_a", dims[0])
+        object.__setattr__(self, "n_b", dims[1])
         n = len(self.states)
         if n < 1:
             raise ValueError("a game needs at least one question state")
@@ -240,11 +238,13 @@ def werner_hiding_pair(d: int) -> QuantumXorGame:
 
 def gue_operator(n_a: int, n_b: int, seed) -> BipartiteOperator:
     """GUE sample on the full product space, tagged with local dimensions."""
+    n_a, n_b = check_dims(n_a, n_b)
     return BipartiteOperator(n_a, n_b, gue_hermitian(n_a * n_b, seed))
 
 
 def induced_difference(n_a: int, n_b: int, seed) -> BipartiteOperator:
     """Discrimination operator of two independent induced-measure states at prior 1/2."""
+    n_a, n_b = check_dims(n_a, n_b)
     rng = rng_from(seed)
     rho = random_density_matrix(n_a * n_b, seed=rng)
     sigma = random_density_matrix(n_a * n_b, seed=rng)

@@ -51,13 +51,13 @@ caller.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import replace
 
 import numpy as np
 
 from .games import random_game
-from .linalg import BipartiteOperator, block_frame_sums, check_dims, hermitian_sign, swap_subsystems, trace_norm
+from .linalg import BipartiteOperator, block_frame_sums, check_count, check_dims, hermitian_sign
+from .linalg import swap_subsystems, trace_norm
 from .norms import SeeSawConfig, witness_value
 from .norms import _checked_start, _drive, _estimate, _gather, _ratio_operator, _report
 
@@ -101,20 +101,6 @@ INPUT_LABEL = 99
 ESCALATE_RESTARTS = 500
 
 DEFAULT_PAIRS = ((2, 2), (2, 3), (3, 3))
-
-
-def _sample_count(samples: int) -> int:
-    """samples as an int, or ValueError if it is not an integer (as
-    SeeSawConfig rejects its counts)."""
-    try:
-        return operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
-
-
-def check_samples(samples: int) -> None:
-    if _sample_count(samples) < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
 
 
 def run_seed(rng) -> int:
@@ -275,7 +261,7 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
 
 
 def _main_scan(dims, samples_per_pair: int, config: SeeSawConfig):
-    check_samples(samples_per_pair)
+    check_count(samples_per_pair, "samples", 0)
     dims = tuple(dims)
     for n_a, n_b in dims:
         check_dims(n_a, n_b)
@@ -289,7 +275,7 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> d
 
 
 def _game_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig):
-    check_samples(samples)
+    check_count(samples, "samples", 0)
     check_dims(n_a, n_b)
     drawn = (draw("game", n_a, n_b, config.seed, _GAME_LABEL, n_a, n_b, index) for index in range(samples))
     cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
@@ -305,7 +291,7 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
 
 
 def _field_scan(samples: int, config: SeeSawConfig):
-    check_samples(samples)
+    check_count(samples, "samples", 0)
     n_a = n_b = 3
     drawn = [draw("gue", n_a, n_b, config.seed, _FIELD_LABEL, n_a, n_b, index) for index in range(samples)]
     # the complex and the Hermitian estimate of each instance, in turn
@@ -457,8 +443,7 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     multistart budget of the scans, whose violations escalate to
     ESCALATE_RESTARTS only from a smaller budget.
     """
-    if _sample_count(samples) < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = check_count(samples, "samples", 1)
     quarter = max(1, samples // 4)
 
     (monotonicity, ordering), (swap, rotation), main, game, field = _drive(

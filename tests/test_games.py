@@ -47,6 +47,9 @@ def test_game_validation_errors():
         QuantumXorGame(**{**good, "states": (np.eye(4),)})
     with pytest.raises(ValueError, match="shape"):
         QuantumXorGame(**{**good, "states": (random_density_matrix(6, seed=202),)})
+    # an empty matrix has asymmetry 0.0, so its trace is what refuses it
+    with pytest.raises(ValueError, match=r"^states\[0\] has trace 0\.0, deviating from 1 by more than 1\.0e-10$"):
+        QuantumXorGame(n_a=1, n_b=1, states=(np.zeros((0, 0)),), signs=(1,), probs=(1.0,))
 
 
 def test_game_weights_whose_sum_overflows_are_rejected():

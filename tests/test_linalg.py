@@ -1,11 +1,29 @@
 """Matrix primitives against independent decomposition oracles."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from locnorms import BipartiteOperator, trace_norm
+from locnorms import (
+    BipartiteOperator,
+    QuantumXorGame,
+    SeeSawConfig,
+    coefficient_sweep,
+    diamond_bound_rhs,
+    game_bound_scan,
+    gue_operator,
+    main_bound_scan,
+    parse_game_file,
+    parse_operator_file,
+    random_density_matrix,
+    random_game,
+    run_verification,
+    trace_norm,
+    write_game_file,
+    write_operator_file,
+)
 from locnorms.linalg import (
     asymmetry,
     block_frame_sums,
@@ -14,7 +32,7 @@ from locnorms.linalg import (
     optimal_contraction,
     swap_subsystems,
 )
-from locnorms.states import gue_hermitian, haar_unitary, stream
+from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
 
 
 # ---------------------------------------------------------------- trace norm
@@ -210,3 +228,61 @@ def test_asymmetry_beyond_the_float_range_is_inf_without_numpy_warnings():
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert runtime == ["asymmetry inf exceeds 1.0e-12; taking the Hermitian part"]
     assert z.is_zero()
+
+
+# ---------------------------------------------------------------- counts and dimensions
+
+def one_state_game(n_a, n_b):
+    rho = np.eye(4) / 4
+    return QuantumXorGame(n_a=n_a, n_b=n_b, states=(rho,), signs=(1,), probs=(1.0,))
+
+
+def test_counts_and_dimensions_must_be_integers(tmp_path):
+    config = SeeSawConfig(restarts=1)
+    pairs = {  # each takes local dimensions (n_a, n_b)
+        "operator": lambda n_a, n_b: BipartiteOperator(n_a, n_b, np.eye(4)),
+        "game": one_state_game,
+        "gue": lambda n_a, n_b: gue_operator(n_a, n_b, 0),
+        "induced": lambda n_a, n_b: induced_difference(n_a, n_b, 0),
+        "main scan": lambda n_a, n_b: main_bound_scan([(n_a, n_b)], 1, config),
+        "game scan": lambda n_a, n_b: game_bound_scan(1, n_a, n_b, config),
+    }
+    counts = {  # each takes one count, checked under its name
+        "haar": ("dimension", lambda n: haar_unitary(n, 1)),
+        "gue_hermitian": ("dimension", lambda n: gue_hermitian(n, 1)),
+        "density": ("dimension", lambda n: random_density_matrix(n)),
+        "random_game": ("num_states", lambda n: random_game(2, 2, num_states=n)),
+        "diamond r": ("r_size", lambda n: diamond_bound_rhs(2, 5, n, 100)),
+        "diamond q": ("q_size", lambda n: diamond_bound_rhs(2, 5, 1, n)),
+        "sweep r": ("r_size", lambda n: coefficient_sweep([2], [3], n, 100)),
+        "sweep q": ("q_size", lambda n: coefficient_sweep([2], [3], 1, n)),
+        "main scan": ("samples", lambda n: main_bound_scan([(2, 2)], n, config)),
+        "game scan": ("samples", lambda n: game_bound_scan(n, 2, 2, config)),
+        "verification": ("samples", lambda n: run_verification(config, samples=n)),
+    }
+    for bad in (1.5, 2.0, np.float64(2.0)):
+        for build in pairs.values():
+            for n_a, n_b in ((bad, 2), (2, bad)):
+                message = f"local dimensions must be integers, got ({n_a!r}, {n_b!r})"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build(n_a, n_b)
+        for name, build in counts.values():
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer, got {bad!r}')}$"):
+                build(bad)
+    for build in (lambda: gue_hermitian(0, 1), lambda: random_density_matrix(0)):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            build()
+
+    # numpy integers are stored as int, so the files write them as JSON numbers
+    z = BipartiteOperator(np.int64(2), np.uint8(2), gue_hermitian(4, 3))
+    game = one_state_game(np.uint8(2), np.int64(2))
+    for n_a, n_b in ((z.n_a, z.n_b), (game.n_a, game.n_b)):
+        assert (type(n_a), type(n_b), n_a, n_b) == (int, int, 2, 2)
+    write_operator_file(tmp_path / "op.json", z)
+    back = parse_operator_file(tmp_path / "op.json")
+    assert (back.n_a, back.n_b) == (2, 2)
+    np.testing.assert_array_equal(back.matrix, z.matrix)
+    write_game_file(tmp_path / "game.json", game)
+    back = parse_game_file(tmp_path / "game.json")
+    assert (back.n_a, back.n_b, back.signs, back.probs) == (2, 2, (1,), (1.0,))
+    np.testing.assert_array_equal(back.states[0], game.states[0])

@@ -695,6 +695,40 @@ def test_hiding_ratio_werner_closed_form(d):
     assert report.ratio == pytest.approx(ratio, rel=1e-12)
 
 
+# ---------------------------------------------------------------- realignment upper bound
+
+def realignment_bound(z):
+    """sqrt(n_a n_b) times the operator norm of the realigned z, an upper
+    bound on the product-witness norm of z in either field (Rudolph, PRA 67,
+    032312, 2003): tr((f x g) z) pairs vec(f) and vec(g) through the
+    realigned matrix, and a contraction on C^n has Frobenius norm at most
+    sqrt(n)."""
+    r = z.reshaped().transpose(0, 2, 1, 3).reshape(z.n_a**2, z.n_b**2)
+    return math.sqrt(z.n_a * z.n_b) * np.linalg.norm(r, 2)
+
+
+def test_realignment_bound_caps_the_estimate():
+    for n_a in range(2, 6):
+        for n_b in range(2, 6):
+            for k in range(2):
+                seed = 1000 + 10 * (10 * n_a + n_b) + k
+                for z in (gue_operator(n_a, n_b, seed), induced_difference(n_a, n_b, seed)):
+                    u = realignment_bound(z)
+                    for hermitian in (True, False):
+                        value = epsilon_norm(z, SeeSawConfig(restarts=16, seed=seed), hermitian=hermitian).value
+                        assert value <= u * (1 + 1e-12), (n_a, n_b, k, hermitian)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_realignment_bound_on_werner_pairs(d):
+    # u = d/(d^2 - 1) for every d: it is attained at even d and exceeds the
+    # norm 1/d by the factor d^2/(d^2 - 1) at odd d
+    z = game_operator(werner_hiding_pair(d))
+    value = epsilon_norm(z, SeeSawConfig(restarts=32, seed=0)).value
+    expected = 1.0 if d % 2 == 0 else d * d / (d * d - 1)
+    assert realignment_bound(z) / value == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------- field comparison
 
 def field_values(z, config):

@@ -248,6 +248,10 @@ def test_game_schema_errors(tmp_path):
     with pytest.raises(OperatorFileError, match="negative weight"):
         parse_game_file(target)
 
+    write_json(target, {**base, "states": [1], "signs": [1], "probs": [1.0]})
+    with pytest.raises(OperatorFileError, match=r"field 'states\[0\]' must be an object with 're' and 'im'$"):
+        parse_game_file(target)
+
 
 def test_game_state_validation_wrapped(tmp_path):
     # A state that is not PSD must be reported with its index and raised
