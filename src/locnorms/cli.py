@@ -3,10 +3,10 @@
 Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
 ratio, scaling and xor draw each seeded operator or game with
-`verify.draw` under the command's stream key, and `_rows` searches all of
-them in one batch (one kernel call per shape; ratio and a game file are a
-batch of one) into row dicts: the command's own keys and the
-`verify.case_records` record that the verify scans' rows carry too. A CSV
+`verify.draw` under the command's stream label, and `verify.case_records`
+searches all of them in one batch (one kernel call per shape; ratio and a
+game file are a batch of one) into row dicts: the command's keys, seed
+and budget beside the `_record` the verify scans' rows carry too. A CSV
 or JSON row is its projection onto the subcommand's columns, and a
 single-case JSON report is the row with its estimate payload. These
 commands report the cap check at the working budget; only the verify scans
@@ -26,7 +26,6 @@ import json
 import sys
 import warnings
 from functools import cache
-from itertools import tee
 from pathlib import Path
 
 import numpy as np
@@ -175,28 +174,15 @@ def _emit_case(args, row: dict, columns, hidden, key: str, **extras) -> None:
     _emit_json({**report, **extras}, args.out)
 
 
-def _rows(config: SeeSawConfig, cases, **keys) -> list[dict]:
-    """The rows of (instance, see-saw seed) cases, all searched in one
-    batch: keys, the command's seed and budget, the instance's dimensions
-    and its verify.case_records record. case_records checks each case
-    before the next one is drawn."""
-    cases, drawn = tee(cases)
-    records = case_records(drawn, config)
-    return [
-        {**keys, "seed": config.seed, "n_a": instance.n_a, "n_b": instance.n_b, "restarts": config.restarts, **record}
-        for (instance, _), record in zip(cases, records)
-    ]
-
-
 def cmd_ratio(args: argparse.Namespace) -> int:
     if args.input is not None:
         generator, drawn = "file", (parse_operator_file(args.input), run_seed(stream(args.seed, INPUT_LABEL)))
     else:
         generator = next(kind for kind in GENERATOR_CODE if getattr(args, kind) is not None)
         n_a, n_b = [args.werner] * 2 if generator == "werner" else getattr(args, generator)
-        drawn = draw(generator, n_a, n_b, args.seed, GENERATOR_CODE[generator], n_a, n_b, 0)
+        drawn = draw(generator, n_a, n_b, args.seed, 0, GENERATOR_CODE[generator])
     config = _config(args)
-    (row,) = _rows(config, [drawn], generator=generator)
+    (row,) = case_records([drawn], config, generator=generator)
     extras = {"command": "ratio", "max_iters": config.max_iters, "rel_tol": config.rel_tol}
     _emit_case(args, row, SCALING_COLUMNS, ("eps_estimate", "converged"), "epsilon", **extras)
     return EXIT_OK
@@ -211,18 +197,18 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     per_dim = min(args.samples, 1) if args.generator == "werner" else args.samples
     code = GENERATOR_CODE[args.generator]
     draws = (
-        draw(args.generator, d, d, args.seed, code, d, d, k)
+        draw(args.generator, d, d, args.seed, k, code)
         for d in range(args.dmin, args.dmax + 1)
         for k in range(per_dim)
     )
-    _emit_rows(_rows(config, draws, generator=args.generator), SCALING_COLUMNS, args.format or "csv", args.out)
+    _emit_rows(case_records(draws, config, generator=args.generator), SCALING_COLUMNS, args.format or "csv", args.out)
     return EXIT_OK
 
 
 def cmd_xor(args: argparse.Namespace) -> int:
     if args.input is not None:
         game = parse_game_file(args.input)
-        (row,) = _rows(_config(args), [(game, args.seed)], sample=0, num_states=game.num_states)
+        (row,) = case_records([(game, args.seed)], _config(args), sample=0, num_states=game.num_states)
         extras = {"command": "xor", "input": str(args.input)}
         _emit_case(args, row, XOR_COLUMNS, ("sample", "converged", "margin"), "beta_product", **extras)
         return EXIT_OK
@@ -232,10 +218,10 @@ def cmd_xor(args: argparse.Namespace) -> int:
     check_count(args.states, "num_states", 1)
     config = _config(args)
     draws = (
-        draw("game", args.na, args.nb, args.seed, XOR_LABEL, args.na, args.nb, k, num_states=args.states)
+        draw("game", args.na, args.nb, args.seed, k, XOR_LABEL, num_states=args.states)
         for k in range(args.samples)
     )
-    rows = [{**row, "sample": k} for k, row in enumerate(_rows(config, draws, num_states=args.states))]
+    rows = [{**row, "sample": k} for k, row in enumerate(case_records(draws, config, num_states=args.states))]
     _emit_rows(rows, XOR_COLUMNS, args.format or "json", args.out)
     return EXIT_OK
 

@@ -227,7 +227,7 @@ def werner_hiding_pair(d: int) -> QuantumXorGame:
     strategies its distinguishability decays with d, which is the hiding
     phenomenon these norms measure.
     """
-    if d < 2:
+    if check_count(d, "d", -math.inf) < 2:
         raise ValueError(f"hiding pair needs d >= 2 (no antisymmetric subspace at d={d})")
     eye = np.eye(d * d)
     flip = eye.reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)

@@ -17,9 +17,11 @@ scan returns that record with its rows, one per check, and
 `run_verification` reports it without them.
 
 Every seeded case of the scans and of the CLI takes one path: `draw`,
-the one registry of instance generators, draws it from its substream
-with its see-saw seed, its `_estimate` step runs through `_drive`, and
-`_record` reports it, a scan row and a CLI row (`case_records`) alike.
+the one registry of instance generators, draws it and its see-saw seed
+from the substream that its labels, dimensions and index key, its
+`_estimate` step runs through `_drive`, and `_record` reports it,
+dimensions included. A scan row holds the `_record`, and a CLI row
+(`case_records`) holds it beside the command's keys, seed and budget.
 The stream codes `GENERATOR_CODE` are fixed: they key every drawn
 instance, so changing one changes every output. The operator and game
 scans share one scan-and-escalate loop, `_escalating_scan`: a bound
@@ -85,7 +87,8 @@ BLOCK_RESIDUAL_TOL = 1e-10
 FIELD_RATIO_SLACK = 0.02
 
 # Stream codes of the instance generators and substream labels of the
-# suites and of the CLI's random games and file inputs. The numbers are
+# suites and of the CLI's random games and file inputs. draw keys a case
+# by (*labels, n_a, n_b, index) under the root seed. The numbers are
 # fixed: changing one changes every drawn instance.
 GENERATOR_CODE = {"werner": 0, "gue": 1, "induced": 2}
 _SCAN_LABEL = 3
@@ -108,14 +111,14 @@ def run_seed(rng) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def draw(kind: str, n_a: int, n_b: int, seed: int, *key: int, num_states: int = 4) -> tuple:
-    """One seeded case on n_a x n_b drawn from stream(seed, *key): the
-    instance of kind, a GENERATOR_CODE name or "game" (a random_game of
-    num_states states), and the see-saw seed drawn after it. The werner
-    pair is deterministic and lives on n_a x n_a; it ignores n_b."""
+def draw(kind: str, n_a: int, n_b: int, seed: int, index: int, *labels: int, num_states: int = 4) -> tuple:
+    """Case index on n_a x n_b, drawn from stream(seed, *labels, n_a, n_b,
+    index): the instance of kind, a GENERATOR_CODE name or "game" (a
+    random_game of num_states states), and the see-saw seed drawn after it.
+    The werner pair is deterministic and lives on n_a x n_a; it ignores n_b."""
     # before a stream key is built, whose SeedSequence rejects a negative entry in its own words
     check_dims(n_a, n_b)
-    rng = stream(seed, *key)
+    rng = stream(seed, *labels, n_a, n_b, index)
     build = {
         "werner": lambda: game_operator(werner_hiding_pair(n_a)),
         "gue": lambda: gue_operator(n_a, n_b, rng),
@@ -128,13 +131,12 @@ def draw(kind: str, n_a: int, n_b: int, seed: int, *key: int, num_states: int = 
 def _instances(seed: int, label: int, dims, samples: int):
     """samples cases per (n_a, n_b) in dims, GUE at even and induced at
     odd index: (case label, operator, see-saw seed, fields), with fields
-    n_a, n_b, kind and index."""
+    kind and index."""
     for n_a, n_b in dims:
         for index in range(samples):
             kind = "gue" if index % 2 == 0 else "induced"
-            z, seesaw_seed = draw(kind, n_a, n_b, seed, label, GENERATOR_CODE[kind], n_a, n_b, index)
-            fields = {"n_a": n_a, "n_b": n_b, "kind": kind, "index": index}
-            yield f"({n_a},{n_b}) {kind}[{index}]", z, seesaw_seed, fields
+            z, seesaw_seed = draw(kind, n_a, n_b, seed, index, label, GENERATOR_CODE[kind])
+            yield f"({n_a},{n_b}) {kind}[{index}]", z, seesaw_seed, {"kind": kind, "index": index}
 
 
 class _Tally:
@@ -175,14 +177,16 @@ def _case_operator(instance) -> BipartiteOperator:
 
 
 def _record(instance, report) -> dict:
-    """The reported fields of a case's report: trace norm and estimate
-    value keyed beta_all and beta_product for a QuantumXorGame, trace_norm
-    and eps_estimate for an operator, and the estimate's full payload;
-    ratio and margin are None for a zero game."""
+    """The reported fields of a case's report: the instance's n_a and n_b,
+    trace norm and estimate value keyed beta_all and beta_product for a
+    QuantumXorGame, trace_norm and eps_estimate for an operator, and the
+    estimate's full payload; ratio and margin are None for a zero game."""
     names = ("beta_all", "beta_product") if isinstance(instance, QuantumXorGame) else ("trace_norm", "eps_estimate")
     est = report.eps_estimate
     ratio = None if report.ratio is None else float(report.ratio)
     return {
+        "n_a": instance.n_a,
+        "n_b": instance.n_b,
         names[0]: float(report.trace_norm),
         names[1]: float(est.value),
         "converged": bool(est.converged),
@@ -200,14 +204,18 @@ def _record(instance, report) -> dict:
     }
 
 
-def case_records(cases, config: SeeSawConfig) -> list[dict]:
-    """The _record of each (instance, see-saw seed) case at config, every
-    search in one _drive: the report hiding_ratio gives an operator and
+def case_records(cases, config: SeeSawConfig, **keys) -> list[dict]:
+    """The CLI rows of (instance, see-saw seed) cases at config, every
+    search in one _drive: keys, config.seed, config.restarts and the
+    case's _record of the report hiding_ratio gives an operator and
     evaluate_game a QuantumXorGame, bit for bit. cases may be drawn
     lazily: each is checked by _case_operator before the next is drawn."""
     drawn = [(instance, _case_operator(instance), seed) for instance, seed in cases]
     estimates = _drive([_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn], config)
-    return [_record(instance, _report(z, est)) for (instance, z, _), est in zip(drawn, estimates)]
+    return [
+        {**keys, "seed": config.seed, "restarts": config.restarts, **_record(instance, _report(z, est))}
+        for (instance, z, _), est in zip(drawn, estimates)
+    ]
 
 
 def _escalating_scan(cases, config: SeeSawConfig):
@@ -277,7 +285,7 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> d
 def _game_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig):
     check_count(samples, "samples", 0)
     check_dims(n_a, n_b)
-    drawn = (draw("game", n_a, n_b, config.seed, _GAME_LABEL, n_a, n_b, index) for index in range(samples))
+    drawn = (draw("game", n_a, n_b, config.seed, index, _GAME_LABEL) for index in range(samples))
     cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
     return (yield from _escalating_scan(cases, config))
 
@@ -293,7 +301,7 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
 def _field_scan(samples: int, config: SeeSawConfig):
     check_count(samples, "samples", 0)
     n_a = n_b = 3
-    drawn = [draw("gue", n_a, n_b, config.seed, _FIELD_LABEL, n_a, n_b, index) for index in range(samples)]
+    drawn = [draw("gue", n_a, n_b, config.seed, index, _FIELD_LABEL) for index in range(samples)]
     # the complex and the Hermitian estimate of each instance, in turn
     estimates = yield from _gather(
         _estimate(z, replace(config, seed=seed), hermitian) for z, seed in drawn for hermitian in (False, True)

@@ -806,16 +806,17 @@ def test_unwritable_output_path(tmp_path, capsys):
 
 
 def recorded_rows(monkeypatch):
-    """The rows cli._rows builds, in a list that fills as the command runs."""
+    """The rows verify.case_records builds for the CLI, in a list that
+    fills as the command runs."""
     rows = []
-    real = cli_module._rows
+    real = cli_module.case_records
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
         rows.extend(result)
         return result
 
-    monkeypatch.setattr(cli_module, "_rows", recording)
+    monkeypatch.setattr(cli_module, "case_records", recording)
     return rows
 
 
@@ -870,7 +871,7 @@ def cancelling_game():
 ONE_PATH_COMMANDS = {
     "ratio": (
         lambda tmp: ["ratio", "--induced", "3", "2"],
-        lambda tmp: [verify.draw("induced", 3, 2, 7, verify.GENERATOR_CODE["induced"], 3, 2, 0)],
+        lambda tmp: [verify.draw("induced", 3, 2, 7, 0, verify.GENERATOR_CODE["induced"])],
     ),
     "ratio-input": (
         lambda tmp: ["ratio", "--input", str(operator_file(tmp))],
@@ -878,13 +879,11 @@ ONE_PATH_COMMANDS = {
     ),
     "scaling": (
         lambda tmp: ["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "4", "--samples", "2"],
-        lambda tmp: [
-            verify.draw("gue", d, d, 7, verify.GENERATOR_CODE["gue"], d, d, k) for d in (2, 3, 4) for k in (0, 1)
-        ],
+        lambda tmp: [verify.draw("gue", d, d, 7, k, verify.GENERATOR_CODE["gue"]) for d in (2, 3, 4) for k in (0, 1)],
     ),
     "xor": (
         lambda tmp: ["xor", "--na", "2", "--nb", "3", "--states", "3", "--samples", "3"],
-        lambda tmp: [verify.draw("game", 2, 3, 7, verify.XOR_LABEL, 2, 3, k, num_states=3) for k in range(3)],
+        lambda tmp: [verify.draw("game", 2, 3, 7, k, verify.XOR_LABEL, num_states=3) for k in range(3)],
     ),
     "xor-input": (
         lambda tmp: ["xor", "--input", str(game_file(tmp, werner_hiding_pair(3)))],

@@ -21,6 +21,7 @@ from locnorms import (
     random_game,
     run_verification,
     trace_norm,
+    werner_hiding_pair,
     write_game_file,
     write_operator_file,
 )
@@ -259,8 +260,9 @@ def test_counts_and_dimensions_must_be_integers(tmp_path):
         "main scan": ("samples", lambda n: main_bound_scan([(2, 2)], n, config)),
         "game scan": ("samples", lambda n: game_bound_scan(n, 2, 2, config)),
         "verification": ("samples", lambda n: run_verification(config, samples=n)),
+        "werner": ("d", werner_hiding_pair),
     }
-    for bad in (1.5, 2.0, np.float64(2.0)):
+    for bad in (1.5, 2.0, np.float64(2.0), 2.5, 3.0, np.float64(3.0)):
         for build in pairs.values():
             for n_a, n_b in ((bad, 2), (2, bad)):
                 message = f"local dimensions must be integers, got ({n_a!r}, {n_b!r})"
@@ -272,6 +274,8 @@ def test_counts_and_dimensions_must_be_integers(tmp_path):
     for build in (lambda: gue_hermitian(0, 1), lambda: random_density_matrix(0)):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
             build()
+
+    assert werner_hiding_pair(np.int64(3)).n_a == 3
 
     # numpy integers are stored as int, so the files write them as JSON numbers
     z = BipartiteOperator(np.int64(2), np.uint8(2), gue_hermitian(4, 3))

@@ -9,8 +9,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from locnorms import SeeSawConfig, norms, verify
+from locnorms import (
+    QuantumXorGame,
+    SeeSawConfig,
+    epsilon_norm,
+    evaluate_game,
+    gue_operator,
+    hiding_ratio,
+    norms,
+    random_game,
+    verify,
+)
 from locnorms.cli import EXIT_SUITE_FAILURE, SCALING_COLUMNS, XOR_COLUMNS, main
+from locnorms.states import induced_difference, stream
 
 CONFIG = SeeSawConfig(restarts=4)
 
@@ -97,7 +108,7 @@ def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
 # those of its keys that only the command sets
 CLI_COLUMNS = {
     "main_bound_scan": (SCALING_COLUMNS, {"seed", "generator", "restarts"}),
-    "game_bound_scan": (XOR_COLUMNS, {"sample", "n_a", "n_b", "num_states"}),
+    "game_bound_scan": (XOR_COLUMNS, {"sample", "num_states"}),
 }
 
 
@@ -283,6 +294,102 @@ def test_run_verification_needs_a_sample(samples):
         verify.run_verification(CONFIG, samples=samples)
 
 
+# ----------------------------------------------------------- stream keys
+#
+# Each drawn case's substream, spelled out here apart from verify.draw:
+# the key (seed, *labels, n_a, n_b, index) decides the bits of every
+# instance and of its see-saw seed, so a row must equal the report of the
+# instance built by hand from its key.
+
+KEY_SEED = 17
+KEY_CONFIG = SeeSawConfig(restarts=2, seed=KEY_SEED)
+
+
+def keyed(build, *key):
+    """(instance, see-saw seed) of build on stream(KEY_SEED, *key)."""
+    rng = stream(KEY_SEED, *key)
+    return build(rng), verify.run_seed(rng)
+
+
+def cli_rows(tmp_path, *argv):
+    out = tmp_path / "rows.json"
+    assert main([*argv, "--seed", str(KEY_SEED), "--restarts", "2", "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+BUILDERS = {"gue": gue_operator, "induced": induced_difference}
+
+
+def scaling_case(generator):
+    code = verify.GENERATOR_CODE[generator]
+    return (
+        lambda tmp_path: cli_rows(tmp_path, "scaling", "--generator", generator, "--dmax", "3", "--samples", "2"),
+        [keyed(lambda rng: BUILDERS[generator](d, d, rng), code, d, d, k) for d in (2, 3) for k in (0, 1)],
+    )
+
+
+# source -> (its rows given a scratch directory, the (instance, see-saw
+# seed) cases its rows report, built by hand from their keys)
+KEYED_SOURCES = {
+    "scaling-gue": scaling_case("gue"),
+    "scaling-induced": scaling_case("induced"),
+    "xor": (
+        lambda tmp_path: cli_rows(tmp_path, "xor", "--na", "2", "--nb", "3", "--states", "3", "--samples", "2"),
+        [keyed(lambda rng: random_game(2, 3, num_states=3, seed=rng), verify.XOR_LABEL, 2, 3, k) for k in (0, 1)],
+    ),
+    "main_bound_scan": (
+        lambda tmp_path: verify.main_bound_scan([(2, 3), (3, 2)], 2, KEY_CONFIG)["rows"],
+        [
+            keyed(
+                lambda rng: BUILDERS[kind](n_a, n_b, rng),
+                *(verify._SCAN_LABEL, verify.GENERATOR_CODE[kind], n_a, n_b, i),
+            )
+            for n_a, n_b in ((2, 3), (3, 2))
+            for i, kind in enumerate(("gue", "induced"))
+        ],
+    ),
+    "game_bound_scan": (
+        lambda tmp_path: verify.game_bound_scan(2, 3, 2, KEY_CONFIG)["rows"],
+        [keyed(lambda rng: random_game(3, 2, seed=rng), verify._GAME_LABEL, 3, 2, i) for i in (0, 1)],
+    ),
+    "field_ratio_scan": (
+        lambda tmp_path: verify.field_ratio_scan(2, KEY_CONFIG)["rows"],
+        [keyed(lambda rng: gue_operator(3, 3, rng), verify._FIELD_LABEL, 3, 3, i) for i in (0, 1)],
+    ),
+}
+
+
+def keyed_values(row, instance, seesaw_seed):
+    """What row reports of its case, and the same values computed from the
+    hand-built instance at the row's budget and see-saw seed."""
+    config = replace(KEY_CONFIG, seed=seesaw_seed)
+    if "complex" in row:
+        complex_, hermitian = (epsilon_norm(instance, config, hermitian=h).value for h in (False, True))
+        return (row["complex"], row["hermitian"]), (complex_, hermitian)
+    game = isinstance(instance, QuantumXorGame)
+    report = evaluate_game(instance, config) if game else hiding_ratio(instance, config)
+    names = ("beta_all", "beta_product") if game else ("trace_norm", "eps_estimate")
+    return (row[names[0]], row[names[1]]), (report.trace_norm, report.eps_estimate.value)
+
+
+@pytest.mark.parametrize("source", sorted(KEYED_SOURCES))
+def test_every_case_is_drawn_from_its_stream_key(tmp_path, source):
+    run, cases = KEYED_SOURCES[source]
+    rows = run(tmp_path)
+    assert len(rows) == len(cases)
+    for row, (instance, seesaw_seed) in zip(rows, cases):
+        assert row.get("escalated", False) is False
+        observed, expected = keyed_values(row, instance, seesaw_seed)
+        assert observed == expected
+
+
+@pytest.mark.parametrize("source", sorted(set(KEYED_SOURCES) - {"field_ratio_scan"}))
+def test_rows_report_their_instances_dimensions(tmp_path, source):
+    run, cases = KEYED_SOURCES[source]
+    rows = run(tmp_path)
+    assert [(row["n_a"], row["n_b"]) for row in rows] == [(instance.n_a, instance.n_b) for instance, _ in cases]
+
+
 # ------------------------------------------------------- failure branches
 #
 # Each test forces one invariant to break by patching a name the suites
@@ -308,8 +415,7 @@ def property_estimates():
     """(label, estimate) of the ordering suite's instances, computed here
     with the suite's own budget."""
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
-    for _, z, restart_seed, fields in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
-        label = "({n_a},{n_b}) {kind}[{index}]".format(**fields)
+    for label, z, restart_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         yield label, verify.epsilon_norm(z, replace(config, seed=restart_seed))
 
 
