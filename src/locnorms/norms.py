@@ -39,22 +39,23 @@ advances steps in lockstep (_gather) and hands each round to _run_jobs,
 which makes one kernel call per half-step shape (dim of the other side,
 dim of the start side, field), so `locnorms verify --samples 1` makes 4
 kernel calls. A call's multistart stacks are built just before it, in
-one _start_stacks call, and its runs are read as soon as it returns, so
-only one call's stacks and value histories are held at a time.
-epsilon_norm is _estimate driven alone and seesaw_run one single-start
-job, so each restart of epsilon_norm equals seesaw_run from its start
-bit for bit. A caller that needs single-start histories and the
-estimate (the verify property suites) reads both from the same runs.
+one _start_stacks call, and its runs are read and released as soon as it
+returns, so only one call's stacks and value histories are held at a
+time. epsilon_norm is _estimate driven alone and seesaw_run one
+Hermitian single-start job, so each Hermitian restart of epsilon_norm
+equals seesaw_run from its start bit for bit, and each complex one a
+one-start _run_jobs job. A caller that needs single-start histories and
+the estimate (the verify property suites) reads both from the same runs.
 
 The multistart stacks of all the configs of one dimension come from GUE
 samples drawn by states.gue_stack(dim, seed, count) per config, bit for
 bit as gue_hermitian on stream(seed, i), and spectral signs from one
 stacked eigensolve.
 
-A caller's start is a start on B, checked by _checked_start where it is
-passed: in seesaw_run and verify.covariance_gaps. The multistart stack is
-not checked at run time; tests pin it as exactly Hermitian
-contractions, the identity first.
+A caller's start is a Hermitian start on B, checked by _checked_start
+where it is passed: in seesaw_run and verify.covariance_gaps. The
+multistart stack is not checked at run time; tests pin it as exactly
+Hermitian contractions, the identity first.
 
 The operands contract against two contiguous copies of z, relaid once per
 kernel call as (b, a, a', b') for the A side and (a, a', b, b') for the B
@@ -62,11 +63,11 @@ side. These layouts make einsum sum in the same order as on the strided
 (a, b, a', b') view, so they give the same bits; other layouts and BLAS
 (matmul) forms are faster but round differently.
 
-Witnesses are Hermitian contractions unless hermitian=False. For a
-Hermitian pair (f, g), the two outcomes (1 +- f x g)/2 form a local
-binary measurement with classical postprocessing, so Hermitian values
-are achievable local distinguishability; the trace norm can exceed them
-by at most the factor 2 sqrt(2) min(n_a, n_b).
+Witnesses are Hermitian contractions unless epsilon_norm gets
+hermitian=False. For a Hermitian pair (f, g), the outcomes (1 +- f x g)/2
+form a local binary measurement with classical postprocessing, so
+Hermitian values are achievable local distinguishability; the trace norm
+can exceed them by at most the factor 2 sqrt(2) min(n_a, n_b).
 """
 
 from __future__ import annotations
@@ -320,8 +321,8 @@ def _run_jobs(jobs, config: SeeSawConfig) -> list:
     """What each kernel job (z, starts, start side, hermitian, read) reads
     from its runs, in order: one _seesaw call per half-step shape, at the
     max_iters and rel_tol of config. The SeeSawConfig starts of a call are
-    built together just before it, and its runs are read before the next
-    call is built."""
+    built together just before it, and its runs are read and released
+    before the next call's starts are built."""
     groups = {}
     for position, (z, _, side, hermitian, _) in enumerate(jobs):
         dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
@@ -334,6 +335,7 @@ def _run_jobs(jobs, config: SeeSawConfig) -> list:
         stacks = [next(built) if isinstance(s, SeeSawConfig) else s for s in starts]
         for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
             results[position] = read(runs)
+        del built, stacks, runs  # hold one call's batch at a time
     return results
 
 
@@ -379,39 +381,37 @@ def _estimate(z: BipartiteOperator, config: SeeSawConfig, hermitian: bool = True
     return est
 
 
-def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:
-    """Alternate exact half-steps of tr((f x g) z) from one initial
-    contraction g0 on B.
+def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig) -> NormEstimate:
+    """Alternate exact half-steps of tr((f x g) z) over Hermitian
+    contractions from one initial Hermitian contraction g0 on B.
 
     The first half-step optimizes f on A, so a start with zero overlap
     against z can leave the run at the fixed point 0. Each half-step is
-    the exact optimum of its side, hence value_history is nondecreasing up
-    to eigensolver noise and the run is deterministic given (z, g0,
-    config). hermitian=False optimizes over all complex contractions
-    instead of the Hermitian ones.
+    the exact optimum of its side, so value_history is nondecreasing up to
+    eigensolver noise, and the run is deterministic given (z, g0, config).
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
     The run is one single-start job of _run_jobs, through which
-    epsilon_norm runs too, so each restart of epsilon_norm equals
-    seesaw_run from its start bit for bit.
+    epsilon_norm runs too, so each restart of the Hermitian epsilon_norm
+    equals seesaw_run from its start bit for bit.
     """
-    start = _checked_start(z, g0, hermitian)
+    start = _checked_start(z, g0)
     if z.is_zero():
         return _identity_estimate(z.n_a, z.n_b)
-    return _run_jobs([(z, start[None], "B", hermitian, lambda runs: runs.estimate(0))], config)[0]
+    return _run_jobs([(z, start[None], "B", True, lambda runs: runs.estimate(0))], config)[0]
 
 
-def _checked_start(z: BipartiteOperator, g0, hermitian: bool) -> np.ndarray:
+def _checked_start(z: BipartiteOperator, g0) -> np.ndarray:
     """g0 as a complex start on B of z, or ValueError unless it is a finite
-    (n_b, n_b) contraction (and Hermitian when hermitian)."""
+    Hermitian (n_b, n_b) contraction."""
     start = as_square_matrix(g0)
     if start.shape != (z.n_b, z.n_b):
         raise ValueError(f"initial contraction has shape {start.shape}, expected ({z.n_b}, {z.n_b})")
     opnorm = float(np.linalg.svd(start, compute_uv=False)[0])
     if opnorm > 1.0 + OPNORM_SLACK:
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
-    if hermitian and np.abs(start - start.conj().T).max() > 1e-12:
+    if np.abs(start - start.conj().T).max() > 1e-12:
         raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
     return start
 

@@ -415,7 +415,7 @@ def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tup
     started on A, and from the run on (u x v) z (u x v)^dag started from
     v g0 v^dag. Both runs are exact images of the first, so both gaps
     vanish up to rounding; histories of different lengths give inf."""
-    g0 = _checked_start(z, g0, hermitian=True)
+    g0 = _checked_start(z, g0)
     return _history_gaps(*_drive([_covariance_histories(z, g0, u, v)], config)[0])
 
 

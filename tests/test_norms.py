@@ -1,8 +1,10 @@
 """See-saw estimator soundness, exact cases, covariances, and the ratio
 pipeline."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -165,7 +167,7 @@ def test_seesaw_witnesses_are_contractions_and_reproduce_value():
         for _ in range(10):
             z = gue_operator(3, 2, rng)
             g0 = hermitian_sign(gue_hermitian(2, rng))
-            est = seesaw_run(z, g0, cfg, hermitian=hermitian)
+            est = run_from(z, g0, cfg, "B", hermitian)
             for w in (est.best_f, est.best_g):
                 assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-12
             assert witness_value(z, est) == pytest.approx(est.value, abs=1e-9)
@@ -181,6 +183,17 @@ def test_seesaw_input_validation():
         seesaw_run(z, np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
     with pytest.raises(ValueError, match="must be finite"):
         seesaw_run(z, np.array([[np.nan, 0.0], [0.0, 1.0]]), CFG)
+
+
+def test_seesaw_run_is_hermitian_only():
+    # The complex field is epsilon_norm's alone; a one-start complex run is
+    # a _run_jobs job (run_from).
+    z = gue_operator(2, 2, 107)
+    with pytest.raises(TypeError, match="hermitian"):
+        seesaw_run(z, np.eye(2), CFG, hermitian=False)
+    unitary = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="^hermitian-field see-saw needs a Hermitian initial contraction$"):
+        seesaw_run(z, unitary, CFG)
 
 
 # ---------------------------------------------------------------- epsilon_norm
@@ -314,11 +327,11 @@ EQUIV_SIZES = (2, 3, 4, 6)
 
 
 def per_restart_reference(z, config, hermitian):
-    """epsilon_norm as a loop of seesaw_run calls with strict-improvement
-    selection, so ties go to the lowest restart index."""
+    """epsilon_norm as a loop of single-start runs (run_from on B) with
+    strict-improvement selection, so ties go to the lowest restart index."""
     best, winner, values = None, None, []
     for index, g0 in initial_contractions(z.n_b, config):
-        est = seesaw_run(z, g0, config, hermitian=hermitian)
+        est = run_from(z, g0, config, "B", hermitian)
         values.append(est.value)
         if best is None or est.value > best.value:
             best, winner = est, index
@@ -368,11 +381,12 @@ def loop_seesaw(z, g0, config, hermitian, start_side="B"):
 
 
 def run_from(z, g0, config, start_side, hermitian=True):
-    """seesaw_run from g0 on B; from g0 on A, the one-start _run_jobs job
-    that seesaw_run makes on B, started on A instead."""
-    if start_side == "B":
-        return seesaw_run(z, g0, config, hermitian=hermitian)
-    return norms._run_jobs([(z, g0[None], "A", hermitian, lambda runs: runs.estimate(0))], config)[0]
+    """seesaw_run from g0 on B in the Hermitian field; otherwise the
+    one-start _run_jobs job that seesaw_run makes, started on start_side in
+    the given field."""
+    if start_side == "B" and hermitian:
+        return seesaw_run(z, g0, config)
+    return norms._run_jobs([(z, g0[None], start_side, hermitian, lambda runs: runs.estimate(0))], config)[0]
 
 
 FIELDS = pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "complex"])
@@ -522,9 +536,44 @@ def test_seesaw_run_equals_a_direct_kernel_call(hermitian, start_side, n_a, n_b)
             est = run_from(z, g0, config, start_side, hermitian)
             ref = _seesaw([z], [g0[None]], config, [start_side], hermitian)[0].estimate(0)
             assert_same_estimate(est, ref)
+
+
+@pytest.mark.parametrize("n_a", range(1, 7))
+@pytest.mark.parametrize("n_b", range(1, 7))
+def test_seesaw_run_on_the_zero_operator_is_the_identity_estimate(n_a, n_b):
     zero = BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
-    est = seesaw_run(zero, np.eye(n_b), CFG, hermitian=hermitian)
-    assert_same_estimate(est, _identity_estimate(n_a, n_b))
+    assert_same_estimate(seesaw_run(zero, np.eye(n_b), CFG), _identity_estimate(n_a, n_b))
+
+
+def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
+    # Two shapes make two kernel calls; when the second call's starts are
+    # built and when it runs, the first call's start stacks and value
+    # histories are gone.
+    stack_refs, step_refs = [], []
+    real_stacks, real_seesaw = norms._start_stacks, norms._seesaw
+
+    def assert_released(refs):
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) == 0
+
+    def start_stacks(*args):
+        assert_released(stack_refs)
+        stacks = real_stacks(*args)
+        stack_refs.extend(map(weakref.ref, stacks))
+        return stacks
+
+    def seesaw(*args):
+        assert_released(step_refs)
+        runs = real_seesaw(*args)
+        step_refs.extend(weakref.ref(array) for step in runs[0].steps for array in step)
+        return runs
+
+    monkeypatch.setattr(norms, "_start_stacks", start_stacks)
+    monkeypatch.setattr(norms, "_seesaw", seesaw)
+    config = SeeSawConfig(restarts=4, seed=176)
+    jobs = [(gue_operator(n, n, 177 + n), config, "B", True, lambda runs: runs.best()) for n in (2, 3)]
+    norms._run_jobs(jobs, config)
+    assert len(stack_refs) == 2 and step_refs
 
 
 def test_hiding_ratio_and_evaluate_game_make_one_kernel_call_each(monkeypatch):
