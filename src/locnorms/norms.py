@@ -42,10 +42,12 @@ kernel calls. A call's multistart stacks are built just before it, in
 one _start_stacks call, and its runs are read and released as soon as it
 returns, so only one call's stacks and value histories are held at a
 time. epsilon_norm is _estimate driven alone and seesaw_run one
-Hermitian single-start job, so each Hermitian restart of epsilon_norm
-equals seesaw_run from its start bit for bit, and each complex one a
-one-start _run_jobs job. A caller that needs single-start histories and
-the estimate (the verify property suites) reads both from the same runs.
+Hermitian single-start job on any operator, zero included, so each
+Hermitian restart of epsilon_norm equals seesaw_run from its start bit
+for bit, and each complex one a one-start _run_jobs job. A caller that
+needs single-start histories and the estimate (the verify property
+suites) reads both from the same runs. Only _closed_form builds an exact
+estimate; _Runs.estimate builds every other.
 
 The multistart stacks of all the configs of one dimension come from GUE
 samples drawn by states.gue_stack(dim, seed, count) per config, bit for
@@ -208,18 +210,6 @@ def _contract(operands, stack: np.ndarray, bounds: list[int] | None) -> np.ndarr
         return operand(relay, stack)
     return np.concatenate(
         [operand(relay, stack[lo:hi]) for (operand, relay), lo, hi in zip(operands, bounds, bounds[1:]) if lo < hi]
-    )
-
-
-def _identity_estimate(n_a: int, n_b: int, restart_index: int | None = None) -> NormEstimate:
-    return NormEstimate(
-        value=0.0,
-        iterations_used=1,
-        converged=True,
-        best_f=np.eye(n_a, dtype=np.complex128),
-        best_g=np.eye(n_b, dtype=np.complex128),
-        value_history=(0.0, 0.0),
-        restart_index=restart_index,
     )
 
 
@@ -392,13 +382,12 @@ def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig) -> NormEstimate:
 
     Stops once the per-iteration improvement drops to rel_tol relative to
     the current value, or after max_iters iterations (converged=False).
-    The run is one single-start job of _run_jobs, through which
-    epsilon_norm runs too, so each restart of the Hermitian epsilon_norm
-    equals seesaw_run from its start bit for bit.
+    The run is one single-start job of _run_jobs on every z, zero included
+    (two iterations at value 0), and epsilon_norm runs through _run_jobs
+    too, so each restart of the Hermitian epsilon_norm equals seesaw_run
+    from its start bit for bit.
     """
     start = _checked_start(z, g0)
-    if z.is_zero():
-        return _identity_estimate(z.n_a, z.n_b)
     return _run_jobs([(z, start[None], "B", True, lambda runs: runs.estimate(0))], config)[0]
 
 
@@ -458,11 +447,12 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
 
 
 def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
-    """epsilon_norm where it is exact by closed form: z = 0, n_a = 1 or
-    n_b = 1; None elsewhere."""
+    """The one exact builder: epsilon_norm by closed form where z = 0,
+    n_a = 1 or n_b = 1; None elsewhere."""
     n_a, n_b = z.n_a, z.n_b
     if z.is_zero():
-        return _identity_estimate(n_a, n_b, restart_index=0)
+        f, g = np.eye(n_a, dtype=np.complex128), np.eye(n_b, dtype=np.complex128)
+        return NormEstimate(0.0, 1, True, f, g, (0.0, 0.0), restart_index=0)
     if n_a == 1 or n_b == 1:
         # One factor is scalar: the single nontrivial side is solved exactly.
         w, v = optimal_contraction(z.matrix, hermitian)

@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +135,9 @@ def test_integer_beyond_float_range_exits_two(tmp_path, capsys, command, payload
 def test_values_past_the_float_range_exit_two(tmp_path, capsys, command, payload):
     src = tmp_path / "big.json"
     src.write_text(json.dumps(payload))
-    # a numpy overflow warning would surface here as an exception
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([command, "--input", str(src)]) == EXIT_VALIDATION
+    # a numpy overflow warning would fail the test (pyproject.toml turns
+    # every warning into an error)
+    assert main([command, "--input", str(src)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {src}: ")
     assert "Traceback" not in err and "RuntimeWarning" not in err
@@ -172,9 +170,7 @@ def test_warnings_print_as_one_line_without_the_library_path(tmp_path, command):
 def test_tolerance_above_one_stops_like_one_without_numpy_warnings(tmp_path):
     # 1e308 times a value above 1.8 overflows; any tolerance >= 1 stops the
     # see-saw at its second iteration
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, huge = run_json(tmp_path, ["ratio", "--gue", "3", "3", "--tol", "1e308"], name="huge.json")
+    _, huge = run_json(tmp_path, ["ratio", "--gue", "3", "3", "--tol", "1e308"], name="huge.json")
     _, one = run_json(tmp_path, ["ratio", "--gue", "3", "3", "--tol", "1"], name="one.json")
     assert huge["epsilon"] == one["epsilon"]
     assert huge["epsilon"]["iterations_used"] == 2
@@ -542,10 +538,8 @@ def test_darwinism_csv_spells_exponents_and_prints_nothing_on_error(capsys):
 def test_darwinism_rows_that_overflow_print_inf_and_no_warning(capsys):
     # every term of the pair is finite, but sqrt(153 d_a d_r) and the
     # diamond bound leave the float range; a numpy overflow warning would
-    # surface here as an exception
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["darwinism", "--da", str(10**154), "--dr", str(10**153), "--r", "1", "--q", "1"]) == EXIT_OK
+    # fail the test (pyproject.toml turns every warning into an error)
+    assert main(["darwinism", "--da", str(10**154), "--dr", str(10**153), "--r", "1", "--q", "1"]) == EXIT_OK
     row = f"{10**154},{10**153},2e+153,2e+153,1.0,inf\n"
     assert capsys.readouterr() == (",".join(DARWINISM_COLUMNS) + "\n" + row, "")
 

@@ -28,7 +28,7 @@ from locnorms import (
 )
 from locnorms.linalg import hermitian_sign, swap_subsystems
 from locnorms import norms
-from locnorms.norms import OPNORM_SLACK, _closed_form, _identity_estimate, _operand_a, _operand_b, _relays, _seesaw
+from locnorms.norms import OPNORM_SLACK, _closed_form, _operand_a, _operand_b, _relays, _seesaw
 from locnorms.norms import _start_stacks
 from locnorms.norms import bound_factor
 from locnorms.norms import initial_contractions
@@ -130,12 +130,17 @@ def test_seesaw_density_matrix_psd_starts_reach_one():
             assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_seesaw_zero_operator_short_circuits():
-    z = BipartiteOperator(2, 2, np.zeros((4, 4)))
-    est = seesaw_run(z, np.eye(2), CFG)
+def test_seesaw_run_on_the_zero_operator_is_a_kernel_run():
+    # The first iteration cannot stop (it has no previous value), the second
+    # gains nothing, and the sign of a zero operand is the identity.
+    z = BipartiteOperator(2, 3, np.zeros((6, 6)))
+    est = seesaw_run(z, np.eye(3), CFG)
     assert est.value == 0.0
     assert est.converged
-    assert est.iterations_used == 1
+    assert est.iterations_used == 2
+    assert est.value_history == (0.0, 0.0, 0.0, 0.0)
+    assert est.restart_index is None
+    assert np.array_equal(est.best_f, np.eye(2)) and np.array_equal(est.best_g, np.eye(3))
 
 
 def test_seesaw_monotone_histories():
@@ -530,19 +535,13 @@ def test_epsilon_norm_equals_a_direct_kernel_call(hermitian, n_a, n_b):
 @pytest.mark.parametrize("n_b", range(1, 7))
 def test_seesaw_run_equals_a_direct_kernel_call(hermitian, start_side, n_a, n_b):
     dim = n_b if start_side == "B" else n_a
-    z = equivalence_operator(n_a, n_b, n_a + n_b)
-    for config in (SeeSawConfig(restarts=2, seed=172), SeeSawConfig(restarts=2, seed=173, max_iters=2)):
-        for _, g0 in initial_contractions(dim, config):
-            est = run_from(z, g0, config, start_side, hermitian)
-            ref = _seesaw([z], [g0[None]], config, [start_side], hermitian)[0].estimate(0)
-            assert_same_estimate(est, ref)
-
-
-@pytest.mark.parametrize("n_a", range(1, 7))
-@pytest.mark.parametrize("n_b", range(1, 7))
-def test_seesaw_run_on_the_zero_operator_is_the_identity_estimate(n_a, n_b):
     zero = BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
-    assert_same_estimate(seesaw_run(zero, np.eye(n_b), CFG), _identity_estimate(n_a, n_b))
+    for z in (equivalence_operator(n_a, n_b, n_a + n_b), zero):
+        for config in (SeeSawConfig(restarts=2, seed=172), SeeSawConfig(restarts=2, seed=173, max_iters=2)):
+            for _, g0 in initial_contractions(dim, config):
+                est = run_from(z, g0, config, start_side, hermitian)
+                ref = _seesaw([z], [g0[None]], config, [start_side], hermitian)[0].estimate(0)
+                assert_same_estimate(est, ref)
 
 
 def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
@@ -655,6 +654,7 @@ def test_epsilon_norm_hermitian_default_known_values():
     assert epsilon_norm(zero, CFG).value == 0.0
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_epsilon_norm_bound_consistency_flags_only():
     # value >= trace_norm/(2 sqrt(2) * 3) should hold on random 3x3
     # instances; the estimate is a lower bound, so any shortfall is an
@@ -776,6 +776,23 @@ def test_realignment_bound_on_werner_pairs(d):
     value = epsilon_norm(z, SeeSawConfig(restarts=32, seed=0)).value
     expected = 1.0 if d % 2 == 0 else d * d / (d * d - 1)
     assert realignment_bound(z) / value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_a", range(1, 6))
+@pytest.mark.parametrize("n_b", range(1, 6))
+def test_sign_products_are_exact_for_the_estimate_and_the_realignment_bound(n_a, n_b):
+    # For Hermitian unitaries x and y, tr((f x g)(x x y)) = tr(f x) tr(g y) is
+    # at most n_a n_b = ||x x y||_1, attained at (f, g) = (x, y); the
+    # realigned x x y is vec(x) vec(y)^T, whose operator norm is
+    # ||x||_2 ||y||_2 = sqrt(n_a n_b).
+    rng = stream(180, n_a, n_b)
+    config = SeeSawConfig(restarts=8, seed=181)
+    for _ in range(3):
+        x, y = hermitian_sign(gue_hermitian(n_a, rng)), hermitian_sign(gue_hermitian(n_b, rng))
+        z = BipartiteOperator(n_a, n_b, np.kron(x, y))
+        assert realignment_bound(z) == pytest.approx(n_a * n_b, rel=1e-12)
+        for hermitian in (True, False):
+            assert epsilon_norm(z, config, hermitian=hermitian).value == pytest.approx(n_a * n_b, rel=1e-12)
 
 
 # ---------------------------------------------------------------- field comparison
