@@ -15,11 +15,11 @@ of the game operator, and a vanishing operator gets ratio None.
 from __future__ import annotations
 
 from .linalg import check_count, check_dims
-from .norms import RatioReport, SeeSawConfig, _report, epsilon_norm
+from .norms import RatioReport, SeeSawConfig, _case_operator, _report, epsilon_norm
 
 # Unused here; kept because the benchmark's tracer patches it on this module by name.
 from .linalg import trace_norm  # noqa: F401
-from .states import QuantumXorGame, game_operator, random_density_matrix, rng_from
+from .states import QuantumXorGame, random_density_matrix, rng_from
 
 
 def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
@@ -29,7 +29,7 @@ def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     product-witness estimate (independent local +-1 answers), a lower
     bound on the true product bias. When the operator vanishes both
     biases are 0, every strategy is optimal and ratio is None."""
-    gop = game_operator(game)
+    gop = _case_operator(game)
     return _report(gop, epsilon_norm(gop, config))
 
 

@@ -35,10 +35,11 @@ search is a step: a generator that yields kernel jobs (operator, starts,
 start side, field, read) and is sent what each job's read takes from its
 runs; a job's starts are a start stack or the SeeSawConfig whose
 multistart stack it runs. _estimate is epsilon_norm as a step. _drive
-advances steps in lockstep (_gather) and hands each round to _run_jobs,
-which makes one kernel call per half-step shape (dim of the other side,
-dim of the start side, field), so `locnorms verify --samples 1` makes 4
-kernel calls. A call's multistart stacks are built just before it, in
+drives one step, handing each round of its jobs to _run_jobs, which makes
+one kernel call per half-step shape (dim of the other side, dim of the
+start side, field); _gather, the one way to merge steps, advances several
+in lockstep as one step, so `locnorms verify --samples 1` makes 4 kernel
+calls. A call's multistart stacks are built just before it, in
 one _start_stacks call, and its runs are read and released as soon as it
 returns, so only one call's stacks and value histories are held at a
 time. epsilon_norm is _estimate driven alone and seesaw_run one
@@ -54,10 +55,10 @@ samples drawn by states.gue_stack(dim, seed, count) per config, bit for
 bit as gue_hermitian on stream(seed, i), and spectral signs from one
 stacked eigensolve.
 
-A caller's start is a Hermitian start on B, checked by _checked_start
-where it is passed: in seesaw_run and verify.covariance_gaps. The
-multistart stack is not checked at run time; tests pin it as exactly
-Hermitian contractions, the identity first.
+A caller's start is a Hermitian start on B, and seesaw_run, the only
+function that takes one, checks it. The multistart stack is not checked
+at run time; tests pin it as exactly Hermitian contractions, the identity
+first.
 
 The operands contract against two contiguous copies of z, relaid once per
 kernel call as (b, a, a', b') for the A side and (a, a', b, b') for the B
@@ -83,13 +84,15 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import (
+    HERMITICITY_TOL,
     BipartiteOperator,
     DegenerateOperatorError,
     as_square_matrix,
+    asymmetry,
     optimal_contraction,
     trace_norm,
 )
-from .states import gue_stack
+from .states import QuantumXorGame, game_operator, gue_stack
 
 # Slack accepted on contraction operator norms and on the ratio-vs-bound
 # comparison; both absorb eigensolver rounding, nothing more.
@@ -101,7 +104,9 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class SeeSawConfig:
-    """Search budget and root seed of the see-saw estimator."""
+    """Search budget and root seed of the see-saw estimator. restarts,
+    max_iters and seed are stored as int, so a bool or numpy integer
+    becomes one."""
 
     restarts: int = 32
     max_iters: int = 500
@@ -109,12 +114,15 @@ class SeeSawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, value in (("restarts", self.restarts), ("max_iters", self.max_iters)):
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
             try:
-                if operator.index(value) < 1:
-                    raise ValueError(f"{name} must be positive, got {value}")
+                count = operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+            if count < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, count)
         if self.restarts >= 2**32:
             # restart i draws from substream i, and spawn keys index below 2**32
             raise ValueError(f"restarts must be below 2**32, got {self.restarts}")
@@ -124,11 +132,12 @@ class SeeSawConfig:
         except TypeError:
             raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}") from None
         try:
-            negative = operator.index(self.seed) < 0
+            seed = operator.index(self.seed)
         except TypeError:
-            negative = True
-        if negative:
+            seed = -1
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,14 +359,13 @@ def _gather(steps):
     return results
 
 
-def _drive(steps, config: SeeSawConfig) -> list:
-    """Run the generator steps together to their results, every round of
-    their pending jobs through _run_jobs at once."""
-    plan = _gather(steps)
+def _drive(step, config: SeeSawConfig):
+    """Run the generator step to its result, every round of its pending
+    jobs through _run_jobs at once."""
     try:
-        jobs = next(plan)
+        jobs = next(step)
         while True:
-            jobs = plan.send(_run_jobs(jobs, config))
+            jobs = step.send(_run_jobs(jobs, config))
     except StopIteration as done:
         return done.value
 
@@ -386,23 +394,19 @@ def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig) -> NormEstimate:
     (two iterations at value 0), and epsilon_norm runs through _run_jobs
     too, so each restart of the Hermitian epsilon_norm equals seesaw_run
     from its start bit for bit.
+
+    g0 must be a finite Hermitian (n_b, n_b) contraction; ValueError
+    otherwise.
     """
-    start = _checked_start(z, g0)
-    return _run_jobs([(z, start[None], "B", True, lambda runs: runs.estimate(0))], config)[0]
-
-
-def _checked_start(z: BipartiteOperator, g0) -> np.ndarray:
-    """g0 as a complex start on B of z, or ValueError unless it is a finite
-    Hermitian (n_b, n_b) contraction."""
     start = as_square_matrix(g0)
     if start.shape != (z.n_b, z.n_b):
         raise ValueError(f"initial contraction has shape {start.shape}, expected ({z.n_b}, {z.n_b})")
     opnorm = float(np.linalg.svd(start, compute_uv=False)[0])
     if opnorm > 1.0 + OPNORM_SLACK:
         raise ValueError(f"initial contraction has operator norm {opnorm!r} > 1")
-    if np.abs(start - start.conj().T).max() > 1e-12:
+    if asymmetry(start) > HERMITICITY_TOL:
         raise ValueError("hermitian-field see-saw needs a Hermitian initial contraction")
-    return start
+    return _run_jobs([(z, start[None], "B", True, lambda runs: runs.estimate(0))], config)[0]
 
 
 def _start_stacks(dim: int, configs) -> list[np.ndarray]:
@@ -443,7 +447,7 @@ def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool 
     between restarts resolve to the lowest restart index, so the result
     does not depend on evaluation order.
     """
-    return _drive([_estimate(z, config, hermitian)], config)[0]
+    return _drive(_estimate(z, config, hermitian), config)
 
 
 def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
@@ -470,14 +474,18 @@ def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
     The estimate is a lower bound, so ratio can only overestimate the true
     hiding ratio; satisfied allows 1e-6 slack on the cap.
     """
-    return _report(z, epsilon_norm(_ratio_operator(z), config))
+    return _report(z, epsilon_norm(_case_operator(z), config))
 
 
-def _ratio_operator(z: BipartiteOperator) -> BipartiteOperator:
-    """z, or DegenerateOperatorError if z = 0, whose hiding ratio is undefined."""
-    if z.is_zero():
+def _case_operator(instance) -> BipartiteOperator:
+    """The operator a case is estimated on: a QuantumXorGame's
+    game_operator, or else the operator itself, with
+    DegenerateOperatorError if it is zero, whose hiding ratio is undefined."""
+    if isinstance(instance, QuantumXorGame):
+        return game_operator(instance)
+    if instance.is_zero():
         raise DegenerateOperatorError("hiding ratio is undefined for the zero operator")
-    return z
+    return instance
 
 
 def _report(z: BipartiteOperator, est: NormEstimate) -> RatioReport:

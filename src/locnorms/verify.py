@@ -9,7 +9,7 @@ root seed config.seed and searches at the budget of the same config.
 
 Each instance family is drawn once: one pass over the property
 instances feeds the monotonicity and ordering suites, one pass over the
-covariance instances (`covariance_gaps`) the swap and local-unitary
+covariance instances (`_covariance_histories`) the swap and local-unitary
 suites. Every suite and scan counts its checks, failures and worst
 values in one accumulator, `_Tally`, whose `suite()` is the one summary
 record: passed, checks, failures and the worst values under stats. A
@@ -18,7 +18,8 @@ scan returns that record with its rows, one per check, and
 
 Every seeded case of the scans and of the CLI takes one path: `draw`,
 the one registry of instance generators, draws it and its see-saw seed
-from the substream that its labels, dimensions and index key, its
+from the substream that its labels, dimensions and index key,
+`norms._case_operator` gives the operator it is estimated on, its
 `_estimate` step runs through `_drive`, and `_record` reports it,
 dimensions included. A scan row holds the `_record`, and a CLI row
 (`case_records`) holds it beside the command's keys, seed and budget.
@@ -32,12 +33,12 @@ ESCALATE_RESTARTS or more the first run is final.
 
 A verify pass batches its see-saw work across all suites. A suite (or
 a case within one) is a step in the sense of the norms module docstring,
-and a whole pass runs through one `_drive`, one kernel call per
-half-step shape. Rows come from the batched estimates
-through `_report`, the report code of hiding_ratio and evaluate_game,
-so a row equals their report bit for bit, and a cap violation escalates
-row by row, as the case's `_estimate` step run again at
-ESCALATE_RESTARTS.
+and a whole pass, its suites merged by `_gather`, runs through one
+`_drive`, one kernel call per half-step shape. Rows come from the
+batched estimates through `_report`, the report code of hiding_ratio and
+evaluate_game, so a row equals their report bit for bit, and a cap
+violation escalates row by row, as the case's `_estimate` step run again
+at ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_histories`, `trace_norm`, `witness_value` and
@@ -61,7 +62,7 @@ from .games import random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_count, check_dims, hermitian_sign
 from .linalg import swap_subsystems, trace_norm
 from .norms import SeeSawConfig, witness_value
-from .norms import _checked_start, _drive, _estimate, _gather, _ratio_operator, _report
+from .norms import _case_operator, _drive, _estimate, _gather, _report
 
 # Unused here; kept because the benchmark's tracer patches them on this module by name.
 from .games import evaluate_game  # noqa: F401
@@ -170,12 +171,6 @@ class _Tally:
         }
 
 
-def _case_operator(instance) -> BipartiteOperator:
-    """The operator a case's estimate is of: a game's operator, or the
-    operator itself, with hiding_ratio's DegenerateOperatorError if zero."""
-    return game_operator(instance) if isinstance(instance, QuantumXorGame) else _ratio_operator(instance)
-
-
 def _record(instance, report) -> dict:
     """The reported fields of a case's report: the instance's n_a and n_b,
     trace norm and estimate value keyed beta_all and beta_product for a
@@ -211,7 +206,7 @@ def case_records(cases, config: SeeSawConfig, **keys) -> list[dict]:
     evaluate_game a QuantumXorGame, bit for bit. cases may be drawn
     lazily: each is checked by _case_operator before the next is drawn."""
     drawn = [(instance, _case_operator(instance), seed) for instance, seed in cases]
-    estimates = _drive([_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn], config)
+    estimates = _drive(_gather(_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn), config)
     return [
         {**keys, "seed": config.seed, "restarts": config.restarts, **_record(instance, _report(z, est))}
         for (instance, z, _), est in zip(drawn, estimates)
@@ -265,7 +260,7 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
     the final run and only its violations are returned as failures.
     Every pair is checked before the first draw.
     """
-    return _drive([_main_scan(dims, samples_per_pair, config)], config)[0]
+    return _drive(_main_scan(dims, samples_per_pair, config), config)
 
 
 def _main_scan(dims, samples_per_pair: int, config: SeeSawConfig):
@@ -279,7 +274,7 @@ def _main_scan(dims, samples_per_pair: int, config: SeeSawConfig):
 def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> dict:
     """Unrestricted versus product bias over random four-state games, with
     the same escalation policy as the operator scan."""
-    return _drive([_game_scan(samples, n_a, n_b, config)], config)[0]
+    return _drive(_game_scan(samples, n_a, n_b, config), config)
 
 
 def _game_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig):
@@ -295,7 +290,7 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
     the same budget. The complex value provably exceeds the Hermitian one
     by at most sqrt(2), which it must meet up to estimator slack; the row's
     ratio is 1.0 when both vanish and inf when only the Hermitian does."""
-    return _drive([_field_scan(samples, config)], config)[0]
+    return _drive(_field_scan(samples, config), config)
 
 
 def _field_scan(samples: int, config: SeeSawConfig):
@@ -409,16 +404,6 @@ def _covariance_histories(z: BipartiteOperator, g0, u, v):
     return tuple(histories)
 
 
-def covariance_gaps(z: BipartiteOperator, g0, u, v, config: SeeSawConfig) -> tuple[float, float]:
-    """(swap_gap, rotation_gap): how far the value history of the see-saw
-    on z from g0 on B lies from the same run on the swapped operator
-    started on A, and from the run on (u x v) z (u x v)^dag started from
-    v g0 v^dag. Both runs are exact images of the first, so both gaps
-    vanish up to rounding; histories of different lengths give inf."""
-    g0 = _checked_start(z, g0)
-    return _history_gaps(*_drive([_covariance_histories(z, g0, u, v)], config)[0])
-
-
 def _covariance_suites(samples: int, config: SeeSawConfig):
     """The swap and local-unitary covariance suites, in one pass over the
     covariance instances."""
@@ -455,13 +440,15 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
     quarter = max(1, samples // 4)
 
     (monotonicity, ordering), (swap, rotation), main, game, field = _drive(
-        [
-            _property_suites(quarter, config),
-            _covariance_suites(quarter, config),
-            _main_scan(DEFAULT_PAIRS, samples, config),
-            _game_scan(samples, 2, 2, config),
-            _field_scan(max(1, samples // 2), config),
-        ],
+        _gather(
+            [
+                _property_suites(quarter, config),
+                _covariance_suites(quarter, config),
+                _main_scan(DEFAULT_PAIRS, samples, config),
+                _game_scan(samples, 2, 2, config),
+                _field_scan(max(1, samples // 2), config),
+            ]
+        ),
         config,
     )
     suites = {

@@ -30,10 +30,10 @@ from locnorms import (
     werner_hiding_pair,
 )
 from locnorms.cli import main as cli_main
-from locnorms.linalg import block_frame_sums, hermitian_sign
-from locnorms.norms import bound_factor, initial_contractions
+from locnorms.linalg import block_frame_sums, hermitian_sign, swap_subsystems
+from locnorms.norms import _run_jobs, bound_factor, initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, stream
-from locnorms.verify import covariance_gaps, field_ratio_scan, game_bound_scan, main_bound_scan
+from locnorms.verify import field_ratio_scan, game_bound_scan, main_bound_scan
 
 BASE_SEED = 20260823
 
@@ -272,9 +272,16 @@ def test_criterion_10_covariance_suites():
             g0 = hermitian_sign(gue_hermitian(n_b, rng))
             u = haar_unitary(n_a, rng)
             v = haar_unitary(n_b, rng)
-            swap_gap, rotation_gap = covariance_gaps(z, g0, u, v, config)
-            assert swap_gap <= 1e-9
-            assert rotation_gap <= 1e-9
+            direct = seesaw_run(z, g0, config).value_history
+            # the swapped operator started on A: a one-start A-side kernel job
+            job = (swap_subsystems(z), g0[None], "A", True, lambda runs: runs.estimate(0).value_history)
+            (swapped,) = _run_jobs([job], config)
+            w = np.kron(u, v)
+            rotated_z = BipartiteOperator(n_a, n_b, w @ z.matrix @ w.conj().T)
+            rotated = seesaw_run(rotated_z, v @ g0 @ v.conj().T, config).value_history
+            for other in (swapped, rotated):
+                assert len(other) == len(direct)
+                assert np.abs(np.subtract(direct, other)).max() <= 1e-9
 
 
 # ------------------------------------------------------------------ 11

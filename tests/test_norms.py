@@ -2,7 +2,9 @@
 pipeline."""
 
 import gc
+import json
 import math
+import re
 import warnings
 import weakref
 
@@ -33,6 +35,7 @@ from locnorms.norms import _start_stacks
 from locnorms.norms import bound_factor
 from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
+from locnorms.verify import case_records
 
 CFG = SeeSawConfig(restarts=16, seed=100)
 
@@ -81,6 +84,23 @@ def test_config_caps_restarts_at_the_substream_index_range():
 @pytest.mark.parametrize("value", [1, np.int64(5), np.uint32(7)])
 def test_config_accepts_integer_budgets(name, value):
     assert getattr(SeeSawConfig(**{name: value}), name) == value
+
+
+def test_config_stores_its_counts_and_seed_as_int():
+    # a bool or numpy-integer budget is stored as int, so it runs and
+    # serializes as that int does
+    ones = SeeSawConfig(restarts=True, max_iters=np.uint8(40), seed=np.uint64(7))
+    assert [type(ones.restarts), type(ones.max_iters), type(ones.seed)] == [int, int, int]
+    z = gue_operator(2, 3, 177)
+    est = epsilon_norm(z, ones)
+    ref = epsilon_norm(z, SeeSawConfig(restarts=1, max_iters=40, seed=7))
+    assert est.value_history == ref.value_history
+    assert np.array_equal(est.best_f, ref.best_f) and np.array_equal(est.best_g, ref.best_g)
+    rows = [
+        json.dumps(case_records([(z, 11)], SeeSawConfig(restarts=count(3), seed=count(5)), generator="gue"))
+        for count in (int, np.int64, np.uint64)
+    ]
+    assert rows[1:] == rows[:1] * 2
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "3", None, np.float64(2.0)])
@@ -188,6 +208,21 @@ def test_seesaw_input_validation():
         seesaw_run(z, np.array([[0.0, 1.0], [0.0, 0.0]]), CFG)
     with pytest.raises(ValueError, match="must be finite"):
         seesaw_run(z, np.array([[np.nan, 0.0], [0.0, 1.0]]), CFG)
+
+
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (2.0 * np.eye(3), "initial contraction has operator norm 2.0 > 1"),
+        (np.eye(2), "initial contraction has shape (2, 2), expected (3, 3)"),
+        (np.diag([1.0, 1.0, 0.5j]), "hermitian-field see-saw needs a Hermitian initial contraction"),
+    ],
+    ids=["norm", "shape", "hermitian"],
+)
+def test_seesaw_run_checks_its_start(start, message):
+    z = gue_operator(2, 3, 169)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        seesaw_run(z, start, CFG)
 
 
 def test_seesaw_run_is_hermitian_only():

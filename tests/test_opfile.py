@@ -15,6 +15,7 @@ from locnorms import (
     write_game_file,
     write_operator_file,
 )
+from locnorms import opfile
 from locnorms.cli import EXIT_VALIDATION, main
 
 
@@ -191,6 +192,23 @@ def test_operator_rounding_level_asymmetry_is_silent(tmp_path):
     target = tmp_path / "op.json"
     write_json(target, operator_payload(m))
     parse_operator_file(target)
+
+
+def test_operator_constructor_error_names_the_file(tmp_path, monkeypatch, capsys):
+    # The schema checks above leave BipartiteOperator nothing to refuse, so
+    # it is made to raise here, to reach the wrapping of its ValueError.
+    target = tmp_path / "op.json"
+    write_operator_file(target, gue_operator(2, 3, 302))
+
+    def refuse(n_a, n_b, matrix):
+        raise ValueError("constructor refused")
+
+    monkeypatch.setattr(opfile, "BipartiteOperator", refuse)
+    message = f"{target}: constructor refused"
+    with pytest.raises(OperatorFileError, match=f"^{re.escape(message)}$"):
+        parse_operator_file(target)
+    assert main(["ratio", "--input", str(target)]) == EXIT_VALIDATION == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------- games
