@@ -150,10 +150,6 @@ class BipartiteOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.n_a * self.n_b
-
     def reshaped(self) -> np.ndarray:
         """The matrix as an (n_a, n_b, n_a, n_b) view."""
         return self.matrix.reshape(self.n_a, self.n_b, self.n_a, self.n_b)
@@ -164,7 +160,7 @@ class BipartiteOperator:
 
 def swap_subsystems(z: BipartiteOperator) -> BipartiteOperator:
     """Exchange the roles of A and B: S z S^dag for the flip S|a,b> = |b,a>."""
-    m = z.reshaped().transpose(1, 0, 3, 2).reshape(z.dim, z.dim)
+    m = z.reshaped().transpose(1, 0, 3, 2).reshape(z.matrix.shape)
     return BipartiteOperator(z.n_b, z.n_a, m)
 
 

@@ -106,7 +106,7 @@ _TINY = 1e-300
 class SeeSawConfig:
     """Search budget and root seed of the see-saw estimator. restarts,
     max_iters and seed are stored as int, so a bool or numpy integer
-    becomes one."""
+    becomes one, and rel_tol as float, so a Decimal or Fraction does."""
 
     restarts: int = 32
     max_iters: int = 500
@@ -129,7 +129,8 @@ class SeeSawConfig:
         try:
             if not self.rel_tol > 0:
                 raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        except TypeError:
+            object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        except (TypeError, OverflowError):  # not a number, or a positive one beyond the float range
             raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}") from None
         try:
             seed = operator.index(self.seed)

@@ -9,7 +9,7 @@ root seed config.seed and searches at the budget of the same config.
 
 Each instance family is drawn once: one pass over the property
 instances feeds the monotonicity and ordering suites, one pass over the
-covariance instances (`_covariance_histories`) the swap and local-unitary
+covariance instances (`_covariance_jobs`) the swap and local-unitary
 suites. Every suite and scan counts its checks, failures and worst
 values in one accumulator, `_Tally`, whose `suite()` is the one summary
 record: passed, checks, failures and the worst values under stats. A
@@ -41,7 +41,7 @@ violation escalates row by row, as the case's `_estimate` step run again
 at ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
-`_covariance_histories`, `trace_norm`, `witness_value` and
+`_covariance_jobs`, `trace_norm`, `witness_value` and
 `block_frame_sums` here, and count kernel calls by patching `_run_jobs`,
 `_seesaw` and `_start_stacks` on norms. The benchmark's tracer
 (perfbench/tracing.py) patches the instance generators, evaluators and
@@ -166,7 +166,7 @@ class _Tally:
             "passed": not self.failures,
             "checks": self.checks,
             "failures": self.failures,
-            "stats": {name: float(value) for name, value in self.worst.items()},
+            "stats": self.worst,
             **extra,
         }
 
@@ -178,22 +178,21 @@ def _record(instance, report) -> dict:
     estimate's full payload; ratio and margin are None for a zero game."""
     names = ("beta_all", "beta_product") if isinstance(instance, QuantumXorGame) else ("trace_norm", "eps_estimate")
     est = report.eps_estimate
-    ratio = None if report.ratio is None else float(report.ratio)
     return {
         "n_a": instance.n_a,
         "n_b": instance.n_b,
-        names[0]: float(report.trace_norm),
-        names[1]: float(est.value),
-        "converged": bool(est.converged),
-        "ratio": ratio,
-        "bound": float(report.bound),
-        "satisfied": bool(report.satisfied),
-        "margin": None if ratio is None else float(report.bound - report.ratio),
+        names[0]: report.trace_norm,
+        names[1]: est.value,
+        "converged": est.converged,
+        "ratio": report.ratio,
+        "bound": report.bound,
+        "satisfied": report.satisfied,
+        "margin": None if report.ratio is None else report.bound - report.ratio,
         "estimate": {
-            "value": float(est.value),
+            "value": est.value,
             "is_lower_bound": True,  # every reported estimate is a lower bound
-            "iterations_used": int(est.iterations_used),
-            "converged": bool(est.converged),
+            "iterations_used": est.iterations_used,
+            "converged": est.converged,
             "restart_index": est.restart_index,
         },
     }
@@ -307,7 +306,7 @@ def _field_scan(samples: int, config: SeeSawConfig):
     for index, (c, h) in enumerate(zip(estimates[::2], estimates[1::2])):
         c, h = c.value, h.value
         ratio = c / h if h > 0 else (1.0 if c == 0 else math.inf)
-        rows.append({"index": index, "complex": float(c), "hermitian": float(h), "ratio": float(ratio)})
+        rows.append({"index": index, "complex": c, "hermitian": h, "ratio": ratio})
         message = (
             f"field[{index}] at ({n_a},{n_b}): complex {c!r} exceeds sqrt(2) * {h!r} + {FIELD_RATIO_SLACK}"
         )
@@ -390,26 +389,25 @@ def _start_history(runs) -> tuple[float, ...]:
     return runs.estimate(0).value_history
 
 
-def _covariance_histories(z: BipartiteOperator, g0, u, v):
-    """The value histories of the see-saw on z from g0 on B, on the
-    swapped operator from g0 on A, and on (u x v) z (u x v)^dag from
-    v g0 v^dag on B, as a step of three single-start jobs."""
+def _covariance_jobs(z: BipartiteOperator, g0, u, v) -> list:
+    """The three single-start jobs whose reads are the value histories of
+    the see-saw on z from g0 on B, on the swapped operator from g0 on A,
+    and on (u x v) z (u x v)^dag from v g0 v^dag on B."""
     w = np.kron(u, v)
     rotated = BipartiteOperator(z.n_a, z.n_b, w @ z.matrix @ w.conj().T)
-    histories = yield [
+    return [
         (z, g0[None], "B", True, _start_history),
         (swap_subsystems(z), g0[None], "A", True, _start_history),
         (rotated, (v @ g0 @ v.conj().T)[None], "B", True, _start_history),
     ]
-    return tuple(histories)
 
 
 def _covariance_suites(samples: int, config: SeeSawConfig):
     """The swap and local-unitary covariance suites, in one pass over the
-    covariance instances."""
+    covariance instances: one round of the _covariance_jobs of each."""
     swap = _Tally(max_history_gap=0.0)
     rotation = _Tally(max_history_gap=0.0)
-    labels, steps = [], []
+    labels, jobs = [], []
     for n_a, n_b in DEFAULT_PAIRS:
         for index in range(samples):
             rng = stream(config.seed, _COVARIANCE_LABEL, n_a, n_b, index)
@@ -419,9 +417,10 @@ def _covariance_suites(samples: int, config: SeeSawConfig):
             u = haar_unitary(n_a, rng)
             v = haar_unitary(n_b, rng)
             labels.append(f"({n_a},{n_b})[{index}]")
-            steps.append(_covariance_histories(z, g0, u, v))
-    for label, histories in zip(labels, (yield from _gather(steps))):
-        swap_gap, rotation_gap = _history_gaps(*histories)
+            jobs += _covariance_jobs(z, g0, u, v)
+    histories = yield jobs
+    for index, label in enumerate(labels):
+        swap_gap, rotation_gap = _history_gaps(*histories[3 * index : 3 * index + 3])
         swap.check((swap_gap > COVARIANCE_TOL, f"{label}: swap history gap {swap_gap!r}"), max_history_gap=swap_gap)
         message = f"{label}: local-unitary history gap {rotation_gap!r}"
         rotation.check((rotation_gap > COVARIANCE_TOL, message), max_history_gap=rotation_gap)
@@ -465,11 +464,11 @@ def run_verification(config: SeeSawConfig, samples: int = 20) -> dict:
         suite.pop("rows", None)
     return {
         "tool": "locnorms-verify",
-        "seed": int(config.seed),
-        "samples": int(samples),
-        "restarts": int(config.restarts),
-        "max_iters": int(config.max_iters),
-        "rel_tol": float(config.rel_tol),
+        "seed": config.seed,
+        "samples": samples,
+        "restarts": config.restarts,
+        "max_iters": config.max_iters,
+        "rel_tol": config.rel_tol,
         "suites": suites,
         "passed": all(s["passed"] for s in suites.values()),
     }

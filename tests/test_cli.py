@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -906,6 +907,51 @@ def test_cli_rows_are_the_per_case_public_reports(monkeypatch, tmp_path, command
         assert (row["n_a"], row["n_b"], row["seed"], row["restarts"]) == (instance.n_a, instance.n_b, 7, 4)
 
 
+def leaf_types(value) -> set:
+    """The exact types of the leaves of nested dicts and lists."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return set().union(*map(leaf_types, value))
+    return {type(value)}
+
+
+def command_rows(argv):
+    """The case_records rows of a command at 2 restarts, given a scratch directory and monkeypatch."""
+
+    def run(tmp, monkeypatch):
+        rows = recorded_rows(monkeypatch)
+        assert run_text(tmp, argv(tmp) + ["--restarts", "2"])[0] == EXIT_OK
+        return rows
+
+    return run
+
+
+SCALAR_CONFIG = SeeSawConfig(restarts=2, seed=7)
+
+# source -> its rows, scan record or summary, given a scratch directory and monkeypatch
+SCALAR_SOURCES = {
+    "scaling-gue": command_rows(lambda tmp: ["scaling", "--generator", "gue", "--dmax", "3", "--samples", "2"]),
+    "scaling-induced": command_rows(lambda tmp: ["scaling", "--generator", "induced", "--dmax", "3", "--samples", "2"]),
+    "scaling-werner": command_rows(lambda tmp: ["scaling", "--generator", "werner", "--dmax", "3"]),
+    "xor": command_rows(lambda tmp: ["xor", "--na", "2", "--nb", "3", "--samples", "2"]),
+    "xor-input-zero-game": command_rows(lambda tmp: ["xor", "--input", str(game_file(tmp, cancelling_game()))]),
+    "ratio-input": command_rows(lambda tmp: ["ratio", "--input", str(operator_file(tmp))]),
+    "main_bound_scan": lambda tmp, monkeypatch: verify.main_bound_scan([(2, 3)], 2, SCALAR_CONFIG),
+    "game_bound_scan": lambda tmp, monkeypatch: verify.game_bound_scan(2, 2, 2, SCALAR_CONFIG),
+    "field_ratio_scan": lambda tmp, monkeypatch: verify.field_ratio_scan(2, SCALAR_CONFIG),
+    "run_verification": lambda tmp, monkeypatch: verify.run_verification(SCALAR_CONFIG, samples=1),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SCALAR_SOURCES))
+def test_rows_and_summaries_hold_only_plain_python_scalars(monkeypatch, tmp_path, source):
+    # an exact type check: an np.float64 leaf would pass isinstance(leaf, float)
+    output = SCALAR_SOURCES[source](tmp_path, monkeypatch)
+    assert output
+    assert leaf_types(output) <= {int, float, bool, str, type(None)}
+
+
 @pytest.mark.parametrize(
     "argv, batches",
     [
@@ -948,3 +994,16 @@ def test_a_zero_operator_wins_over_a_later_draw_error(monkeypatch, capsys):
     assert main(argv) == EXIT_DEGENERATE
     assert capsys.readouterr() == ("", "error: hiding ratio is undefined for the zero operator\n")
     assert len(draws) == 2
+
+
+def test_the_module_runs_main_as_a_script(monkeypatch, capsys):
+    argv = ["ratio", "--werner", "2", "--restarts", "2"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["locnorms", *argv])
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "locnorms.cli")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("locnorms.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr() == expected

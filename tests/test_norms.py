@@ -7,6 +7,8 @@ import math
 import re
 import warnings
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ def test_config_validation():
         SeeSawConfig(rel_tol=0.0)
 
 
-@pytest.mark.parametrize("rel_tol", ["1e-3", None])
+@pytest.mark.parametrize("rel_tol", ["1e-3", None, pytest.param(10**400, id="10**400")])
 def test_config_rejects_a_tolerance_that_is_not_a_number(rel_tol):
     with pytest.raises(ValueError, match=rf"^rel_tol must be a positive number, got {rel_tol!r}$"):
         SeeSawConfig(rel_tol=rel_tol)
@@ -101,6 +103,28 @@ def test_config_stores_its_counts_and_seed_as_int():
         for count in (int, np.int64, np.uint64)
     ]
     assert rows[1:] == rows[:1] * 2
+
+
+@pytest.mark.parametrize(
+    "rel_tol, value",
+    [
+        (Decimal("1e-10"), 1e-10),
+        (Fraction(1, 10**10), 1e-10),
+        (True, 1.0),
+        (np.float32(1e-6), float(np.float32(1e-6))),
+    ],
+    ids=["decimal", "fraction", "bool", "float32"],
+)
+def test_config_stores_its_tolerance_as_float(rel_tol, value):
+    # the stopping test runs in float arithmetic, as at the float value,
+    # with no warning and bit for bit
+    config = SeeSawConfig(restarts=2, rel_tol=rel_tol)
+    z = gue_operator(2, 3, 178)
+    est = epsilon_norm(z, config)
+    ref = epsilon_norm(z, SeeSawConfig(restarts=2, rel_tol=value))
+    assert est.value_history == ref.value_history
+    assert np.array_equal(est.best_f, ref.best_f) and np.array_equal(est.best_g, ref.best_g)
+    assert type(config.rel_tol) is float and config.rel_tol == value
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "3", None, np.float64(2.0)])

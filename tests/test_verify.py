@@ -521,14 +521,16 @@ COVARIANCE_CASES = {
 @pytest.mark.parametrize("case", sorted(COVARIANCE_CASES))
 def test_history_gaps_fail_covariance(monkeypatch, case):
     forced, swap_gap, rotation_gap = COVARIANCE_CASES[case]
-    real = verify._covariance_histories
+    real = verify._covariance_jobs
 
-    def run(*args):
-        # the instance's runs, then the direct, swapped and rotated histories
-        yield from real(*args)
-        return tuple(forced.get(role, (0.0, 0.5)) for role in ("direct", "swapped", "rotated"))
+    def jobs(*args):
+        # the instance's direct, swapped and rotated runs, each read as its forced history
+        return [
+            (*job[:-1], lambda runs, history=forced.get(role, (0.0, 0.5)): history)
+            for role, job in zip(("direct", "swapped", "rotated"), real(*args))
+        ]
 
-    monkeypatch.setattr(verify, "_covariance_histories", run)
+    monkeypatch.setattr(verify, "_covariance_jobs", jobs)
     summary = verification()
     for name, kind, gap in (
         ("swap_covariance", "swap", swap_gap),
