@@ -7,30 +7,22 @@ strategies is the trace norm of the game operator; over independent local
 +-1 answers it is the Hermitian product-witness norm, so the two never
 differ by more than the factor 2 sqrt(2) min(n_a, n_b).
 
-QuantumXorGame and game_operator live in `states`. Here a game is its
-operator plus a zero case: evaluate_game returns the hiding_ratio report
-of the game operator, and a vanishing operator gets ratio None.
+QuantumXorGame and game_operator live in `states`. evaluate_game is
+norms.hiding_ratio, the one report function for every case: a game's
+report holds its two biases, and a vanishing game gets ratio None.
 """
 
 from __future__ import annotations
 
 from .linalg import check_count, check_dims
-from .norms import RatioReport, SeeSawConfig, _case_operator, _report, epsilon_norm
-
-# Unused here; kept because the benchmark's tracer patches it on this module by name.
-from .linalg import trace_norm  # noqa: F401
+from .norms import hiding_ratio
 from .states import QuantumXorGame, random_density_matrix, rng_from
 
+# Unused here; kept because the benchmark's tracer patches them on this module by name.
+from .linalg import trace_norm  # noqa: F401
+from .norms import epsilon_norm  # noqa: F401
 
-def evaluate_game(game: QuantumXorGame, config: SeeSawConfig) -> RatioReport:
-    """Optimal biases of one game: the hiding_ratio report of its operator.
-
-    trace_norm is the unrestricted bias; eps_estimate is the Hermitian
-    product-witness estimate (independent local +-1 answers), a lower
-    bound on the true product bias. When the operator vanishes both
-    biases are 0, every strategy is optimal and ratio is None."""
-    gop = _case_operator(game)
-    return _report(gop, epsilon_norm(gop, config))
+evaluate_game = hiding_ratio
 
 
 def random_game(n_a: int, n_b: int, num_states: int = 4, seed=0) -> QuantumXorGame:

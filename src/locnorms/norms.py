@@ -164,7 +164,7 @@ class NormEstimate:
 class RatioReport:
     """Trace norm against the product-witness estimate for one operator.
 
-    ratio is None only for a vanishing game operator (see evaluate_game),
+    ratio is None only for a vanishing game operator (see hiding_ratio),
     whose report is satisfied."""
 
     trace_norm: float
@@ -468,14 +468,19 @@ def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
     return None
 
 
-def hiding_ratio(z: BipartiteOperator, config: SeeSawConfig) -> RatioReport:
-    """Data-hiding ratio report: ||z||_1 over the Hermitian product-witness
-    estimate, compared against the 2 sqrt(2) min(n_a, n_b) cap.
+def hiding_ratio(instance: BipartiteOperator | QuantumXorGame, config: SeeSawConfig) -> RatioReport:
+    """Data-hiding ratio report of an operator or a QuantumXorGame: the
+    trace norm of its operator z over the Hermitian product-witness
+    estimate, against the 2 sqrt(2) min(n_a, n_b) cap. games.evaluate_game
+    is this function.
 
     The estimate is a lower bound, so ratio can only overestimate the true
-    hiding ratio; satisfied allows 1e-6 slack on the cap.
+    hiding ratio; satisfied allows 1e-6 slack on the cap. A game's
+    trace_norm and eps_estimate are its unrestricted and product biases; a
+    vanishing game gets ratio None and is satisfied.
     """
-    return _report(z, epsilon_norm(_case_operator(z), config))
+    z = _case_operator(instance)
+    return _report(z, epsilon_norm(z, config))
 
 
 def _case_operator(instance) -> BipartiteOperator:
@@ -491,7 +496,7 @@ def _case_operator(instance) -> BipartiteOperator:
 
 def _report(z: BipartiteOperator, est: NormEstimate) -> RatioReport:
     """The report of z from its estimate est, as hiding_ratio gives it; a
-    vanishing z (a zero game, see evaluate_game) has ratio None and is
+    vanishing z (a zero game, see hiding_ratio) has ratio None and is
     satisfied."""
     bound = bound_factor(z.n_a, z.n_b)
     if z.is_zero():

@@ -35,20 +35,20 @@ A verify pass batches its see-saw work across all suites. A suite (or
 a case within one) is a step in the sense of the norms module docstring,
 and a whole pass, its suites merged by `_gather`, runs through one
 `_drive`, one kernel call per half-step shape. Rows come from the
-batched estimates through `_report`, the report code of hiding_ratio and
-evaluate_game, so a row equals their report bit for bit, and a cap
-violation escalates row by row, as the case's `_estimate` step run again
-at ESCALATE_RESTARTS.
+batched estimates through `_report`, the report code of hiding_ratio
+(which games.evaluate_game is), so a row equals its report of the case,
+operator or game, bit for bit, and a cap violation escalates row by row,
+as the case's `_estimate` step run again at ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_jobs`, `trace_norm`, `witness_value` and
 `block_frame_sums` here, and count kernel calls by patching `_run_jobs`,
 `_seesaw` and `_start_stacks` on norms. The benchmark's tracer
 (perfbench/tracing.py) patches the instance generators, evaluators and
-scans, and hiding_ratio, evaluate_game, epsilon_norm, seesaw_run and
-initial_contractions are imported only for it. Callers look these names
-up in this module's globals at call time, so a patch reaches every
-caller.
+scans, and hiding_ratio and evaluate_game (one function under two
+names), epsilon_norm, seesaw_run and initial_contractions are imported
+only for it. Callers look these names up in this module's globals at
+call time, so a patch reaches every caller.
 """
 
 from __future__ import annotations
@@ -201,9 +201,9 @@ def _record(instance, report) -> dict:
 def case_records(cases, config: SeeSawConfig, **keys) -> list[dict]:
     """The CLI rows of (instance, see-saw seed) cases at config, every
     search in one _drive: keys, config.seed, config.restarts and the
-    case's _record of the report hiding_ratio gives an operator and
-    evaluate_game a QuantumXorGame, bit for bit. cases may be drawn
-    lazily: each is checked by _case_operator before the next is drawn."""
+    case's _record of the report hiding_ratio gives it, operator or
+    QuantumXorGame, bit for bit. cases may be drawn lazily: each is
+    checked by _case_operator before the next is drawn."""
     drawn = [(instance, _case_operator(instance), seed) for instance, seed in cases]
     estimates = _drive(_gather(_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn), config)
     return [

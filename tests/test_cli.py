@@ -20,7 +20,6 @@ from locnorms import (
     BipartiteOperator,
     QuantumXorGame,
     SeeSawConfig,
-    evaluate_game,
     gue_operator,
     hiding_ratio,
     random_density_matrix,
@@ -796,8 +795,8 @@ def test_unwritable_output_path(tmp_path, capsys):
 # ----------------------------------------------------- one evaluation path
 #
 # ratio, scaling and xor search all their cases in one batch through
-# norms._drive. The public per-case reports, hiding_ratio of an operator
-# and evaluate_game of a game, are the oracle for every row.
+# norms._drive. The public per-case report, hiding_ratio of an operator
+# or a game, is the oracle for every row.
 
 
 def recorded_rows(monkeypatch):
@@ -901,8 +900,7 @@ def test_cli_rows_are_the_per_case_public_reports(monkeypatch, tmp_path, command
     assert len(rows) == len(cases)
     for row, (instance, seesaw_seed) in zip(rows, cases):
         config = SeeSawConfig(restarts=4, seed=seesaw_seed)
-        evaluate = evaluate_game if isinstance(instance, QuantumXorGame) else hiding_ratio
-        report = evaluate(instance, config)
+        report = hiding_ratio(instance, config)
         assert row_fields(row) == report_fields(report)
         assert (row["n_a"], row["n_b"], row["seed"], row["restarts"]) == (instance.n_a, instance.n_b, 7, 4)
 

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from locnorms import (
+    BipartiteOperator,
+    DegenerateOperatorError,
     QuantumXorGame,
     SeeSawConfig,
     epsilon_norm,
-    evaluate_game,
     gue_operator,
     hiding_ratio,
     norms,
@@ -288,6 +289,31 @@ def test_a_fractional_sample_count_is_rejected_before_any_draw(run):
         run()
 
 
+def test_a_scan_stops_at_its_first_zero_operator(monkeypatch):
+    # each case is checked as it is drawn: the zero operator at index 1
+    # raises before the draw at index 2 runs out of memory, and no search runs
+    real_gue = verify.gue_operator
+    draws, searches = [], []
+
+    def gue(n_a, n_b, rng):
+        draws.append("gue")
+        if draws.count("gue") == 2:
+            raise MemoryError("Unable to allocate 7.45 TiB for an array")
+        return real_gue(n_a, n_b, rng)
+
+    def induced(n_a, n_b, rng):
+        draws.append("induced")
+        return BipartiteOperator(n_a, n_b, np.zeros((n_a * n_b, n_a * n_b)))
+
+    monkeypatch.setattr(verify, "gue_operator", gue)
+    monkeypatch.setattr(verify, "induced_difference", induced)
+    monkeypatch.setattr(norms, "_seesaw", lambda *args: searches.append(args))
+    with pytest.raises(DegenerateOperatorError, match=r"^hiding ratio is undefined for the zero operator$"):
+        verify.main_bound_scan([(2, 2)], 3, SeeSawConfig(restarts=2))
+    assert draws == ["gue", "induced"]
+    assert searches == []
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_run_verification_needs_a_sample(samples):
     with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
@@ -367,7 +393,7 @@ def keyed_values(row, instance, seesaw_seed):
         complex_, hermitian = (epsilon_norm(instance, config, hermitian=h).value for h in (False, True))
         return (row["complex"], row["hermitian"]), (complex_, hermitian)
     game = isinstance(instance, QuantumXorGame)
-    report = evaluate_game(instance, config) if game else hiding_ratio(instance, config)
+    report = hiding_ratio(instance, config)
     names = ("beta_all", "beta_product") if game else ("trace_norm", "eps_estimate")
     return (row[names[0]], row[names[1]]), (report.trace_norm, report.eps_estimate.value)
 
