@@ -11,7 +11,6 @@ import argparse
 from locnorms import (
     SeeSawConfig,
     error_probability,
-    game_operator,
     hiding_ratio,
     werner_hiding_pair,
 )
@@ -26,8 +25,7 @@ def main():
     config = SeeSawConfig(restarts=args.restarts, seed=1)
     print(f"{'d':>3} {'trace':>8} {'product':>9} {'ratio':>7} {'cap':>7} {'P_err':>7}")
     for d in range(2, args.dmax + 1):
-        z = game_operator(werner_hiding_pair(d))
-        report = hiding_ratio(z, config)
+        report = hiding_ratio(werner_hiding_pair(d), config)
         p_err = error_probability(report.eps_estimate.value)
         print(
             f"{d:>3} {report.trace_norm:>8.4f} {report.eps_estimate.value:>9.4f} "

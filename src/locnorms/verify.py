@@ -18,11 +18,13 @@ scan returns that record with its rows, one per check, and
 
 Every seeded case of the scans and of the CLI takes one path: `draw`,
 the one registry of instance generators, draws it and its see-saw seed
-from the substream that its labels, dimensions and index key,
-`norms._case_operator` gives the operator it is estimated on, its
-`_estimate` step runs through `_drive`, and `_record` reports it,
-dimensions included. A scan row holds the `_record`, and a CLI row
-(`case_records`) holds it beside the command's keys, seed and budget.
+from the substream that its labels, dimensions and index key, and every
+case is a tuple that starts with that (instance, see-saw seed) pair.
+`_case_rows` is the one step that turns cases into rows: it gives each
+case the operator `norms._case_operator` gives it, runs every `_estimate`
+in one round, and `_record`s the `_report` of each, dimensions included.
+A CLI row (`case_records`) holds the record beside the command's keys,
+seed and budget, and a scan row holds it beside the case's fields.
 The stream codes `GENERATOR_CODE` are fixed: they key every drawn
 instance, so changing one changes every output. The operator and game
 scans share one scan-and-escalate loop, `_escalating_scan`: a bound
@@ -34,11 +36,12 @@ ESCALATE_RESTARTS or more the first run is final.
 A verify pass batches its see-saw work across all suites. A suite (or
 a case within one) is a step in the sense of the norms module docstring,
 and a whole pass, its suites merged by `_gather`, runs through one
-`_drive`, one kernel call per half-step shape. Rows come from the
-batched estimates through `_report`, the report code of hiding_ratio
-(which games.evaluate_game is), so a row equals its report of the case,
-operator or game, bit for bit, and a cap violation escalates row by row,
-as the case's `_estimate` step run again at ESCALATE_RESTARTS.
+`_drive`, one kernel call per half-step shape. `_case_rows` makes its
+rows with `_report`, the report code of hiding_ratio (which
+games.evaluate_game is), so a row equals its report of the case,
+operator or game, bit for bit. A scan makes every first-round row
+before it escalates, and then escalates a cap violation row by row, as
+the case's `_case_rows` step run again at ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_jobs`, `trace_norm`, `witness_value` and
@@ -131,13 +134,13 @@ def draw(kind: str, n_a: int, n_b: int, seed: int, index: int, *labels: int, num
 
 def _instances(seed: int, label: int, dims, samples: int):
     """samples cases per (n_a, n_b) in dims, GUE at even and induced at
-    odd index: (case label, operator, see-saw seed, fields), with fields
-    kind and index."""
+    odd index: (operator, see-saw seed, case label, fields), the pair that
+    draw returns first, with fields kind and index."""
     for n_a, n_b in dims:
         for index in range(samples):
             kind = "gue" if index % 2 == 0 else "induced"
-            z, seesaw_seed = draw(kind, n_a, n_b, seed, index, label, GENERATOR_CODE[kind])
-            yield f"({n_a},{n_b}) {kind}[{index}]", z, seesaw_seed, {"kind": kind, "index": index}
+            case = draw(kind, n_a, n_b, seed, index, label, GENERATOR_CODE[kind])
+            yield *case, f"({n_a},{n_b}) {kind}[{index}]", {"kind": kind, "index": index}
 
 
 class _Tally:
@@ -198,53 +201,49 @@ def _record(instance, report) -> dict:
     }
 
 
+def _case_rows(cases, config: SeeSawConfig):
+    """A step: the (case, row) pair of each case, in order, for cases that
+    are tuples starting with (instance, see-saw seed). The row is the
+    _record of the report hiding_ratio gives the instance, operator or
+    QuantumXorGame, at config with the case's seed, bit for bit. cases may
+    be drawn lazily: each is checked by _case_operator before the next is
+    drawn. Every estimate runs in one _gather round."""
+    cases = [(case, _case_operator(case[0])) for case in cases]
+    estimates = yield from _gather(_estimate(z, replace(config, seed=case[1])) for case, z in cases)
+    return [(case, _record(case[0], _report(z, est))) for (case, z), est in zip(cases, estimates)]
+
+
 def case_records(cases, config: SeeSawConfig, **keys) -> list[dict]:
     """The CLI rows of (instance, see-saw seed) cases at config, every
     search in one _drive: keys, config.seed, config.restarts and the
-    case's _record of the report hiding_ratio gives it, operator or
-    QuantumXorGame, bit for bit. cases may be drawn lazily: each is
-    checked by _case_operator before the next is drawn."""
-    drawn = [(instance, _case_operator(instance), seed) for instance, seed in cases]
-    estimates = _drive(_gather(_estimate(z, replace(config, seed=seed)) for _, z, seed in drawn), config)
-    return [
-        {**keys, "seed": config.seed, "restarts": config.restarts, **_record(instance, _report(z, est))}
-        for (instance, z, _), est in zip(drawn, estimates)
-    ]
+    case's _case_rows row."""
+    rows = _drive(_case_rows(cases, config), config)
+    return [{**keys, "seed": config.seed, "restarts": config.restarts, **row} for _, row in rows]
 
 
 def _escalating_scan(cases, config: SeeSawConfig):
-    """Evaluate each (label, instance, seesaw_seed, fields) case at config
+    """Evaluate each (instance, see-saw seed, label, fields) case at config
     with its see-saw seed, and retry a cap violation at ESCALATE_RESTARTS
     when config.restarts is below it; escalation only raises the budget.
 
-    A step: the estimates of all cases run as jobs, then each row is
-    reported in order, and a violation escalates there as the case's
-    estimate step at ESCALATE_RESTARTS. Each row is the case's fields, the
-    _record of its final run (the escalated one when escalation fired) and
-    escalated. Only violations of the final run count as failures.
-    Returns the scan's summary record with its rows.
+    A step: the _case_rows of all cases, then a violating row replaced in
+    row order by the case's _case_rows at ESCALATE_RESTARTS. Each row is
+    the case's fields, the record of its final run (the escalated one when
+    escalation fired) and escalated. Only violations of the final run
+    count as failures. Returns the scan's summary record with its rows.
     """
-    cases = [
-        (label, instance, _case_operator(instance), replace(config, seed=seed), fields)
-        for label, instance, seed, fields in cases
-    ]
-    estimates = yield from _gather(_estimate(z, run_config) for _, _, z, run_config, _ in cases)
     rows = []
     tally = _Tally(worst_ratio_over_bound=0.0)
-    for (label, instance, z, run_config, fields), est in zip(cases, estimates):
-        report = _report(z, est)
+    for (instance, seed, label, fields), row in (yield from _case_rows(cases, config)):
         # a zero game's report (ratio None) is satisfied
-        escalated = not report.satisfied and config.restarts < ESCALATE_RESTARTS
+        escalated = not row["satisfied"] and config.restarts < ESCALATE_RESTARTS
+        restarts = config.restarts
         if escalated:
-            run_config = replace(run_config, restarts=ESCALATE_RESTARTS)
-            report = _report(z, (yield from _estimate(z, run_config)))
-        row = _record(instance, report)
+            restarts = ESCALATE_RESTARTS
+            ((_, row),) = yield from _case_rows([(instance, seed)], replace(config, restarts=restarts))
         rows.append({**fields, **row, "escalated": escalated})
         stage = "after escalation to" if escalated else "at"
-        message = (
-            f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} "
-            f"{stage} {run_config.restarts} restarts"
-        )
+        message = f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} {stage} {restarts} restarts"
         worst = None if row["ratio"] is None else row["ratio"] / row["bound"]
         tally.check((not row["satisfied"], message), worst_ratio_over_bound=worst)
     return tally.suite(rows=rows)
@@ -263,10 +262,8 @@ def main_bound_scan(dims, samples_per_pair: int, config: SeeSawConfig) -> dict:
 
 
 def _main_scan(dims, samples_per_pair: int, config: SeeSawConfig):
-    check_count(samples_per_pair, "samples", 0)
-    dims = tuple(dims)
-    for n_a, n_b in dims:
-        check_dims(n_a, n_b)
+    samples_per_pair = check_count(samples_per_pair, "samples", 0)
+    dims = [check_dims(n_a, n_b) for n_a, n_b in dims]
     return (yield from _escalating_scan(_instances(config.seed, _SCAN_LABEL, dims, samples_per_pair), config))
 
 
@@ -277,10 +274,10 @@ def game_bound_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig) -> d
 
 
 def _game_scan(samples: int, n_a: int, n_b: int, config: SeeSawConfig):
-    check_count(samples, "samples", 0)
-    check_dims(n_a, n_b)
+    samples = check_count(samples, "samples", 0)
+    n_a, n_b = check_dims(n_a, n_b)
     drawn = (draw("game", n_a, n_b, config.seed, index, _GAME_LABEL) for index in range(samples))
-    cases = ((f"game[{index}] at ({n_a},{n_b})", *case, {"index": index}) for index, case in enumerate(drawn))
+    cases = ((*case, f"game[{index}] at ({n_a},{n_b})", {"index": index}) for index, case in enumerate(drawn))
     return (yield from _escalating_scan(cases, config))
 
 
@@ -293,7 +290,7 @@ def field_ratio_scan(samples: int, config: SeeSawConfig) -> dict:
 
 
 def _field_scan(samples: int, config: SeeSawConfig):
-    check_count(samples, "samples", 0)
+    samples = check_count(samples, "samples", 0)
     n_a = n_b = 3
     drawn = [draw("gue", n_a, n_b, config.seed, index, _FIELD_LABEL) for index in range(samples)]
     # the complex and the Hermitian estimate of each instance, in turn
@@ -356,8 +353,8 @@ def _property_suites(samples: int, config: SeeSawConfig):
         histories = [runs.estimate(start_index).value_history for start_index in range(MONOTONE_STARTS)]
         return histories, runs.best(config.restarts + 1)
 
-    jobs = [(z, replace(budget, seed=seed), "B", True, read) for _, z, seed, _ in cases]
-    for (label, z, _, _), (histories, est) in zip(cases, (yield jobs)):
+    jobs = [(z, replace(budget, seed=seed), "B", True, read) for z, seed, _, _ in cases]
+    for (z, _, label, _), (histories, est) in zip(cases, (yield jobs)):
         for start_index, history in enumerate(histories):
             step = -float(np.diff(history).min())
             monotone.check(

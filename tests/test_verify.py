@@ -82,16 +82,39 @@ SCANS = {
 }
 
 
+# scan -> its two cases drawn again from the scan's stream keys in SCANS,
+# and the row key of a case's trace norm
+SCAN_DRAWS = {
+    "main_bound_scan": (
+        lambda: [
+            verify.draw(kind, 2, 2, 161, index, verify._SCAN_LABEL, verify.GENERATOR_CODE[kind])
+            for index, kind in enumerate(("gue", "induced"))
+        ],
+        "trace_norm",
+    ),
+    "game_bound_scan": (
+        lambda: [verify.draw("game", 2, 2, 162, index, verify._GAME_LABEL) for index in (0, 1)],
+        "beta_all",
+    ),
+}
+
+
 @pytest.mark.parametrize("scan", sorted(SCANS))
 @pytest.mark.parametrize("persists", [False, True])
 def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
     labels, run = SCANS[scan]
     budgets, reports = violating(monkeypatch, {4, 500} if persists else {4})
     result = run()
-    assert budgets == [4, 500, 4, 500]
+    # every working-budget report comes before the first escalation
+    assert budgets == [4, 4, 500, 500]
     assert [row["escalated"] for row in result["rows"]] == [True, True]
     # each row reports the escalated run, not the working one
-    assert [row["estimate"] for row in result["rows"]] == [payload(r) for r in reports[1::2]]
+    assert [row["estimate"] for row in result["rows"]] == [payload(r) for r in reports[2:]]
+    # and that run is the public report of its case at the escalation budget
+    draws, norm = SCAN_DRAWS[scan]
+    escalation = replace(CONFIG, restarts=verify.ESCALATE_RESTARTS)
+    refs = [hiding_ratio(instance, replace(escalation, seed=seed)) for instance, seed in draws()]
+    assert [(row["estimate"], row[norm]) for row in result["rows"]] == [(payload(r), r.trace_norm) for r in refs]
     assert [row["satisfied"] for row in result["rows"]] == [not persists] * 2
     if persists:
         assert result["failures"] == [
@@ -158,6 +181,25 @@ def test_violations_from_the_escalation_budget_up_are_final(monkeypatch, scan, r
         f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} at {restarts} restarts"
         for label, row in zip(labels, result["rows"])
     ]
+
+
+# scan -> a run of it at config on one case with n_a passed as True, and
+# the label of that case once its checks store n_a as 1
+TRUE_DIM_SCANS = {
+    "main_bound_scan": (lambda config: verify.main_bound_scan([(True, 2)], 1, config), "(1,2) gue[0]"),
+    "game_bound_scan": (lambda config: verify.game_bound_scan(1, True, 2, config), "game[0] at (1,2)"),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(TRUE_DIM_SCANS))
+def test_scan_labels_name_the_checked_dimensions(monkeypatch, scan):
+    # a failure label prints the dimensions the checks return, as its row does
+    run, label = TRUE_DIM_SCANS[scan]
+    violating(monkeypatch, {500})
+    result = run(replace(CONFIG, restarts=500))
+    (row,) = result["rows"]
+    assert row["n_a"] == 1
+    assert result["failures"] == [f"{label}: ratio {row['ratio']!r} exceeds bound {row['bound']!r} at 500 restarts"]
 
 
 def test_run_verification_echoes_and_seeds_from_its_config():
@@ -441,7 +483,7 @@ def property_estimates():
     """(label, estimate) of the ordering suite's instances, computed here
     with the suite's own budget."""
     config = SeeSawConfig(restarts=RESTARTS, seed=SEED)
-    for label, z, restart_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
+    for z, restart_seed, label, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         yield label, verify.epsilon_norm(z, replace(config, seed=restart_seed))
 
 
@@ -468,7 +510,7 @@ def property_suites_reference(samples, config):
     at 2 restarts for the histories, then epsilon_norm at config."""
     monotone = verify._Tally(max_decrease=0.0)
     ordering = verify._Tally(max_excess_over_trace_norm=-math.inf, max_witness_gap=0.0)
-    for label, z, seesaw_seed, _ in verify._instances(config.seed, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, samples):
+    for z, seesaw_seed, label, _ in verify._instances(config.seed, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, samples):
         run_config = replace(config, seed=seesaw_seed, restarts=2)
         for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
             diffs = np.diff(norms.seesaw_run(z, g0, run_config).value_history)
@@ -495,7 +537,7 @@ def test_property_suites_equal_separate_runs(restarts):
     # estimate of separate seesaw_run and epsilon_norm calls, bit for bit.
     config = SeeSawConfig(restarts=restarts, seed=SEED)
     assert verify._drive(verify._property_suites(1, config), config) == property_suites_reference(1, config)
-    for _, z, seesaw_seed, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
+    for z, seesaw_seed, _, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         budget = replace(config, seed=seesaw_seed, restarts=max(restarts, 2))
         (runs,) = norms._seesaw([z], norms._start_stacks(z.n_b, [budget]), budget, ["B"], True)
         run_config = replace(config, seed=seesaw_seed, restarts=2)
