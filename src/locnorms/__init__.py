@@ -15,7 +15,6 @@ modules: locnorms.linalg, locnorms.states and locnorms.norms.
 """
 
 from .darwinism import coefficient_sweep, diamond_bound_rhs, omega_new, omega_ranard
-from .games import evaluate_game, random_game
 from .linalg import BipartiteOperator, DegenerateOperatorError, trace_norm
 from .norms import (
     NormEstimate,
@@ -27,6 +26,7 @@ from .norms import (
     seesaw_run,
     witness_value,
 )
+from .norms import hiding_ratio as evaluate_game
 from .opfile import (
     OperatorFileError,
     parse_game_file,
@@ -34,7 +34,7 @@ from .opfile import (
     write_game_file,
     write_operator_file,
 )
-from .states import QuantumXorGame, game_operator, gue_operator, random_density_matrix, werner_hiding_pair
+from .states import QuantumXorGame, game_operator, gue_operator, random_density_matrix, random_game, werner_hiding_pair
 from .verify import field_ratio_scan, game_bound_scan, main_bound_scan, run_verification
 
 __version__ = "0.1.0"

@@ -92,10 +92,11 @@ def coefficient_sweep(d_a_values, d_r_values, r_size: int | None = None, q_size:
     diamond_bound_rhs of the pair. Give both counts or neither. An empty
     range gives no rows.
 
-    Each value is checked once, as an integer, the d_r values with the
-    first d_a's rows, and a bad value raises what evaluating the rows one
-    by one with the single-pair functions raises first, an overflowing
-    term included."""
+    The counts are checked first, as diamond_bound_rhs checks them, even
+    for an empty range. Then each value is checked once, as an integer,
+    the d_r values with the first d_a's rows, and a bad value raises what
+    evaluating the rows one by one with the single-pair functions raises
+    first, an overflowing term included."""
     d_as, d_rs, grid = _sweep_grid(d_a_values, d_r_values, r_size, q_size)
     rows = grid.reshape(-1, grid.shape[-1]).tolist()
     return [dict(zip(COLUMNS, (*pair, *cells))) for pair, cells in zip(product(d_as, d_rs), rows)]

@@ -471,7 +471,7 @@ def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
 def hiding_ratio(instance: BipartiteOperator | QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     """Data-hiding ratio report of an operator or a QuantumXorGame: the
     trace norm of its operator z over the Hermitian product-witness
-    estimate, against the 2 sqrt(2) min(n_a, n_b) cap. games.evaluate_game
+    estimate, against the 2 sqrt(2) min(n_a, n_b) cap. locnorms.evaluate_game
     is this function.
 
     The estimate is a lower bound, so ratio can only overestimate the true

@@ -1,4 +1,5 @@
-"""Seedable generators of bipartite operators, and the signed state ensemble.
+"""Seedable generators of bipartite operators, and the signed state ensemble:
+every instance generator of the package, the random XOR games included.
 
 Everything draws from counter-based Philox streams so runs are reproducible
 and independent substreams can be derived from (seed, index) without
@@ -8,7 +9,12 @@ QuantumXorGame (states rho_x, signs c_x, weights p_x) is the one signed
 ensemble type and holds every check on its values, also for games read from
 files; game_operator builds sum_x c_x p_x rho_x. Discriminating rho from
 sigma at prior p is the two-state game with signs (+1, -1) and weights
-(p, 1 - p), as werner_hiding_pair returns and induced_difference builds.
+(p, 1 - p), as werner_hiding_pair returns and induced_difference builds;
+random_game draws induced-measure question states with uniform weights and
+random signs. As an XOR game, each player gets one half of the question
+state rho_x and answers a bit whose XOR should be c_x: the best bias over
+entangled measurements is the trace norm of game_operator, over
+independent local +-1 answers its Hermitian product-witness norm.
 """
 
 from __future__ import annotations
@@ -227,7 +233,8 @@ def werner_hiding_pair(d: int) -> QuantumXorGame:
     strategies its distinguishability decays with d, which is the hiding
     phenomenon these norms measure.
     """
-    if check_count(d, "d", -math.inf) < 2:
+    d = check_count(d, "d", -math.inf)
+    if d < 2:
         raise ValueError(f"hiding pair needs d >= 2 (no antisymmetric subspace at d={d})")
     eye = np.eye(d * d)
     flip = eye.reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
@@ -249,3 +256,15 @@ def induced_difference(n_a: int, n_b: int, seed) -> BipartiteOperator:
     rho = random_density_matrix(n_a * n_b, seed=rng)
     sigma = random_density_matrix(n_a * n_b, seed=rng)
     return game_operator(QuantumXorGame(n_a=n_a, n_b=n_b, states=(rho, sigma), signs=(1, -1), probs=(0.5, 0.5)))
+
+
+def random_game(n_a: int, n_b: int, num_states: int = 4, seed=0) -> QuantumXorGame:
+    """Random game: induced-measure question states, uniform weights,
+    independent uniform signs."""
+    num_states = check_count(num_states, "num_states", 1)
+    n_a, n_b = check_dims(n_a, n_b)
+    rng = rng_from(seed)
+    states = tuple(random_density_matrix(n_a * n_b, seed=rng) for _ in range(num_states))
+    signs = tuple(int(c) for c in rng.choice((-1, 1), size=num_states))
+    probs = (1.0 / num_states,) * num_states
+    return QuantumXorGame(n_a=n_a, n_b=n_b, states=states, signs=signs, probs=probs)

@@ -38,7 +38,7 @@ a case within one) is a step in the sense of the norms module docstring,
 and a whole pass, its suites merged by `_gather`, runs through one
 `_drive`, one kernel call per half-step shape. `_case_rows` makes its
 rows with `_report`, the report code of hiding_ratio (which
-games.evaluate_game is), so a row equals its report of the case,
+evaluate_game is), so a row equals its report of the case,
 operator or game, bit for bit. A scan makes every first-round row
 before it escalates, and then escalates a cap violation row by row, as
 the case's `_case_rows` step run again at ESCALATE_RESTARTS.
@@ -47,11 +47,12 @@ Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_jobs`, `trace_norm`, `witness_value` and
 `block_frame_sums` here, and count kernel calls by patching `_run_jobs`,
 `_seesaw` and `_start_stacks` on norms. The benchmark's tracer
-(perfbench/tracing.py) patches the instance generators, evaluators and
-scans, and hiding_ratio and evaluate_game (one function under two
-names), epsilon_norm, seesaw_run and initial_contractions are imported
-only for it. Callers look these names up in this module's globals at
-call time, so a patch reaches every caller.
+(perfbench/tracing.py) patches the instance generators (all imported
+from `states`), evaluators and scans here. Five names are imported only
+for it: hiding_ratio and evaluate_game (one function under two names,
+norms.hiding_ratio), epsilon_norm, seesaw_run and initial_contractions.
+Callers look these names up in this module's globals at call time, so a
+patch reaches every caller.
 """
 
 from __future__ import annotations
@@ -61,14 +62,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .games import random_game
 from .linalg import BipartiteOperator, block_frame_sums, check_count, check_dims, hermitian_sign
 from .linalg import swap_subsystems, trace_norm
 from .norms import SeeSawConfig, witness_value
 from .norms import _case_operator, _drive, _estimate, _gather, _report
 
 # Unused here; kept because the benchmark's tracer patches them on this module by name.
-from .games import evaluate_game  # noqa: F401
+from .norms import hiding_ratio as evaluate_game  # noqa: F401
 from .norms import epsilon_norm, hiding_ratio, initial_contractions, seesaw_run  # noqa: F401
 from .states import (
     QuantumXorGame,
@@ -77,6 +77,7 @@ from .states import (
     gue_operator,
     haar_unitary,
     induced_difference,
+    random_game,
     stream,
     werner_hiding_pair,
 )
@@ -121,7 +122,7 @@ def draw(kind: str, n_a: int, n_b: int, seed: int, index: int, *labels: int, num
     random_game of num_states states), and the see-saw seed drawn after it.
     The werner pair is deterministic and lives on n_a x n_a; it ignores n_b."""
     # before a stream key is built, whose SeedSequence rejects a negative entry in its own words
-    check_dims(n_a, n_b)
+    n_a, n_b = check_dims(n_a, n_b)
     rng = stream(seed, *labels, n_a, n_b, index)
     build = {
         "werner": lambda: game_operator(werner_hiding_pair(n_a)),

@@ -223,6 +223,17 @@ def test_sweep_raises_the_first_error_of_its_rows(d_as, d_rs, message):
             sweep(d_as, d_rs)
 
 
+def test_sweep_checks_its_fragment_counts_before_any_row():
+    # as diamond_bound_rhs does: a bad count raises before a bad dimension
+    # that the rows one by one would meet first, and with no row at all
+    with pytest.raises(ValueError, match="^observed-system dimension must be >= 2, got 1$"):
+        _rows_one_by_one([1], [3], 0, 1)
+    for sweep in SWEEPS:
+        for d_as, d_rs in (([1], [3]), ([], [])):
+            with pytest.raises(ValueError, match="^r_size must be >= 1, got 0$"):
+                sweep(d_as, d_rs, 0, 1)
+
+
 def _rows_one_by_one(d_as, d_rs, r_size, q_size):
     return [
         (omega_new(d_a, d_r), omega_ranard(d_a, d_r), diamond_bound_rhs(d_a, d_r, r_size, q_size))

@@ -13,6 +13,7 @@ from locnorms import (
     coefficient_sweep,
     diamond_bound_rhs,
     game_bound_scan,
+    game_operator,
     gue_operator,
     main_bound_scan,
     parse_game_file,
@@ -25,6 +26,7 @@ from locnorms import (
     write_game_file,
     write_operator_file,
 )
+from locnorms import verify
 from locnorms.linalg import (
     asymmetry,
     block_frame_sums,
@@ -274,6 +276,15 @@ def test_counts_and_dimensions_must_be_integers(tmp_path):
             build()
 
     assert werner_hiding_pair(np.int64(3)).n_a == 3
+    # a narrow numpy integer is converted before d * d is formed, so it cannot wrap
+    small, pair = werner_hiding_pair(np.uint8(16)), werner_hiding_pair(16)
+    assert type(small.n_a) is int and small.n_a == 16
+    for got, want in zip(small.states, pair.states):
+        np.testing.assert_array_equal(got, want)
+    z, _ = verify.draw("werner", np.uint8(16), 16, 0, 0, 0)
+    np.testing.assert_array_equal(z.matrix, game_operator(pair).matrix)
+    with pytest.raises(ValueError, match=r"at d=1\)$"):
+        werner_hiding_pair(True)
 
     # numpy integers are stored as int, so the files write them as JSON numbers
     z = BipartiteOperator(np.int64(2), np.uint8(2), gue_hermitian(4, 3))

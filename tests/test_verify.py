@@ -128,6 +128,32 @@ def test_scan_escalates_unsatisfied_rows(monkeypatch, scan, persists):
         assert result["stats"]["worst_ratio_over_bound"] < 1.0
 
 
+def test_a_stalled_search_escalates_without_patching():
+    # sigma_z x sigma_z and its two-state game stall at value 0 at one
+    # restart and one iteration on these see-saw seeds (both starts give
+    # tr(sigma_z g) = 0), so their rows violate the cap and escalate
+    z = np.diag([1.0, -1.0])
+    zz = np.kron(z, z)
+    op = BipartiteOperator(2, 2, zz)
+    game = QuantumXorGame(2, 2, ((np.eye(4) + zz) / 4, (np.eye(4) - zz) / 4), (1, -1), (0.5, 0.5))
+    config = SeeSawConfig(restarts=1, max_iters=1)
+    cases = [(op, 20, "zz", {"index": 0}), (game, 45, "zz game", {"index": 1})]
+    for instance, seed, _, _ in cases:
+        assert epsilon_norm(verify._case_operator(instance), replace(config, seed=seed)).value == 0.0
+    result = verify._drive(verify._escalating_scan(cases, config), config)
+    assert (result["passed"], result["checks"], result["failures"]) == (True, 2, [])
+    escalation = replace(config, restarts=verify.ESCALATE_RESTARTS)
+    for (instance, seed, _, _), row in zip(cases, result["rows"]):
+        assert (row["escalated"], row["satisfied"]) == (True, True)
+        ref = hiding_ratio(instance, replace(escalation, seed=seed))
+        assert (row["estimate"], row["ratio"]) == (payload(ref), ref.ratio)
+    estimates = [row["estimate"] for row in result["rows"]]
+    assert [(e["value"], e["restart_index"], e["iterations_used"], e["converged"]) for e in estimates] == [
+        (4.0, 2, 1, False),
+        (1.0, 2, 1, False),
+    ]
+
+
 # scan -> the columns of the CLI command that reports the same cases, and
 # those of its keys that only the command sets
 CLI_COLUMNS = {
