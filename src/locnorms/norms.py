@@ -25,9 +25,9 @@ n_b x n_a started on A. Each operator's starts stay one contiguous slice
 of the running stack, and its contraction (by its own side's operand)
 runs on that slice; the eigensolves, the stopping test and the dropping
 of finished starts run once per half-step on the whole stack. So every
-operator's runs equal a call on it alone bit for bit. With one operator
-the contraction runs on the whole stack, with no slicing and no
-concatenation.
+operator's runs equal a call on it alone bit for bit. One operator is a
+batch of one: its slice is the whole stack, and a lone running slice's
+contraction is used as is, with no concatenation.
 
 One function, _run_jobs, makes every kernel call: for epsilon_norm,
 seesaw_run and every verify scan, suite, CLI row and escalation. A
@@ -39,8 +39,8 @@ drives one step, handing each round of its jobs to _run_jobs, which makes
 one kernel call per half-step shape (dim of the other side, dim of the
 start side, field); _gather, the one way to merge steps, advances several
 in lockstep as one step, so `locnorms verify --samples 1` makes 4 kernel
-calls. A call's multistart stacks are built just before it, in
-one _start_stacks call, and its runs are read and released as soon as it
+calls. Each multistart job's stack is built by _start_stack just before
+the job's call, and the call's runs are read and released as soon as it
 returns, so only one call's stacks and value histories are held at a
 time. epsilon_norm is _estimate driven alone and seesaw_run one
 Hermitian single-start job on any operator, zero included, so each
@@ -50,10 +50,9 @@ needs single-start histories and the estimate (the verify property
 suites) reads both from the same runs. Only _closed_form builds an exact
 estimate; _Runs.estimate builds every other.
 
-The multistart stacks of all the configs of one dimension come from GUE
-samples drawn by states.gue_stack(dim, seed, count) per config, bit for
-bit as gue_hermitian on stream(seed, i), and spectral signs from one
-stacked eigensolve.
+A config's multistart stack comes from GUE samples drawn by one
+states.gue_stack(dim, seed, restarts) call, bit for bit as gue_hermitian
+on stream(seed, i), and spectral signs from one stacked eigensolve.
 
 A caller's start is a Hermitian start on B, and seesaw_run, the only
 function that takes one, checks it. The multistart stack is not checked
@@ -211,16 +210,12 @@ def _operand_b(za: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.einsum("acij,rca->rij", za, f)
 
 
-def _contract(operands, stack: np.ndarray, bounds: list[int] | None) -> np.ndarray:
+def _contract(operands, stack: np.ndarray, bounds: list[int]) -> np.ndarray:
     """Each operator's (operand, relay) pair applied to its slice
-    bounds[j]:bounds[j + 1] of the stack, in order; bounds is None for a
-    single operator."""
-    if bounds is None:
-        ((operand, relay),) = operands
-        return operand(relay, stack)
-    return np.concatenate(
-        [operand(relay, stack[lo:hi]) for (operand, relay), lo, hi in zip(operands, bounds, bounds[1:]) if lo < hi]
-    )
+    bounds[j]:bounds[j + 1] of the stack, in order, the running slices
+    concatenated; a lone running slice's contraction is returned as is."""
+    parts = [operand(relay, stack[lo:hi]) for (operand, relay), lo, hi in zip(operands, bounds, bounds[1:]) if lo < hi]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _Runs(NamedTuple):
@@ -275,7 +270,7 @@ def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_R
     to_start = [(_operand_b, a) if side == "B" else (_operand_a, b) for side, b, a in zip(sides, zb, za)]
     n_other = zs[0].n_a if sides[0] == "B" else zs[0].n_b
     offsets = [0, *accumulate(map(len, stacks))]
-    starts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    starts = np.concatenate(stacks)
     count = len(starts)
     values = np.empty(count)
     iterations = np.empty(count, dtype=int)
@@ -289,7 +284,7 @@ def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_R
     tol = min(config.rel_tol, 1.0)  # v - prev <= v, so a tol above 1 stops where 1 does, and 1 cannot overflow
     for iters in range(1, config.max_iters + 1):
         # each operator's starts stay one contiguous slice of the running stack
-        bounds = None if len(zs) == 1 else running.searchsorted(offsets).tolist()
+        bounds = running.searchsorted(offsets).tolist()
         other, first = optimal_contraction(_contract(to_other, current, bounds), hermitian)
         current, v = optimal_contraction(_contract(to_start, other, bounds), hermitian)
         steps.append((running, first, v))
@@ -320,9 +315,9 @@ def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_R
 def _run_jobs(jobs, config: SeeSawConfig) -> list:
     """What each kernel job (z, starts, start side, hermitian, read) reads
     from its runs, in order: one _seesaw call per half-step shape, at the
-    max_iters and rel_tol of config. The SeeSawConfig starts of a call are
-    built together just before it, and its runs are read and released
-    before the next call's starts are built."""
+    max_iters and rel_tol of config. Each SeeSawConfig job's stack is
+    built by _start_stack just before its call, and a call's runs are read
+    and released before the next call's stacks are built."""
     groups = {}
     for position, (z, _, side, hermitian, _) in enumerate(jobs):
         dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
@@ -330,12 +325,10 @@ def _run_jobs(jobs, config: SeeSawConfig) -> list:
     results = [None] * len(jobs)
     for (_, dim, hermitian), positions in groups.items():
         zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
-        configs = [s for s in starts if isinstance(s, SeeSawConfig)]
-        built = iter(_start_stacks(dim, configs) if configs else ())
-        stacks = [next(built) if isinstance(s, SeeSawConfig) else s for s in starts]
+        stacks = [_start_stack(dim, s) if isinstance(s, SeeSawConfig) else s for s in starts]
         for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
             results[position] = read(runs)
-        del built, stacks, runs  # hold one call's batch at a time
+        del stacks, runs  # hold one call's batch at a time
     return results
 
 
@@ -410,18 +403,15 @@ def seesaw_run(z: BipartiteOperator, g0, config: SeeSawConfig) -> NormEstimate:
     return _run_jobs([(z, start[None], "B", True, lambda runs: runs.estimate(0))], config)[0]
 
 
-def _start_stacks(dim: int, configs) -> list[np.ndarray]:
-    """The (restarts + 1, dim, dim) multistart stack of each config (see
-    initial_contractions), from gue_stack(dim, seed, count) per config and
-    one stacked eigensolve."""
+def _start_stack(dim: int, config: SeeSawConfig) -> np.ndarray:
+    """The (restarts + 1, dim, dim) multistart stack of config (see
+    initial_contractions): the identity, then the spectral signs of one
+    gue_stack(dim, seed, restarts) draw from one stacked eigensolve."""
     # gue_stack draws gue_hermitian(dim, stream(config.seed, i)) for each
     # restart i bit for bit. A GUE sample is exactly Hermitian, so the
     # stacked sign equals hermitian_sign of each sample bit for bit.
-    samples = np.concatenate([gue_stack(dim, c.seed, c.restarts) for c in configs])
-    signs, _ = optimal_contraction(samples, hermitian=True)
-    identity = np.eye(dim, dtype=np.complex128)[None]
-    offsets = [0, *accumulate(c.restarts for c in configs)]
-    return [np.concatenate([identity, signs[lo:hi]]) for lo, hi in zip(offsets, offsets[1:])]
+    signs, _ = optimal_contraction(gue_stack(dim, config.seed, config.restarts), hermitian=True)
+    return np.concatenate([np.eye(dim, dtype=np.complex128)[None], signs])
 
 
 def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, np.ndarray]]:
@@ -430,7 +420,7 @@ def initial_contractions(dim: int, config: SeeSawConfig) -> Iterator[tuple[int, 
 
     The whole stack is built on the first step, so the iterator holds
     O(restarts * dim^2) memory however far it is consumed."""
-    yield from enumerate(_start_stacks(dim, [config])[0])
+    yield from enumerate(_start_stack(dim, config))
 
 
 def epsilon_norm(z: BipartiteOperator, config: SeeSawConfig, *, hermitian: bool = True) -> NormEstimate:

@@ -46,7 +46,7 @@ the case's `_case_rows` step run again at ESCALATE_RESTARTS.
 Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_jobs`, `trace_norm`, `witness_value` and
 `block_frame_sums` here, and count kernel calls by patching `_run_jobs`,
-`_seesaw` and `_start_stacks` on norms. The benchmark's tracer
+`_seesaw` and `_start_stack` on norms. The benchmark's tracer
 (perfbench/tracing.py) patches the instance generators (all imported
 from `states`), evaluators and scans here. Five names are imported only
 for it: hiding_ratio and evaluate_game (one function under two names,

@@ -33,7 +33,7 @@ from locnorms import (
 from locnorms.linalg import hermitian_sign, swap_subsystems
 from locnorms import norms
 from locnorms.norms import OPNORM_SLACK, _closed_form, _operand_a, _operand_b, _relays, _seesaw
-from locnorms.norms import _start_stacks
+from locnorms.norms import _start_stack
 from locnorms.norms import bound_factor
 from locnorms.norms import initial_contractions
 from locnorms.states import gue_hermitian, haar_unitary, induced_difference, stream
@@ -346,26 +346,11 @@ def test_initial_contractions_equal_per_restart_signs(restarts):
 def test_start_stack_holds_hermitian_contractions_identity_first(restarts, seed):
     # _run_jobs runs this stack unchecked, for epsilon_norm and verify alike, so the guarantee lives here.
     for dim in range(1, 7):
-        (starts,) = _start_stacks(dim, [SeeSawConfig(restarts=restarts, seed=seed)])
+        starts = _start_stack(dim, SeeSawConfig(restarts=restarts, seed=seed))
         assert starts.shape == (restarts + 1, dim, dim)
         assert np.array_equal(starts[0], np.eye(dim))
         assert np.array_equal(starts, starts.conj().swapaxes(1, 2))
         assert np.linalg.svd(starts, compute_uv=False)[:, 0].max() <= 1.0 + OPNORM_SLACK
-
-
-@pytest.mark.parametrize("restarts", [1, 2, 17])
-def test_start_stacks_equal_one_start_stack_each(restarts):
-    # One _start_stacks call over configs of several seeds and budgets
-    # (and a repeated one) gives each config's stack built alone, bit for bit.
-    seeds = (0, 2**32, 2**64 - 1, 2**130)
-    configs = [SeeSawConfig(restarts=restarts + k % 2, seed=seed) for k, seed in enumerate(seeds)]
-    configs.insert(2, configs[0])
-    for dim in range(1, 7):
-        stacks = _start_stacks(dim, configs)
-        assert len(stacks) == len(configs)
-        for config, stack in zip(configs, stacks):
-            (expected,) = _start_stacks(dim, [config])
-            assert stack.shape == expected.shape and stack.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("count", [1, 51, 501])
@@ -497,7 +482,7 @@ def test_kernel_on_several_operators_equals_one_call_each(hermitian, start_side,
     # also where the iteration cap stops part of the batch.
     dim = n_b if start_side == "B" else n_a
     zs = [equivalence_operator(n_a, n_b, k) for k in range(4)]
-    stacks = _start_stacks(dim, [SeeSawConfig(restarts=5, seed=148 + k) for k in range(4)])
+    stacks = [_start_stack(dim, SeeSawConfig(restarts=5, seed=148 + k)) for k in range(4)]
     stacks = [stacks[0][1:2], stacks[1][:4], stacks[2][3:5], stacks[3]]
     for config in (SeeSawConfig(), SeeSawConfig(max_iters=3)):
         batch = _seesaw(zs, stacks, config, [start_side] * len(zs), hermitian)
@@ -518,7 +503,7 @@ def test_kernel_on_both_start_sides_equals_one_call_each(hermitian, n_a, n_b):
     # where the iteration cap stops part of the batch.
     direct = [equivalence_operator(n_a, n_b, k) for k in range(3)]
     swapped = [equivalence_operator(n_b, n_a, k) for k in range(3, 6)]
-    stacks = _start_stacks(n_b, [SeeSawConfig(restarts=4, seed=149 + k) for k in range(6)])
+    stacks = [_start_stack(n_b, SeeSawConfig(restarts=4, seed=149 + k)) for k in range(6)]
     stacks = [stacks[0][:3], stacks[1][2:3], stacks[2], stacks[3][1:], stacks[4][:2], stacks[5][4:]]
     orders = [[3, 0, 4, 1, 5, 2], [0, 1, 3, 2, 4, 5], [5, 4, 3]]
     zs, sides = direct + swapped, ["B"] * 3 + ["A"] * 3
@@ -574,7 +559,7 @@ def direct_epsilon_norm(z, config, hermitian):
     driven path."""
     est = _closed_form(z, hermitian)
     if est is None:
-        est = _seesaw([z], _start_stacks(z.n_b, [config]), config, ["B"], hermitian)[0].best()
+        est = _seesaw([z], [_start_stack(z.n_b, config)], config, ["B"], hermitian)[0].best()
     return est
 
 
@@ -608,17 +593,17 @@ def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
     # built and when it runs, the first call's start stacks and value
     # histories are gone.
     stack_refs, step_refs = [], []
-    real_stacks, real_seesaw = norms._start_stacks, norms._seesaw
+    real_stack, real_seesaw = norms._start_stack, norms._seesaw
 
     def assert_released(refs):
         gc.collect()
         assert sum(ref() is not None for ref in refs) == 0
 
-    def start_stacks(*args):
+    def start_stack(*args):
         assert_released(stack_refs)
-        stacks = real_stacks(*args)
-        stack_refs.extend(map(weakref.ref, stacks))
-        return stacks
+        stack = real_stack(*args)
+        stack_refs.append(weakref.ref(stack))
+        return stack
 
     def seesaw(*args):
         assert_released(step_refs)
@@ -626,7 +611,7 @@ def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
         step_refs.extend(weakref.ref(array) for step in runs[0].steps for array in step)
         return runs
 
-    monkeypatch.setattr(norms, "_start_stacks", start_stacks)
+    monkeypatch.setattr(norms, "_start_stack", start_stack)
     monkeypatch.setattr(norms, "_seesaw", seesaw)
     config = SeeSawConfig(restarts=4, seed=176)
     jobs = [(gue_operator(n, n, 177 + n), config, "B", True, lambda runs: runs.best()) for n in (2, 3)]

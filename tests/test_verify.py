@@ -241,7 +241,7 @@ def one_kernel_call_per_job(jobs, config):
     # each multistart stack built on its own, so the batched stacks are pinned too
     def stack(z, starts, side):
         if isinstance(starts, SeeSawConfig):
-            return norms._start_stacks(z.n_b if side == "B" else z.n_a, [starts])[0]
+            return norms._start_stack(z.n_b if side == "B" else z.n_a, starts)
         return starts
 
     return [
@@ -254,24 +254,27 @@ def one_kernel_call_per_job(jobs, config):
 @pytest.mark.parametrize("restarts", [1, 3, 16])
 def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, restarts):
     # One kernel call per half-step shape (other side, start side, field)
-    # over every suite's jobs, with the multistart stacks of a call built
-    # together, gives the summary and the scan rows of separate calls and
-    # separately built stacks, exactly.
+    # over every suite's jobs gives the summary and the scan rows of
+    # separate calls, exactly.
     config = SeeSawConfig(restarts=restarts, seed=168)
     calls, builds = [], []
-    real, real_stacks = norms._seesaw, norms._start_stacks
+    pending = [0]  # stacks built since the last kernel call
+    real, real_stack = norms._seesaw, norms._start_stack
 
     def counted(zs, *args):
         calls.append(len(zs))
+        builds.append(pending[0])
+        pending[0] = 0
         return real(zs, *args)
 
-    def counted_stacks(dim, configs):
-        builds.append(len(configs))
-        return real_stacks(dim, configs)
+    def counted_stack(dim, config):
+        pending[0] += 1
+        return real_stack(dim, config)
 
     def run():
         calls.clear()
         builds.clear()
+        pending[0] = 0
         summary = verify.run_verification(config, samples)
         passes, stack_builds = len(calls), builds[:]
         scans = (
@@ -282,7 +285,7 @@ def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, resta
         return summary, scans, passes, stack_builds
 
     monkeypatch.setattr(norms, "_seesaw", counted)
-    monkeypatch.setattr(norms, "_start_stacks", counted_stacks)
+    monkeypatch.setattr(norms, "_start_stack", counted_stack)
     summary, scans, batched_calls, batched_builds = run()
     monkeypatch.setattr(norms, "_run_jobs", one_kernel_call_per_job)
     separate = run()
@@ -294,7 +297,7 @@ def test_batched_pass_equals_one_kernel_call_per_job(monkeypatch, samples, resta
         # of their dimension pair, and the complex field estimate has a
         # call of its own
         assert (batched_calls, separate[2]) == (4, 18)
-        # each call builds the stacks of its multistart jobs in one go:
+        # each call's multistart stacks are built just before it:
         # (2,2) property, scan and game, (2,3) property and scan, (3,3)
         # property, scan and Hermitian field, and the complex field
         assert batched_builds == [3, 2, 3, 1]
@@ -565,7 +568,7 @@ def test_property_suites_equal_separate_runs(restarts):
     assert verify._drive(verify._property_suites(1, config), config) == property_suites_reference(1, config)
     for z, seesaw_seed, _, _ in verify._instances(SEED, verify._PROPERTY_LABEL, verify.DEFAULT_PAIRS, 1):
         budget = replace(config, seed=seesaw_seed, restarts=max(restarts, 2))
-        (runs,) = norms._seesaw([z], norms._start_stacks(z.n_b, [budget]), budget, ["B"], True)
+        (runs,) = norms._seesaw([z], [norms._start_stack(z.n_b, budget)], budget, ["B"], True)
         run_config = replace(config, seed=seesaw_seed, restarts=2)
         for start_index, g0 in norms.initial_contractions(z.n_b, run_config):
             ref = norms.seesaw_run(z, g0, run_config)
