@@ -11,7 +11,7 @@ import argparse
 
 from locnorms import (
     SeeSawConfig,
-    evaluate_game,
+    hiding_ratio,
     random_game,
     werner_hiding_pair,
 )
@@ -35,12 +35,12 @@ def main():
     config = SeeSawConfig(restarts=24, seed=args.seed)
 
     print("two-state werner game at d = 3 (ratio should be 3):")
-    describe("werner d=3", evaluate_game(werner_hiding_pair(3), config))
+    describe("werner d=3", hiding_ratio(werner_hiding_pair(3), config))
 
     print(f"\n{args.samples} random 4-state games at 3 x 3:")
     for k in range(args.samples):
         game = random_game(3, 3, num_states=4, seed=args.seed + k)
-        describe(f"random[{k}]", evaluate_game(game, config))
+        describe(f"random[{k}]", hiding_ratio(game, config))
     print("\nrandom ensembles leave little to hide: their ratios sit near 1,")
     print("far from the 2 sqrt(2) min-dim cap the werner ensemble chases.")
 

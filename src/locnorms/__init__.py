@@ -26,7 +26,6 @@ from .norms import (
     seesaw_run,
     witness_value,
 )
-from .norms import hiding_ratio as evaluate_game
 from .opfile import (
     OperatorFileError,
     parse_game_file,
@@ -51,7 +50,6 @@ __all__ = [
     "diamond_bound_rhs",
     "epsilon_norm",
     "error_probability",
-    "evaluate_game",
     "field_ratio_scan",
     "game_bound_scan",
     "game_operator",

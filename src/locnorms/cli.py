@@ -4,19 +4,19 @@ Subcommands: ratio (one operator), scaling (dimension sweeps to CSV), xor
 (game biases), darwinism (coefficient tables), verify (invariant suites).
 ratio, scaling and xor draw each seeded operator or game with
 `verify.draw` under the command's stream label, and `verify.case_records`
-searches all of them in one batch (one kernel call per shape; ratio and a
-game file are a batch of one) into row dicts: the command's keys, seed
-and budget beside the `_record` the verify scans' rows carry too. A CSV
-or JSON row is its projection onto the subcommand's columns, and a
-single-case JSON report is the row with its estimate payload. These
-commands report the cap check at the working budget; only the verify scans
-escalate. `_csv` spells every CSV table, whole before it is written, from
-one array per column: a row table's cells one by one, darwinism's float
-grid once per distinct float. No cell needs quoting. Floats are spelled
-with repr and rows and keys come in a fixed order, so identical
-invocations produce byte-identical files. A warning is printed as one
-line, "warning: <message>". Exit codes: 0 success, 2 validation error,
-3 degenerate input, 4 verification-suite failure.
+searches all of them in one batch (one kernel call per shape of at most 24
+cases; ratio and a game file are a batch of one) into row dicts: the
+command's keys, seed and budget beside the `_record` the verify scans'
+rows carry too. A CSV or JSON row is its projection onto the subcommand's
+columns, and a single-case JSON report is the row with its estimate
+payload. These commands report the cap check at the working budget; only
+the verify scans escalate. `_csv` spells every CSV table, whole before it
+is written, from one array per column: a row table's cells one by one,
+darwinism's float grid once per distinct float. No cell needs quoting.
+Floats are spelled with repr and rows and keys come in a fixed order, so
+identical invocations produce byte-identical files. A warning is printed
+as one line, "warning: <message>". Exit codes: 0 success, 2 validation
+error, 3 degenerate input, 4 verification-suite failure.
 """
 
 from __future__ import annotations

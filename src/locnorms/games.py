@@ -1,7 +1,7 @@
 """Kept only for the benchmark's tracer (perfbench/tracing.py), which
 patches trace_norm and epsilon_norm on this module by name. No library
-module imports it; the XOR games live in `states` and their report is
-norms.hiding_ratio (locnorms.evaluate_game).
+module imports it, so those patches reach no run; the XOR games live in
+`states` and their report is norms.hiding_ratio.
 """
 
 from .linalg import trace_norm  # noqa: F401

@@ -30,25 +30,25 @@ batch of one: its slice is the whole stack, and a lone running slice's
 contraction is used as is, with no concatenation.
 
 One function, _run_jobs, makes every kernel call: for epsilon_norm,
-seesaw_run and every verify scan, suite, CLI row and escalation. A
-search is a step: a generator that yields kernel jobs (operator, starts,
-start side, field, read) and is sent what each job's read takes from its
-runs; a job's starts are a start stack or the SeeSawConfig whose
-multistart stack it runs. _estimate is epsilon_norm as a step. _drive
-drives one step, handing each round of its jobs to _run_jobs, which makes
-one kernel call per half-step shape (dim of the other side, dim of the
-start side, field); _gather, the one way to merge steps, advances several
-in lockstep as one step, so `locnorms verify --samples 1` makes 4 kernel
-calls. Each multistart job's stack is built by _start_stack just before
-the job's call, and the call's runs are read and released as soon as it
-returns, so only one call's stacks and value histories are held at a
-time. epsilon_norm is _estimate driven alone and seesaw_run one
-Hermitian single-start job on any operator, zero included, so each
-Hermitian restart of epsilon_norm equals seesaw_run from its start bit
-for bit, and each complex one a one-start _run_jobs job. A caller that
-needs single-start histories and the estimate (the verify property
-suites) reads both from the same runs. Only _closed_form builds an exact
-estimate; _Runs.estimate builds every other.
+seesaw_run and every verify scan, suite, CLI row and escalation. A search
+is a step: a generator that yields kernel jobs (operator, starts, start
+side, field, read) and is sent what each job's read takes from its runs;
+a job's starts are a start stack or the SeeSawConfig whose multistart
+stack it runs. _estimate is epsilon_norm as a step. _drive drives one
+step, handing each round of its jobs to _run_jobs, which makes one kernel
+call per half-step shape (dim of the other side, dim of the start side,
+field) and at most 24 operators; _gather, the one way to merge steps,
+advances several in lockstep as one step, so
+`locnorms verify --samples 1` makes 4 kernel calls. Each multistart job's
+stack is built by _start_stack just before the job's call, and the call's
+runs are read and released as soon as it returns, so only one call's
+stacks and value histories are held at a time. epsilon_norm is _estimate
+driven alone and seesaw_run one Hermitian single-start job on any
+operator, zero included, so each Hermitian restart of epsilon_norm equals
+seesaw_run from its start bit for bit, and each complex one a one-start
+_run_jobs job. A caller that needs single-start histories and the
+estimate (the verify property suites) reads both from the same runs. Only
+_closed_form builds an exact estimate; _Runs.estimate builds every other.
 
 A config's multistart stack comes from GUE samples drawn by one
 states.gue_stack(dim, seed, restarts) call, bit for bit as gue_hermitian
@@ -99,6 +99,7 @@ OPNORM_SLACK = 1e-12
 BOUND_TOL = 1e-6
 
 _TINY = 1e-300
+CALL_OPERATORS = 24  # most operators in one kernel call: a bound on its memory that moves no value
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ class NormEstimate:
     """A lower bound on a product-witness norm together with the witnesses
     (best_f, best_g) that certify it: value = tr((best_f x best_g) z).
 
-    value_history records the objective after every half-step of the best
-    run; restart_index identifies the multistart seed that won (None for a
-    bare see-saw run).
+    value_history holds both half-step values of every iteration of the
+    reported run, ending at value; restart_index is the position of that
+    run's start in the multistart stack (0 for a closed form or a bare run).
     """
 
     value: float
@@ -156,7 +157,7 @@ class NormEstimate:
     best_f: np.ndarray
     best_g: np.ndarray
     value_history: tuple[float, ...]
-    restart_index: int | None = None
+    restart_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +234,7 @@ class _Runs(NamedTuple):
     # position of start 0 in the kernel batch, which steps index
     offset: int
 
-    def estimate(self, k: int, restart_index: int | None = None) -> NormEstimate:
+    def estimate(self, k: int) -> NormEstimate:
         history = []
         for running, first, second in self.steps[: self.iterations[k]]:
             p = running.searchsorted(k + self.offset)
@@ -245,15 +246,14 @@ class _Runs(NamedTuple):
             best_f=self.f[k].copy(),
             best_g=self.g[k].copy(),
             value_history=tuple(history),
-            restart_index=restart_index,
+            restart_index=k,
         )
 
     def best(self, count: int | None = None) -> NormEstimate:
         """The estimate of the best of the first count runs (all of them by
         default). argmax takes the first maximum, so ties go to the lowest
         restart index."""
-        k = int(np.argmax(self.values[:count]))
-        return self.estimate(k, restart_index=k)
+        return self.estimate(int(np.argmax(self.values[:count])))
 
 
 def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_Runs]:
@@ -314,21 +314,24 @@ def _seesaw(zs, stacks, config: SeeSawConfig, sides, hermitian: bool) -> list[_R
 
 def _run_jobs(jobs, config: SeeSawConfig) -> list:
     """What each kernel job (z, starts, start side, hermitian, read) reads
-    from its runs, in order: one _seesaw call per half-step shape, at the
-    max_iters and rel_tol of config. Each SeeSawConfig job's stack is
-    built by _start_stack just before its call, and a call's runs are read
-    and released before the next call's stacks are built."""
+    from its runs, in order: one _seesaw call per half-step shape and run of
+    at most CALL_OPERATORS consecutive jobs of it, at config's max_iters and
+    rel_tol. Each SeeSawConfig job's stack is built by _start_stack just
+    before its call, and a call's runs are read and released before the
+    next call's stacks are built."""
     groups = {}
     for position, (z, _, side, hermitian, _) in enumerate(jobs):
         dims = (z.n_a, z.n_b) if side == "B" else (z.n_b, z.n_a)
         groups.setdefault((*dims, hermitian), []).append(position)
     results = [None] * len(jobs)
-    for (_, dim, hermitian), positions in groups.items():
-        zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
-        stacks = [_start_stack(dim, s) if isinstance(s, SeeSawConfig) else s for s in starts]
-        for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
-            results[position] = read(runs)
-        del stacks, runs  # hold one call's batch at a time
+    for (_, dim, hermitian), group in groups.items():
+        for i in range(0, len(group), CALL_OPERATORS):
+            positions = group[i : i + CALL_OPERATORS]
+            zs, starts, sides, _, reads = zip(*(jobs[p] for p in positions))
+            stacks = [_start_stack(dim, s) if isinstance(s, SeeSawConfig) else s for s in starts]
+            for position, read, runs in zip(positions, reads, _seesaw(zs, stacks, config, sides, hermitian)):
+                results[position] = read(runs)
+            del stacks, runs  # hold one call's batch at a time
     return results
 
 
@@ -454,15 +457,14 @@ def _closed_form(z: BipartiteOperator, hermitian: bool) -> NormEstimate | None:
         v = float(v)
         one = np.ones((1, 1), dtype=np.complex128)
         f, g = (one, w) if n_a == 1 else (w, one)
-        return NormEstimate(v, 1, True, f, g, (v,), restart_index=0)
+        return NormEstimate(v, 1, True, f, g, (v, v), restart_index=0)
     return None
 
 
 def hiding_ratio(instance: BipartiteOperator | QuantumXorGame, config: SeeSawConfig) -> RatioReport:
     """Data-hiding ratio report of an operator or a QuantumXorGame: the
     trace norm of its operator z over the Hermitian product-witness
-    estimate, against the 2 sqrt(2) min(n_a, n_b) cap. locnorms.evaluate_game
-    is this function.
+    estimate, against the 2 sqrt(2) min(n_a, n_b) cap.
 
     The estimate is a lower bound, so ratio can only overestimate the true
     hiding ratio; satisfied allows 1e-6 slack on the cap. A game's

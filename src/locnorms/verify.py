@@ -36,12 +36,12 @@ ESCALATE_RESTARTS or more the first run is final.
 A verify pass batches its see-saw work across all suites. A suite (or
 a case within one) is a step in the sense of the norms module docstring,
 and a whole pass, its suites merged by `_gather`, runs through one
-`_drive`, one kernel call per half-step shape. `_case_rows` makes its
-rows with `_report`, the report code of hiding_ratio (which
-evaluate_game is), so a row equals its report of the case,
-operator or game, bit for bit. A scan makes every first-round row
-before it escalates, and then escalates a cap violation row by row, as
-the case's `_case_rows` step run again at ESCALATE_RESTARTS.
+`_drive`, one kernel call per half-step shape and at most 24 operators.
+`_case_rows` makes its rows with `_report`, the report code of
+hiding_ratio, so a row equals its report of the case, operator or game,
+bit for bit. A scan makes every first-round row before it escalates, and
+then escalates a cap violation row by row, as the case's `_case_rows`
+step run again at ESCALATE_RESTARTS.
 
 Tests reach the failure branches by patching `_report`, `_estimate`,
 `_covariance_jobs`, `trace_norm`, `witness_value` and
@@ -51,8 +51,8 @@ Tests reach the failure branches by patching `_report`, `_estimate`,
 from `states`), evaluators and scans here. Five names are imported only
 for it: hiding_ratio and evaluate_game (one function under two names,
 norms.hiding_ratio), epsilon_norm, seesaw_run and initial_contractions.
-Callers look these names up in this module's globals at call time, so a
-patch reaches every caller.
+None of the five has a caller in this module, so patching them reaches
+no run, and a traced verify pass records 0 see-saw runs.
 """
 
 from __future__ import annotations

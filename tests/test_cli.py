@@ -953,11 +953,13 @@ def test_rows_and_summaries_hold_only_plain_python_scalars(monkeypatch, tmp_path
 @pytest.mark.parametrize(
     "argv, batches",
     [
-        # three shapes of three cases each, then one shape of four games
+        # three shapes of three cases each, one shape of four games, and one
+        # shape of 60 games split into calls of at most 24
         (["scaling", "--generator", "gue", "--dmin", "2", "--dmax", "4", "--samples", "3"], [3, 3, 3]),
         (["xor", "--samples", "4"], [4]),
+        (["xor", "--samples", "60"], [24, 24, 12]),
     ],
-    ids=["scaling", "xor"],
+    ids=["scaling", "xor", "xor-capped"],
 )
 def test_a_command_makes_one_kernel_call_per_shape(monkeypatch, tmp_path, argv, batches):
     calls = []

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-import locnorms
 from locnorms import (
     QuantumXorGame,
     SeeSawConfig,
-    evaluate_game,
     game_operator,
     hiding_ratio,
     random_density_matrix,
@@ -98,7 +96,7 @@ def test_game_operator_trace_norm_at_most_one():
 def test_evaluate_single_state_game():
     rho = random_density_matrix(4, seed=207)
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho,), signs=(1,), probs=(1.0,))
-    report = evaluate_game(game, CFG)
+    report = hiding_ratio(game, CFG)
     assert report.trace_norm == pytest.approx(1.0, abs=1e-12)
     assert report.eps_estimate.value == pytest.approx(1.0, abs=1e-9)
     assert report.ratio == pytest.approx(1.0, abs=1e-6)
@@ -116,7 +114,6 @@ def report_bits(report):
 
 
 def test_evaluate_werner_game_matches_hiding_ratio():
-    assert locnorms.evaluate_game is locnorms.hiding_ratio
     werner = werner_hiding_pair(3)
     rng = stream(215)
     games = [werner] + [random_game(n_a, n_b, num_states=3, seed=rng)
@@ -124,22 +121,20 @@ def test_evaluate_werner_game_matches_hiding_ratio():
     cfg = SeeSawConfig(restarts=32, seed=208)
     for game in games:
         report = hiding_ratio(game, cfg)
-        assert report_bits(report) == report_bits(evaluate_game(game, cfg))
         assert report_bits(report) == report_bits(hiding_ratio(game_operator(game), cfg))
         assert report.satisfied
-    assert evaluate_game(werner, cfg).ratio == pytest.approx(3.0, abs=1e-6)
+    assert hiding_ratio(werner, cfg).ratio == pytest.approx(3.0, abs=1e-6)
 
 
 def test_evaluate_zero_game():
     rho = random_density_matrix(4, seed=209)
     game = QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, -1),
                           probs=(0.5, 0.5))
-    for evaluate in (evaluate_game, hiding_ratio):
-        report = evaluate(game, CFG)
-        assert report.trace_norm == 0.0
-        assert report.eps_estimate.value == 0.0
-        assert report.ratio is None
-        assert report.satisfied
+    report = hiding_ratio(game, CFG)
+    assert report.trace_norm == 0.0
+    assert report.eps_estimate.value == 0.0
+    assert report.ratio is None
+    assert report.satisfied
 
 
 def test_evaluate_sign_flip_invariance():
@@ -151,7 +146,7 @@ def test_evaluate_sign_flip_invariance():
     cfg = SeeSawConfig(restarts=8, seed=211)
     plus = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(1, -1, 1), probs=probs)
     minus = QuantumXorGame(n_a=2, n_b=2, states=states, signs=(-1, 1, -1), probs=probs)
-    a, b = evaluate_game(plus, cfg), evaluate_game(minus, cfg)
+    a, b = hiding_ratio(plus, cfg), hiding_ratio(minus, cfg)
     assert a.trace_norm == pytest.approx(b.trace_norm, abs=1e-12)
     assert a.eps_estimate.value == pytest.approx(b.eps_estimate.value, abs=1e-9)
 
@@ -160,7 +155,7 @@ def test_evaluate_bias_bounded_by_one():
     rng = stream(212)
     for _ in range(8):
         game = random_game(2, 2, num_states=3, seed=rng)
-        report = evaluate_game(game, SeeSawConfig(restarts=8, seed=213))
+        report = hiding_ratio(game, SeeSawConfig(restarts=8, seed=213))
         assert report.trace_norm <= 1.0 + 1e-9
         assert report.eps_estimate.value <= report.trace_norm + 1e-9
         assert report.bound == bound_factor(2, 2)

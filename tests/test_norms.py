@@ -16,10 +16,10 @@ import pytest
 from locnorms import (
     BipartiteOperator,
     DegenerateOperatorError,
+    QuantumXorGame,
     SeeSawConfig,
     epsilon_norm,
     error_probability,
-    evaluate_game,
     game_operator,
     gue_operator,
     hiding_ratio,
@@ -183,8 +183,30 @@ def test_seesaw_run_on_the_zero_operator_is_a_kernel_run():
     assert est.converged
     assert est.iterations_used == 2
     assert est.value_history == (0.0, 0.0, 0.0, 0.0)
-    assert est.restart_index is None
+    assert est.restart_index == 0
     assert np.array_equal(est.best_f, np.eye(2)) and np.array_equal(est.best_g, np.eye(3))
+
+
+def test_every_estimate_has_one_shape():
+    # Every path names the start of its reported run by an int and records
+    # both half-step values of every iteration, the last one being value.
+    zero = BipartiteOperator(2, 3, np.zeros((6, 6)))
+    rho = random_density_matrix(4, seed=218)
+    zero_game = QuantumXorGame(n_a=2, n_b=2, states=(rho, rho), signs=(1, -1), probs=(0.5, 0.5))
+    estimates = [
+        seesaw_run(gue_operator(3, 2, 219), np.eye(2), CFG),
+        seesaw_run(zero, np.eye(3), CFG),
+        epsilon_norm(zero, CFG),
+        hiding_ratio(zero_game, CFG).eps_estimate,
+    ]
+    for hermitian in (True, False):
+        estimates.append(epsilon_norm(gue_operator(3, 2, 220), CFG, hermitian=hermitian))
+        for n_a, n_b in ((1, 3), (3, 1)):
+            estimates.append(epsilon_norm(gue_operator(n_a, n_b, 221), CFG, hermitian=hermitian))
+    for est in estimates:
+        assert type(est.restart_index) is int
+        assert len(est.value_history) == 2 * est.iterations_used
+        assert est.value == est.value_history[-1]
 
 
 def test_seesaw_monotone_histories():
@@ -311,7 +333,7 @@ def test_epsilon_norm_product_case_recovers_factor_norms():
 def test_epsilon_norm_restart_metadata():
     z = game_operator(werner_hiding_pair(2))
     est = epsilon_norm(z, SeeSawConfig(restarts=32, seed=7))
-    assert est.restart_index is not None and 0 <= est.restart_index <= 32
+    assert 0 <= est.restart_index <= 32
     # Identity is stuck at 0 here (both partial traces vanish), so the
     # winner must be a randomized start.
     assert est.restart_index > 0
@@ -589,10 +611,10 @@ def test_seesaw_run_equals_a_direct_kernel_call(hermitian, start_side, n_a, n_b)
 
 
 def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
-    # Two shapes make two kernel calls; when the second call's starts are
-    # built and when it runs, the first call's start stacks and value
-    # histories are gone.
-    stack_refs, step_refs = [], []
+    # Two shapes make two kernel calls, and one shape of CALL_OPERATORS + 1
+    # jobs makes two too; when a call's starts are built and when it runs,
+    # every earlier call's start stacks and value histories are gone.
+    cap = norms.CALL_OPERATORS
     real_stack, real_seesaw = norms._start_stack, norms._seesaw
 
     def assert_released(refs):
@@ -600,23 +622,25 @@ def test_run_jobs_holds_one_kernel_call_at_a_time(monkeypatch):
         assert sum(ref() is not None for ref in refs) == 0
 
     def start_stack(*args):
-        assert_released(stack_refs)
-        stack = real_stack(*args)
-        stack_refs.append(weakref.ref(stack))
-        return stack
+        assert_released(call_refs)
+        return real_stack(*args)
 
-    def seesaw(*args):
-        assert_released(step_refs)
-        runs = real_seesaw(*args)
-        step_refs.extend(weakref.ref(array) for step in runs[0].steps for array in step)
+    def seesaw(zs, stacks, *args):
+        assert_released(call_refs)
+        runs = real_seesaw(zs, stacks, *args)
+        call_refs.extend(weakref.ref(stack) for stack in stacks)
+        call_refs.extend(weakref.ref(array) for step in runs[0].steps for array in step)
+        calls.append(len(zs))
         return runs
 
     monkeypatch.setattr(norms, "_start_stack", start_stack)
     monkeypatch.setattr(norms, "_seesaw", seesaw)
     config = SeeSawConfig(restarts=4, seed=176)
-    jobs = [(gue_operator(n, n, 177 + n), config, "B", True, lambda runs: runs.best()) for n in (2, 3)]
-    norms._run_jobs(jobs, config)
-    assert len(stack_refs) == 2 and step_refs
+    for dims, expected in (((2, 3), [1, 1]), ((2,) * (cap + 1), [cap, 1])):
+        call_refs, calls = [], []
+        jobs = [(gue_operator(n, n, 177 + k), config, "B", True, lambda runs: runs.best()) for k, n in enumerate(dims)]
+        norms._run_jobs(jobs, config)
+        assert calls == expected and call_refs
 
 
 def test_hiding_ratio_and_evaluate_game_make_one_kernel_call_each(monkeypatch):
@@ -630,7 +654,7 @@ def test_hiding_ratio_and_evaluate_game_make_one_kernel_call_each(monkeypatch):
     monkeypatch.setattr(norms, "_seesaw", counted)
     hiding_ratio(gue_operator(3, 2, 174), CFG)
     assert calls == [1]
-    evaluate_game(random_game(2, 2, seed=175), CFG)
+    hiding_ratio(random_game(2, 2, seed=175), CFG)
     assert calls == [1, 1]
 
 

@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "diamond_bound_rhs",
     "epsilon_norm",
     "error_probability",
-    "evaluate_game",
     "field_ratio_scan",
     "game_bound_scan",
     "game_operator",
